@@ -19,7 +19,7 @@ from .model import (
     param_count,
     parameter_shapes,
 )
-from .latent import EmbeddingSet, elbow, inertia, kmeans, norms, project2d
+from .latent import EmbeddingSet, elbow, inertia, kmeans, project2d
 from .serialize import Checkpoint, load_checkpoint, save_checkpoint
 from .tensor import ParameterSet, Tensor, grad_check, no_grad
 from .train import Adam, EpochRecord, TrainConfig, bce_loss, early_stop, fit, mse_loss, plateau_decay
@@ -57,7 +57,6 @@ __all__ = [
     "load_checkpoint",
     "mse_loss",
     "no_grad",
-    "norms",
     "param_count",
     "parameter_shapes",
     "plateau_decay",

@@ -1,6 +1,8 @@
 """Neural building blocks: a convolutional LSTM cell driven over the channel
-axis, multi-scale parallel convolution blocks, and the recurrent-kernel
-penalty used to regularize the cells."""
+axis, the mean of multi-scale convolution branches run as one folded
+convolution, and the recurrent-kernel penalty used to regularize the cells.
+The fold happens at forward time, so callers keep, train and store every
+branch kernel."""
 
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ from .tensor import (
     Tensor,
     add,
     add_n,
-    concat_channels,
     conv2d,
+    custom_op,
     mul,
     scale,
     sigmoid,
@@ -26,8 +28,6 @@ from .tensor import (
 
 # Gate slices along the stacked filter axis, each `filters` wide.
 GATE_ORDER = ("input", "forget", "candidate", "output")
-
-PARALLEL_KERNEL_EXTENTS = (1, 3, 5)
 
 
 @dataclass
@@ -117,50 +117,51 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     return h
 
 
-@dataclass
-class ParallelConvParams:
-    """Same-padding convolution branches applied side by side.
+def _centred_mean(parts: Sequence[Tensor]) -> Tensor:
+    """Mean of ``parts``, each zero-padded about its centre to the largest
+    extent along every axis, as one tape node. The backward pass hands each
+    part its centre slice of the output gradient, divided by the part count."""
+    shape = tuple(max(extents) for extents in zip(*(t.shape for t in parts)))
+    windows = [tuple(slice((s - e) // 2, (s - e) // 2 + e) for s, e in zip(shape, t.shape)) for t in parts]
+    weight = 1.0 / len(parts)
+    out = np.zeros(shape, dtype=np.result_type(*(t.data for t in parts)))
+    for t, window in zip(parts, windows):
+        out[window] += t.data
+    out *= weight
 
-    All branches share the input channel count and filter count; kernel
-    extents come from PARALLEL_KERNEL_EXTENTS. ``merge`` is "concat"
-    (channels stacked branch by branch) or "mean" (elementwise average).
+    def backward(g: np.ndarray) -> None:
+        for t, window in zip(parts, windows):
+            if t.requires_grad:
+                t._accumulate(g[window] * weight)
+
+    return custom_op(out, parts, backward)
+
+
+def mean_conv(x: Tensor, branches: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """Mean of same-padding, stride-1 convolution branches, run as one conv2d.
+
+    Each branch is a (kernel (k, k, C, F), bias (F,)) pair with odd k. The
+    convolution is linear in its kernel, so the mean of the branch outputs
+    is one convolution by the mean of the kernels, each zero-padded about its
+    centre to the largest extent, plus the mean of the biases.
     """
-
-    branches: Sequence[tuple[Tensor, Tensor]]  # (kernel (k, k, C, F), bias (F,))
-    merge: str = "concat"
-
-    def __post_init__(self) -> None:
-        if not self.branches:
-            raise ShapeError("parallel_conv: need at least one branch")
-        if self.merge not in ("concat", "mean"):
-            raise ValueError(f"parallel_conv: unknown merge {self.merge!r}")
-        first = self.branches[0][0]
-        if first.ndim != 4:
-            raise ShapeError(f"branch kernels must be rank 4, got rank {first.ndim}")
-        c, f = first.shape[2], first.shape[3]
-        for kernel, bias in self.branches:
-            k = kernel.shape[0]
-            if kernel.ndim != 4 or kernel.shape[1] != k:
-                raise ShapeError(f"branch kernel must be square, got {kernel.shape}")
-            if k not in PARALLEL_KERNEL_EXTENTS:
-                raise ShapeError(f"branch kernel extent must be one of {PARALLEL_KERNEL_EXTENTS}, got {k}")
-            if kernel.shape[2] != c or kernel.shape[3] != f:
-                raise ShapeError(f"branches disagree on channels/filters: {kernel.shape} vs {first.shape}")
-            if bias.ndim != 1 or bias.shape[0] != f:
-                raise ShapeError(f"branch bias must have extent {f}, got shape {bias.shape}")
-
-
-def parallel_conv(x: Tensor, p: ParallelConvParams) -> Tensor:
-    """Apply every branch (same padding, stride 1) and merge the results."""
-    outs = [conv2d(x, kernel, bias) for kernel, bias in p.branches]
-    if p.merge == "concat":
-        merged = outs[0]
-        for o in outs[1:]:
-            merged = concat_channels(merged, o)
-        return merged
-    if len(outs) == 1:
-        return outs[0]
-    return scale(add_n(outs), 1.0 / len(outs))
+    if not branches:
+        raise ShapeError("mean_conv: need at least one branch")
+    first = branches[0][0]
+    if first.ndim != 4:
+        raise ShapeError(f"mean_conv: branch kernels must be rank 4, got rank {first.ndim}")
+    c, f = first.shape[2], first.shape[3]
+    for kernel, bias in branches:
+        k = kernel.shape[0]
+        if kernel.ndim != 4 or kernel.shape[1] != k or k % 2 == 0:
+            raise ShapeError(f"mean_conv: branch kernel must be square with an odd extent, got {kernel.shape}")
+        if kernel.shape[2] != c or kernel.shape[3] != f:
+            raise ShapeError(f"mean_conv: branches disagree on channels/filters: {kernel.shape} vs {first.shape}")
+        if bias.ndim != 1 or bias.shape[0] != f:
+            raise ShapeError(f"mean_conv: branch bias must have extent {f}, got shape {bias.shape}")
+    kernels = _centred_mean([kernel for kernel, _ in branches])
+    biases = _centred_mean([bias for _, bias in branches])
+    return conv2d(x, kernels, biases)
 
 
 def l2_penalty(tensors: Iterable[Tensor], lam: float) -> Tensor:

@@ -1,6 +1,6 @@
 """Latent-space analysis: k-means under the within-cluster sum-of-squares
-objective, elbow-based k selection, row norms, and a principal-component
-projection for 2-D plotting."""
+objective, elbow-based k selection, and a principal-component projection
+for 2-D plotting, written with each row's norm."""
 
 from __future__ import annotations
 
@@ -237,12 +237,6 @@ def elbow(
         if inertias[i] > inertias[i - 1] + _MONOTONE_SLACK * max(1.0, inertias[i - 1])
     ]
     return ElbowCurve(points=list(zip(ks, inertias)), selected_k=select_elbow(ks, inertias), violations=violations)
-
-
-def norms(e: EmbeddingSet) -> list[tuple[str, float]]:
-    """Euclidean norm of every row, paired with its identifier."""
-    values = np.sqrt((e.rows**2).sum(axis=1))
-    return list(zip(e.ids, (float(v) for v in values)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (
-    ConvLstmParams,
-    ParallelConvParams,
-    convlstm_over_channels,
-    parallel_conv,
-)
+from .blocks import ConvLstmParams, convlstm_over_channels, mean_conv
 from .errors import ConfigError, NumericError, ShapeError
 from .tensor import (
     ParameterSet,
@@ -180,9 +175,8 @@ def _cell_params(params: ParameterSet, stage: str) -> ConvLstmParams:
     )
 
 
-def _parallel_params(params: ParameterSet, stage: str, extents, merge: str) -> ParallelConvParams:
-    branches = [(params[f"{stage}/conv{k}x{k}/kernel"], params[f"{stage}/conv{k}x{k}/bias"]) for k in extents]
-    return ParallelConvParams(branches, merge=merge)
+def _branches(params: ParameterSet, stage: str, extents) -> list[tuple[Tensor, Tensor]]:
+    return [(params[f"{stage}/conv{k}x{k}/kernel"], params[f"{stage}/conv{k}x{k}/bias"]) for k in extents]
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +241,20 @@ def dd(z: Tensor, params: ParameterSet, cfg: BearConfig) -> Tensor:
 
 
 def pd(z: Tensor, params: ParameterSet, cfg: BearConfig, stage: str = "pd1") -> Tensor:
-    """Mean-merged parallel convolutions, then a 2x nearest upsample."""
-    p = _parallel_params(params, stage, PD_KERNEL_EXTENTS, merge="mean")
-    h = tanh(parallel_conv(z, p))
+    """The mean of 1x1, 3x3 and 5x5 same-padding convolution branches, then
+    tanh and a 2x nearest upsample. The branches run as one 5x5 convolution
+    whose kernel is the mean of the centred branch kernels; the checkpoint
+    still stores every branch kernel."""
+    h = tanh(mean_conv(z, _branches(params, stage, PD_KERNEL_EXTENTS)))
     return upsample_nearest(h, 2)
 
 
 def pf_reconstruct(z: Tensor, params: ParameterSet, cfg: BearConfig) -> Tensor:
-    """Output stage: branch outputs averaged before the sigmoid, so the mean
-    is taken in pre-activation space and every pixel lands in (0, 1)."""
-    extents = PD_KERNEL_EXTENTS[: cfg.pf_branches]
-    p = _parallel_params(params, "pf", extents, merge="mean")
-    return sigmoid(parallel_conv(z, p))
+    """Output stage: the first ``pf_branches`` branches averaged before the
+    sigmoid, so the mean is taken in pre-activation space and every pixel
+    lands in (0, 1). The branches run as one convolution of the largest
+    branch extent, folded as in ``pd``; the checkpoint stores every branch."""
+    return sigmoid(mean_conv(z, _branches(params, "pf", PD_KERNEL_EXTENTS[: cfg.pf_branches])))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ parameter-set order.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -33,11 +34,14 @@ BC1_MAGIC = b"BEARC1"
 
 
 def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
+    """Read ``count`` bytes, checked against the bytes left in the stream
+    first, so a corrupt length fails here instead of allocating it."""
     offset = fh.tell()
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError(f"truncated {what}: needed {count} bytes at byte offset {offset}, got {len(data)}")
-    return data
+    left = fh.seek(0, os.SEEK_END) - offset
+    fh.seek(offset)
+    if count > left:
+        raise FormatError(f"truncated {what}: needed {count} bytes at byte offset {offset}, {left} remain")
+    return fh.read(count)
 
 
 def write_bt1(fh: BinaryIO, arr: np.ndarray) -> None:
@@ -59,53 +63,21 @@ def read_bt1(fh: BinaryIO) -> np.ndarray:
     shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "tensor extents"))
     if any(s == 0 for s in shape):
         raise FormatError(f"zero extent in tensor shape {shape} at byte offset {offset}")
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     raw = _read_exact(fh, 4 * count, "tensor elements")
     return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-
-
-def save_tensor(path: str | Path, arr: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        write_bt1(fh, arr)
-
-
-def load_tensor(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        arr = read_bt1(fh)
-        if fh.read(1):
-            raise FormatError(f"trailing bytes after tensor data at byte offset {fh.tell() - 1}")
-    return arr
 
 
 # ---------------------------------------------------------------------------
 # run configuration files (flat key=value)
 
-_BEAR_FIELDS: dict[str, type] = {
-    "n": int,
-    "d": int,
-    "r": int,
-    "m": int,
-    "f_pfe": int,
-    "f_rfe": int,
-    "f_bfe": int,
-    "f_dec": int,
-    "pf_branches": int,
-    "kernel_size": int,
-    "seed": int,
-}
 
-_TRAIN_FIELDS: dict[str, type] = {
-    "loss": str,
-    "lr0": float,
-    "plateau_patience": int,
-    "decay_factor": float,
-    "stop_patience": int,
-    "batch_size": int,
-    "max_epochs": int,
-    "val_fraction": float,
-    "l2": float,
-    "seed": int,
-}
+def _field_types(cls) -> dict[str, type]:
+    """Each dataclass field's name and the type of its default value."""
+    return {f.name: type(f.default) for f in fields(cls)}
+
+
+_BEAR_FIELDS = _field_types(BearConfig)
 
 
 def parse_kv_text(text: str, label: str = "config") -> dict[str, str]:
@@ -147,6 +119,7 @@ def split_run_config(mapping: Mapping[str, str], label: str = "config"):
     """
     from .train import TrainConfig  # local import to avoid a cycle
 
+    train_fields = _field_types(TrainConfig)
     bear_kwargs: dict = {}
     train_kwargs: dict = {}
     for key, value in mapping.items():
@@ -154,8 +127,8 @@ def split_run_config(mapping: Mapping[str, str], label: str = "config"):
         if key in _BEAR_FIELDS:
             bear_kwargs[key] = _convert(key, value, _BEAR_FIELDS[key], label)
             known = True
-        if key in _TRAIN_FIELDS:
-            train_kwargs[key] = _convert(key, value, _TRAIN_FIELDS[key], label)
+        if key in train_fields:
+            train_kwargs[key] = _convert(key, value, train_fields[key], label)
             known = True
         if not known:
             raise ConfigError(f"{label}: unknown config key {key!r}")

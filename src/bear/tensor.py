@@ -240,33 +240,24 @@ def _stable_sigmoid(v: Array) -> Array:
     return out
 
 
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise nonlinearity, ``kind`` one of "sigmoid" or "tanh"."""
-    if kind == "sigmoid":
-        y = _stable_sigmoid(x.data)
+def sigmoid(x: Tensor) -> Tensor:
+    y = _stable_sigmoid(x.data)
 
-        def backward(g: Array) -> None:
-            if x.requires_grad:
-                x._accumulate(g * y * (1.0 - y))
+    def backward(g: Array) -> None:
+        if x.requires_grad:
+            x._accumulate(g * y * (1.0 - y))
 
-    elif kind == "tanh":
-        y = np.tanh(x.data)
-
-        def backward(g: Array) -> None:
-            if x.requires_grad:
-                x._accumulate(g * (1.0 - y * y))
-
-    else:
-        raise ValueError(f"activation: unknown kind {kind!r}")
     return _make(y, (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return activation(x, "sigmoid")
-
-
 def tanh(x: Tensor) -> Tensor:
-    return activation(x, "tanh")
+    y = np.tanh(x.data)
+
+    def backward(g: Array) -> None:
+        if x.requires_grad:
+            x._accumulate(g * (1.0 - y * y))
+
+    return _make(y, (x,), backward)
 
 
 def downsample_avg(x: Tensor, r: int) -> Tensor:

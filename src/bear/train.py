@@ -170,13 +170,6 @@ class Adam:
         self.params.zero_grads()
 
 
-def adam_step(params: ParameterSet, state: Adam, lr: float) -> None:
-    """One optimizer update over every parameter (state carries the moments)."""
-    if state.params is not params:
-        raise ValueError("adam_step: state was built for a different parameter set")
-    state.step(lr)
-
-
 # ---------------------------------------------------------------------------
 # schedule state machines
 

@@ -1,4 +1,4 @@
-"""ConvLSTM cell, channel-sequence scan, parallel convolutions, L2 penalty."""
+"""ConvLSTM cell, channel-sequence scan, the folded mean of parallel convolutions, L2 penalty."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,10 @@ from conftest import naive_conv2d, reference_convlstm_step
 
 from bear.blocks import (
     ConvLstmParams,
-    ParallelConvParams,
     convlstm_over_channels,
     convlstm_step,
     l2_penalty,
-    parallel_conv,
+    mean_conv,
 )
 from bear.errors import ShapeError
 from bear.tensor import ParameterSet, Tensor, conv2d, grad_check, sum_squares
@@ -156,7 +155,7 @@ class TestParallelConv:
         x = rng.normal(size=(6, 6, 2))
         k = rng.normal(size=(3, 3, 2, 4))
         b = rng.normal(size=4)
-        merged = parallel_conv(Tensor(x), ParallelConvParams([(Tensor(k), Tensor(b))], merge="mean"))
+        merged = mean_conv(Tensor(x), [(Tensor(k), Tensor(b))])
         plain = conv2d(Tensor(x), Tensor(k), Tensor(b))
         assert np.array_equal(merged.data, plain.data)
 
@@ -166,30 +165,49 @@ class TestParallelConv:
         k = rng.normal(size=(3, 3, 2, 3))
         b = rng.normal(size=3)
         branches = [(Tensor(k.copy()), Tensor(b.copy())) for _ in range(3)]
-        merged = parallel_conv(Tensor(x), ParallelConvParams(branches, merge="mean"))
+        merged = mean_conv(Tensor(x), branches)
         single = conv2d(Tensor(x), Tensor(k), Tensor(b))
         assert np.abs(merged.data - single.data).max() < 1e-12
 
-    def test_concat_slices_match_per_branch_oracle(self):
+    def test_matches_mean_of_branch_oracles(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(8, 8, 2))
-        branches = []
-        for extent in (1, 3, 5):
-            branches.append((rng.normal(size=(extent, extent, 2, 3)), rng.normal(size=3)))
-        p = ParallelConvParams([(Tensor(k), Tensor(b)) for k, b in branches], merge="concat")
-        out = parallel_conv(Tensor(x), p)
-        assert out.shape == (8, 8, 9)
-        for i, (k, b) in enumerate(branches):
-            want = naive_conv2d(x, k, b)
-            assert np.abs(out.data[:, :, 3 * i : 3 * i + 3] - want).max() < 1e-6
+        branches = [(rng.normal(size=(e, e, 2, 3)), rng.normal(size=3)) for e in (1, 3, 5)]
+        out = mean_conv(Tensor(x), [(Tensor(k), Tensor(b)) for k, b in branches])
+        want = sum(naive_conv2d(x, k, b) for k, b in branches) / len(branches)
+        assert out.shape == (8, 8, 3)
+        assert np.abs(out.data - want).max() < 1e-6
+
+    def test_branch_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(6, 6, 2)))
+        params = ParameterSet()
+        for e in (1, 3, 5):
+            params.add(f"conv{e}/kernel", Tensor(rng.normal(size=(e, e, 2, 3)) * 0.5))
+            params.add(f"conv{e}/bias", Tensor(rng.normal(size=3) * 0.5))
+
+        def loss(p):
+            branches = [(p[f"conv{e}/kernel"], p[f"conv{e}/bias"]) for e in (1, 3, 5)]
+            return sum_squares(mean_conv(x, branches))
+
+        assert grad_check(loss, params, h=1e-5) < 1e-6
 
     def test_empty_branch_list_rejected(self):
         with pytest.raises(ShapeError, match="at least one"):
-            ParallelConvParams([], merge="mean")
+            mean_conv(Tensor(np.zeros((4, 4, 1))), [])
 
     def test_disallowed_kernel_extent_rejected(self):
-        with pytest.raises(ShapeError, match="extent"):
-            ParallelConvParams([(Tensor(np.zeros((7, 7, 1, 1))), Tensor(np.zeros(1)))])
+        with pytest.raises(ShapeError, match="odd extent"):
+            mean_conv(Tensor(np.zeros((4, 4, 1))), [(Tensor(np.zeros((4, 4, 1, 1))), Tensor(np.zeros(1)))])
+
+    @pytest.mark.parametrize("shape", [(3, 3, 2, 1), (3, 3, 1, 2)], ids=["channels", "filters"])
+    def test_branches_that_disagree_rejected(self, shape):
+        branches = [
+            (Tensor(np.zeros((1, 1, 1, 1))), Tensor(np.zeros(1))),
+            (Tensor(np.zeros(shape)), Tensor(np.zeros(shape[3]))),
+        ]
+        with pytest.raises(ShapeError, match="disagree"):
+            mean_conv(Tensor(np.zeros((4, 4, 1))), branches)
 
 
 class TestL2Penalty:

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from bear.model import BearConfig, init_params
 from bear.ppm import image_to_unit, read_ppm, resize_unit
+from bear.serialize import BT1_MAGIC, Checkpoint, save_checkpoint
 
 CONFIG = """\
 n=16
@@ -246,6 +248,19 @@ class TestFailureModes:
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         proc = run_cli(["info", "--ckpt", "missing.bc1"], tmp_path)
         assert proc.returncode == 2
+
+    def test_overflowing_tensor_extents_are_data_error(self, tmp_path):
+        # 65536**4 elements wrap a 64-bit element count to 0
+        cfg = BearConfig(n=16, d=3, r=4, m=8, f_pfe=1, f_rfe=1, f_bfe=1, f_dec=1)
+        path = tmp_path / "model.bc1"
+        save_checkpoint(Checkpoint(cfg, init_params(cfg), {}), path)
+        data = path.read_bytes()
+        first_tensor = data.index(BT1_MAGIC)
+        extents = struct.pack("<5I", 4, 65536, 65536, 65536, 65536)
+        path.write_bytes(data[:first_tensor] + BT1_MAGIC + extents + bytes(64))
+        proc = run_cli(["info", "--ckpt", "model.bc1"], tmp_path)
+        assert proc.returncode == 2
+        assert "truncated tensor elements" in proc.stderr
 
     def test_pca_rank_cluster_path(self, pipeline):
         proc = run_cli(

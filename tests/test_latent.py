@@ -1,4 +1,4 @@
-"""k-means, elbow selection, norms, principal projection, and the CSVs."""
+"""k-means, elbow selection, principal projection, and the CSVs (with their row norms)."""
 
 import numpy as np
 import pytest
@@ -13,10 +13,10 @@ from bear.latent import (
     ElbowCurve,
     EmbeddingSet,
     KMeansResult,
+    Projection,
     elbow,
     inertia,
     kmeans,
-    norms,
     principal_components,
     project2d,
     read_embeddings,
@@ -188,18 +188,28 @@ class TestElbow:
             elbow(e, 1, 9)
 
 
+def _norm_column(e, tmp_path):
+    """(id, norm) pairs read back from the projection CSV's norm column."""
+    m = e.rows.shape[1]
+    proj = Projection(scores=np.zeros((e.count, 2)), components=np.zeros((m, 2)), mean=np.zeros(m))
+    path = tmp_path / "proj.csv"
+    write_projection(path, e, proj)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [(row[0], float(row[3])) for row in rows]
+
+
 class TestNorms:
-    def test_zero_vector(self):
-        assert norms(_embeddings([[0.0, 0.0, 0.0]]))[0][1] == 0.0
+    def test_zero_vector(self, tmp_path):
+        assert _norm_column(_embeddings([[0.0, 0.0, 0.0]]), tmp_path)[0][1] == 0.0
 
-    def test_three_four_five(self):
+    def test_three_four_five(self, tmp_path):
         e = _embeddings([[3.0, 4.0, 0.0, 0.0]])
-        assert norms(e)[0][1] == pytest.approx(5.0)
+        assert _norm_column(e, tmp_path)[0][1] == pytest.approx(5.0)
 
-    def test_matches_scalar_oracle(self):
+    def test_matches_scalar_oracle(self, tmp_path):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(10, 6))
-        got = norms(_embeddings(X))
+        got = _norm_column(_embeddings(X), tmp_path)
         for i, (row_id, value) in enumerate(got):
             want = sum(float(v) ** 2 for v in X[i]) ** 0.5
             assert value == pytest.approx(want, abs=1e-9)

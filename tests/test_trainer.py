@@ -18,7 +18,6 @@ from bear.tensor import ParameterSet, Tensor, grad_check
 from bear.train import (
     Adam,
     TrainConfig,
-    adam_step,
     bce_loss,
     early_stop,
     fit,
@@ -154,7 +153,7 @@ class TestAdam:
             g = 2.0 * (float(w.data[0]) - 5.0)
             grads.append(g)
             w.grad = np.array([g], dtype=np.float64)
-            adam_step(params, state, lr)
+            state.step(lr)
             got.append(float(w.data[0]))
         want = scalar_adam_trace(1.0, grads, lr)
         for a, b in zip(got, want):
