@@ -1,8 +1,9 @@
-"""Neural building blocks: a convolutional LSTM cell driven over the channel
+"""Neural building blocks: a convolutional LSTM cell scanned over the channel
 axis, the mean of multi-scale convolution branches run as one folded
 convolution, and the recurrent-kernel penalty used to regularize the cells.
-The fold happens at forward time, so callers keep, train and store every
-branch kernel."""
+Each scan is one tape node with a hand-written backward pass; it shares the
+im2col window layout of ``tensor.conv2d``. The fold happens at forward time,
+so callers keep, train and store every branch kernel."""
 
 from __future__ import annotations
 
@@ -12,22 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import (
-    Tensor,
-    add,
-    add_n,
-    conv2d,
-    custom_op,
-    mul,
-    scale,
-    sigmoid,
-    slice_channels,
-    sum_squares,
-    tanh,
-)
-
-# Gate slices along the stacked filter axis, each `filters` wide.
-GATE_ORDER = ("input", "forget", "candidate", "output")
+from .tensor import Tensor, _col2im, _im2col, _stable_sigmoid, add_n, conv2d, custom_op, scale, sum_squares
 
 
 @dataclass
@@ -36,7 +22,7 @@ class ConvLstmParams:
 
     The cell is driven over single-channel slices of its input, so the input
     kernels consume exactly one channel. Gate kernels are stacked along the
-    last axis in GATE_ORDER, each ``filters`` wide.
+    last axis as (input, forget, candidate, output), each ``filters`` wide.
     """
 
     input_kernels: Tensor  # (k, k, 1, 4F)
@@ -69,52 +55,75 @@ class ConvLstmParams:
         return self.input_kernels.shape[0]
 
 
-def convlstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: ConvLstmParams) -> tuple[Tensor, Tensor]:
-    """One cell update over a single-channel input slice.
-
-    i = sig(conv(x; Wi) + conv(h; Ui) + bi), f and o likewise,
-    g = tanh(conv(x; Wg) + conv(h; Ug) + bg),
-    c = f * c_prev + i * g,  h = o * tanh(c).
-    Spatial extents are preserved (same padding).
-    """
-    F = p.filters
-    if x_t.ndim != 3 or x_t.shape[2] != 1:
-        raise ShapeError(f"convlstm_step: input slice must be (H, W, 1), got {x_t.shape}")
-    expected = (x_t.shape[0], x_t.shape[1], F)
-    if h_prev.shape != expected:
-        raise ShapeError(f"convlstm_step: hidden state shape {h_prev.shape} does not match {expected}")
-    if c_prev.shape != expected:
-        raise ShapeError(f"convlstm_step: cell state shape {c_prev.shape} does not match {expected}")
-    zero_bias = Tensor(np.zeros(4 * F, dtype=p.biases.data.dtype))
-    gates = add(
-        conv2d(x_t, p.input_kernels, p.biases),
-        conv2d(h_prev, p.recurrent_kernels, zero_bias),
-    )
-    i = sigmoid(slice_channels(gates, 0, F))
-    f = sigmoid(slice_channels(gates, F, 2 * F))
-    g = tanh(slice_channels(gates, 2 * F, 3 * F))
-    o = sigmoid(slice_channels(gates, 3 * F, 4 * F))
-    c_t = add(mul(f, c_prev), mul(i, g))
-    h_t = mul(o, tanh(c_t))
-    return h_t, c_t
-
-
 def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
-    """Run the cell across the channel axis as a sequence, zero initial state.
+    """Run the cell across the channel axis of an (H, W, T) input as a
+    sequence of T single-channel steps from zero state, and return the final
+    hidden state (H, W, F) as one tape node.
 
-    Channel order matters: slices are consumed in storage order, and the final
-    hidden state is returned.
+    Per step, with same padding,
+    i = sig(conv(x_t; Wi) + conv(h; Ui) + bi), f and o likewise,
+    g = tanh(conv(x_t; Wg) + conv(h; Ug) + bg),
+    c = f * c_prev + i * g,  h = o * tanh(c).
+    Channel order matters: slices are consumed in storage order. The input
+    kernels are shared by every step, so all input convolutions run as one
+    GEMM before the loop. The backward pass runs the loop in reverse and
+    rebuilds im2col columns instead of keeping them.
     """
     if x.ndim != 3:
         raise ShapeError(f"convlstm_over_channels: input must be rank 3, got rank {x.ndim}")
-    H, W, depth = x.shape
-    F = p.filters
-    state_dtype = p.biases.data.dtype
-    h = Tensor(np.zeros((H, W, F), dtype=state_dtype))
-    c = Tensor(np.zeros((H, W, F), dtype=state_dtype))
-    for t in range(depth):
-        h, c = convlstm_step(slice_channels(x, t, t + 1), h, c, p)
-    return h
+    H, W, T = x.shape
+    F, k = p.filters, p.kernel_extent
+    s = k // 2
+    ik = p.input_kernels.data.reshape(k * k, 4 * F)
+    rk = p.recurrent_kernels.data.reshape(k * k * F, 4 * F)
+    xp = np.pad(x.data.transpose(2, 0, 1)[..., None], ((0, 0), (s, s), (s, s), (0, 0)))  # one map per step
+    inputs = (_im2col(xp, k, k, 1) @ ik + p.biases.data).reshape(T, H * W, 4 * F)
+    h = np.zeros((H, W, F), dtype=inputs.dtype)
+    cells = [np.zeros((H * W, F), dtype=inputs.dtype)]
+    hidden_padded, gates = [], []
+    for t in range(T):
+        pre = inputs[t]
+        if t:  # the recurrent term of the zero initial state is zero
+            hidden_padded.append(np.pad(h, ((s, s), (s, s), (0, 0))))
+            pre = pre + _im2col(hidden_padded[-1], k, k, 1) @ rk
+        act = _stable_sigmoid(pre)
+        act[:, 2 * F : 3 * F] = np.tanh(pre[:, 2 * F : 3 * F])
+        i, f, g, o = np.split(act, 4, axis=1)
+        cells.append(f * cells[-1] + i * g)
+        h = (o * np.tanh(cells[-1])).reshape(H, W, F)
+        gates.append(act)
+
+    def backward(grad: np.ndarray) -> None:
+        d_pre = np.empty((T, H * W, 4 * F), dtype=h.dtype)
+        dh = grad.reshape(H * W, F)
+        dc = np.zeros_like(dh)
+        d_rk = np.zeros_like(rk)
+        for t in reversed(range(T)):
+            i, f, g, o = np.split(gates[t], 4, axis=1)
+            tc = np.tanh(cells[t + 1])
+            dc = dc + dh * o * (1.0 - tc * tc)
+            d = d_pre[t]
+            d[:, :F] = dc * g * i * (1.0 - i)
+            d[:, F : 2 * F] = dc * cells[t] * f * (1.0 - f)
+            d[:, 2 * F : 3 * F] = dc * i * (1.0 - g * g)
+            d[:, 3 * F :] = dh * tc * o * (1.0 - o)
+            dc = dc * f
+            if t:
+                hp = hidden_padded[t - 1]
+                d_rk += _im2col(hp, k, k, 1).T @ d
+                dh = _col2im(d @ rk.T, hp.shape, k, k, 1, H, W)[s : s + H, s : s + W].reshape(H * W, F)
+        d_pre = d_pre.reshape(T * H * W, 4 * F)
+        if p.biases.requires_grad:
+            p.biases._accumulate(d_pre.sum(axis=0))
+        if p.recurrent_kernels.requires_grad:
+            p.recurrent_kernels._accumulate(d_rk.reshape(p.recurrent_kernels.shape))
+        if p.input_kernels.requires_grad:
+            p.input_kernels._accumulate((_im2col(xp, k, k, 1).T @ d_pre).reshape(p.input_kernels.shape))
+        if x.requires_grad:
+            dxp = _col2im(d_pre @ ik.T, xp.shape, k, k, 1, H, W)
+            x._accumulate(dxp[:, s : s + H, s : s + W, 0].transpose(1, 2, 0))
+
+    return custom_op(h, (x, p.input_kernels, p.recurrent_kernels, p.biases), backward)
 
 
 def _centred_mean(parts: Sequence[Tensor]) -> Tensor:

@@ -18,7 +18,7 @@ from . import latent as lat
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import encode_latent, forward, param_count
 from .ppm import image_to_unit, read_ppm, resize_unit, unit_to_image, write_ppm
-from .serialize import config_hash, load_checkpoint, load_run_config, save_checkpoint
+from .serialize import atomic_write, config_hash, load_checkpoint, load_run_config, save_checkpoint
 from .synth import synthetic_images
 from .tensor import Tensor, no_grad
 from .train import fit, write_epoch_log
@@ -53,8 +53,8 @@ def _write_manifest(
     lines += [f"input={p}" for p in inputs]
     lines += [f"output={p}" for p in outputs]
     lines.append(f"config_hash={cfg_hash if cfg_hash is not None else '-'}")
-    manifest = primary.with_name(primary.name + ".manifest")
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(primary.with_name(primary.name + ".manifest")) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _load_image_dir(data_dir: Path, n: int) -> tuple[list[str], list[np.ndarray], int]:

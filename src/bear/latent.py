@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, FormatError, NumericError
+from .serialize import atomic_write
 
 # Scan range used for elbow analysis when none is requested explicitly.
 DEFAULT_ELBOW_RANGE = (10, 20)
@@ -333,13 +334,17 @@ def reduce_embeddings(e: EmbeddingSet, rank: int) -> EmbeddingSet:
 # CSV interchange
 
 
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    with atomic_write(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_embeddings(path: str | Path, e: EmbeddingSet) -> None:
     """CSV with header ``id,z0,...,z{m-1}``; float values round-trip exactly."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + [f"z{i}" for i in range(e.width)])
-        for row_id, row in zip(e.ids, e.rows):
-            writer.writerow([row_id] + [repr(float(v)) for v in row])
+    rows = ([row_id] + [repr(float(v)) for v in row] for row_id, row in zip(e.ids, e.rows))
+    _write_csv(path, ["id"] + [f"z{i}" for i in range(e.width)], rows)
 
 
 def read_embeddings(path: str | Path) -> EmbeddingSet:
@@ -370,27 +375,19 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
 
 def write_clusters(path: str | Path, ids: Sequence[str], assignments: np.ndarray) -> None:
     """CSV with header ``id,cluster``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "cluster"])
-        for row_id, label in zip(ids, assignments):
-            writer.writerow([row_id, int(label)])
+    _write_csv(path, ["id", "cluster"], ([row_id, int(label)] for row_id, label in zip(ids, assignments)))
 
 
 def write_elbow(path: str | Path, curve: ElbowCurve) -> None:
     """CSV with header ``k,inertia``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "inertia"])
-        for k, value in curve.points:
-            writer.writerow([k, repr(float(value))])
+    _write_csv(path, ["k", "inertia"], ([k, repr(float(value))] for k, value in curve.points))
 
 
 def write_projection(path: str | Path, e: EmbeddingSet, proj: Projection) -> None:
     """CSV with header ``id,px,py,norm`` (norm of the original row)."""
     lengths = np.sqrt((e.rows**2).sum(axis=1))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "px", "py", "norm"])
-        for row_id, point, length in zip(e.ids, proj.scores, lengths):
-            writer.writerow([row_id, repr(float(point[0])), repr(float(point[1])), repr(float(length))])
+    rows = (
+        [row_id, repr(float(point[0])), repr(float(point[1])), repr(float(length))]
+        for row_id, point, length in zip(e.ids, proj.scores, lengths)
+    )
+    _write_csv(path, ["id", "px", "py", "norm"], rows)

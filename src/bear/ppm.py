@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ShapeError
+from .serialize import atomic_write
 
 _WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
 _COMMENT = 0x23  # '#'
@@ -77,7 +78,8 @@ def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
         raise ShapeError(f"write_ppm: pixels must be uint8, got {pixels.dtype}")
     h, w = pixels.shape[:2]
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + np.ascontiguousarray(pixels).tobytes())
+    with atomic_write(path, "wb") as fh:
+        fh.write(header + np.ascontiguousarray(pixels).tobytes())
 
 
 def image_to_unit(pixels: np.ndarray) -> np.ndarray:

@@ -15,9 +15,10 @@ import hashlib
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Mapping
+from typing import IO, BinaryIO, Iterator, Mapping
 
 import numpy as np
 
@@ -27,6 +28,24 @@ from .tensor import ParameterSet, Tensor
 
 BT1_MAGIC = b"BEART1"
 BC1_MAGIC = b"BEARC1"
+
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open a temporary sibling of ``path`` for writing ("w" for UTF-8 text
+    with untranslated newlines, "wb" for bytes) and rename it over ``path``
+    when the block succeeds. On failure the temporary file is removed, so
+    ``path`` holds either its old contents or the complete new ones."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +196,10 @@ class Checkpoint:
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write a BC1 file atomically (temp file then rename)."""
-    path = Path(path)
     header_lines = [f"cfg.{line}" for line in config_lines(ckpt.config)]
     header_lines += [f"meta.{k}={v}" for k, v in sorted(ckpt.metadata.items())]
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(BC1_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
@@ -191,7 +208,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
             write_bt1(fh, tensor.data)
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path, expect_config: BearConfig | None = None) -> Checkpoint:

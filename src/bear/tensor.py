@@ -85,9 +85,6 @@ class Tensor:
             raise ShapeError(f"item: tensor has {self.data.size} elements, expected 1")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: Array) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -122,30 +119,40 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
-def _make(value: Array, parents: Sequence[Tensor], backward: BackwardFn) -> Tensor:
+def custom_op(value, parents: Sequence[Tensor], backward: BackwardFn) -> Tensor:
+    """Create a traced value from a hand-written forward result and backward rule.
+
+    ``backward`` receives the output gradient and must accumulate into each
+    parent that has ``requires_grad`` set. Only those parents are recorded,
+    and nothing is recorded under ``no_grad``.
+    """
     recorded = tuple(p for p in parents if p.requires_grad)
     if _grad_enabled and recorded:
         return Tensor(value, requires_grad=True, _parents=recorded, _backward=backward)
     return Tensor(value)
 
 
-def custom_op(value, parents: Sequence[Tensor], backward: BackwardFn) -> Tensor:
-    """Create a traced value from a hand-written forward result and backward rule.
-
-    ``backward`` receives the output gradient and must accumulate into each
-    parent that has ``requires_grad`` set.
-    """
-    return _make(np.asarray(value), parents, backward)
-
-
 # ---------------------------------------------------------------------------
 # primitive operations
 
 
-def _im2col(xp: Array, kh: int, kw: int, stride: int, out_h: int, out_w: int) -> Array:
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
-    windows = windows[::stride, ::stride]
-    return windows.transpose(0, 1, 3, 4, 2).reshape(out_h * out_w, kh * kw * xp.shape[2])
+def _im2col(xp: Array, kh: int, kw: int, stride: int) -> Array:
+    """One row per output position of a padded (..., Hp, Wp, C) array, holding
+    its kh x kw window in (i, j, c) order; leading axes fold into the rows."""
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(-3, -2))
+    windows = windows[..., ::stride, ::stride, :, :, :]
+    return np.moveaxis(windows, -3, -1).reshape(-1, kh * kw * xp.shape[-1])
+
+
+def _col2im(cols: Array, xp_shape: tuple[int, ...], kh: int, kw: int, stride: int, out_h: int, out_w: int) -> Array:
+    """Adjoint of ``_im2col``: add every window row back onto a zero array of
+    the padded input's shape."""
+    cols = cols.reshape(*xp_shape[:-3], out_h, out_w, kh, kw, xp_shape[-1])
+    out = np.zeros(xp_shape, dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            out[..., i : i + stride * out_h : stride, j : j + stride * out_w : stride, :] += cols[..., i, j, :]
+    return out
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
@@ -185,7 +192,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: st
     pb, pr = pad_h - pt, pad_w - pl
     xp = np.pad(x.data, ((pt, pb), (pl, pr), (0, 0))) if pad_h or pad_w else x.data
     kmat = kernel.data.reshape(kh * kw * C, F)
-    cols = _im2col(xp, kh, kw, stride, out_h, out_w)
+    cols = _im2col(xp, kh, kw, stride)
     out = (cols @ kmat + bias.data).reshape(out_h, out_w, F)
 
     def backward(g: Array) -> None:
@@ -194,17 +201,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: st
             bias._accumulate(gmat.sum(axis=0))
         if kernel.requires_grad:
             # columns are rebuilt here instead of captured to keep graphs lean
-            c = _im2col(xp, kh, kw, stride, out_h, out_w)
+            c = _im2col(xp, kh, kw, stride)
             kernel._accumulate((c.T @ gmat).reshape(kernel.shape))
         if x.requires_grad:
-            gcols = (gmat @ kmat.T).reshape(out_h, out_w, kh, kw, C)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[i : i + stride * out_h : stride, j : j + stride * out_w : stride] += gcols[:, :, i, j, :]
+            gxp = _col2im(gmat @ kmat.T, xp.shape, kh, kw, stride, out_h, out_w)
             x._accumulate(gxp[pt : pt + H, pl : pl + W])
 
-    return _make(out, (x, kernel, bias), backward)
+    return custom_op(out, (x, kernel, bias), backward)
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
@@ -228,16 +231,14 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(weights.data @ g)
 
-    return _make(out, (x, weights, bias), backward)
+    return custom_op(out, (x, weights, bias), backward)
 
 
 def _stable_sigmoid(v: Array) -> Array:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    """1 / (1 + exp(-v)) without overflow: exp only ever sees -|v|. Unlike
+    0.5 * (1 + tanh(v / 2)), it does not round to 0 below about -17 in float32."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -247,7 +248,7 @@ def sigmoid(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(g * y * (1.0 - y))
 
-    return _make(y, (x,), backward)
+    return custom_op(y, (x,), backward)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -257,7 +258,7 @@ def tanh(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(g * (1.0 - y * y))
 
-    return _make(y, (x,), backward)
+    return custom_op(y, (x,), backward)
 
 
 def downsample_avg(x: Tensor, r: int) -> Tensor:
@@ -277,7 +278,7 @@ def downsample_avg(x: Tensor, r: int) -> Tensor:
         if x.requires_grad:
             x._accumulate(np.repeat(np.repeat(g, r, axis=0), r, axis=1) / (r * r))
 
-    return _make(out, (x,), backward)
+    return custom_op(out, (x,), backward)
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
@@ -293,7 +294,7 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
         if x.requires_grad:
             x._accumulate(g.reshape(H, factor, W, factor, C).sum(axis=(1, 3)))
 
-    return _make(out, (x,), backward)
+    return custom_op(out, (x,), backward)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -311,24 +312,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(g[:, :, ca:])
 
-    return _make(out, (a, b), backward)
-
-
-def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
-    """Select channels [start, stop) of an (H, W, C) map."""
-    if x.ndim != 3:
-        raise ShapeError(f"slice_channels: input must be rank 3, got rank {x.ndim}")
-    if not (0 <= start < stop <= x.shape[2]):
-        raise ShapeError(f"slice_channels: range [{start}, {stop}) invalid for channel axis extent {x.shape[2]}")
-    out = x.data[:, :, start:stop]
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[:, :, start:stop] = g
-            x._accumulate(gx)
-
-    return _make(out, (x,), backward)
+    return custom_op(out, (a, b), backward)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -343,7 +327,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
         if x.requires_grad:
             x._accumulate(g.reshape(x.data.shape))
 
-    return _make(out, (x,), backward)
+    return custom_op(out, (x,), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -358,22 +342,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(g)
 
-    return _make(out, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-    out = a.data * b.data
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return _make(out, (a, b), backward)
+    return custom_op(out, (a, b), backward)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -385,7 +354,7 @@ def scale(x: Tensor, c: float) -> Tensor:
         if x.requires_grad:
             x._accumulate(g * c)
 
-    return _make(out, (x,), backward)
+    return custom_op(out, (x,), backward)
 
 
 def add_n(tensors: Sequence[Tensor]) -> Tensor:
@@ -405,18 +374,7 @@ def add_n(tensors: Sequence[Tensor]) -> Tensor:
             if t.requires_grad:
                 t._accumulate(g)
 
-    return _make(total, tuple(tensors), backward)
-
-
-def reduce_sum(x: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tape node."""
-    out = x.data.sum()
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x._accumulate(np.full_like(x.data, float(g)))
-
-    return _make(out, (x,), backward)
+    return custom_op(total, tuple(tensors), backward)
 
 
 def sum_squares(x: Tensor) -> Tensor:
@@ -427,7 +385,7 @@ def sum_squares(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate((2.0 * float(g)) * x.data)
 
-    return _make(out, (x,), backward)
+    return custom_op(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

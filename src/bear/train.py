@@ -14,7 +14,7 @@ import numpy as np
 from .blocks import l2_penalty
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import BearConfig, forward, init_params
-from .serialize import Checkpoint
+from .serialize import Checkpoint, atomic_write
 from .tensor import ParameterSet, Tensor, add, add_n, custom_op, no_grad, scale
 
 # Validation loss changes smaller than this do not count as improvements.
@@ -151,13 +151,16 @@ class Adam:
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
 
     def step(self, lr: float) -> None:
+        """Update every parameter, or none: all gradients are checked first."""
+        grads = {name: p.grad if p.grad is not None else np.zeros_like(p.data) for name, p in self.params.items()}
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise NumericError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         correction1 = 1.0 - self.beta1**self.t
         correction2 = 1.0 - self.beta2**self.t
         for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for parameter {name!r}")
+            g = grads[name]
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1
@@ -336,4 +339,5 @@ def write_epoch_log(path: str | Path, records: Sequence[EpochRecord]) -> None:
     lines = [EPOCH_LOG_HEADER]
     for r in records:
         lines.append(f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.lr!r},{r.seconds!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")

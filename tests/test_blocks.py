@@ -8,7 +8,6 @@ from conftest import naive_conv2d, reference_convlstm_step
 from bear.blocks import (
     ConvLstmParams,
     convlstm_over_channels,
-    convlstm_step,
     l2_penalty,
     mean_conv,
 )
@@ -34,85 +33,67 @@ def _zero_cell(filters=2, extent=3, dtype=np.float64):
     )
 
 
+def _reference_scan(x, p):
+    """Final hidden state of ``reference_convlstm_step`` iterated over the
+    channels of ``x`` from zero state."""
+    F = p.filters
+    h = np.zeros(x.shape[:2] + (F,))
+    c = np.zeros(x.shape[:2] + (F,))
+    for t in range(x.shape[2]):
+        h, c = reference_convlstm_step(
+            x[:, :, t : t + 1], h, c,
+            p.input_kernels.data, p.recurrent_kernels.data, p.biases.data,
+        )
+    return h
+
+
 class TestConvLstmStep:
+    """The cell equations, checked through the channel scan."""
+
     def test_all_zero_parameters_give_zero_output(self):
         p = _zero_cell()
-        x = Tensor(np.random.default_rng(0).normal(size=(5, 5, 1)))
-        h0 = Tensor(np.zeros((5, 5, 2)))
-        c0 = Tensor(np.zeros((5, 5, 2)))
-        h, c = convlstm_step(x, h0, c0, p)
+        x = Tensor(np.random.default_rng(0).normal(size=(5, 5, 3)))
+        h = convlstm_over_channels(x, p)
         assert np.all(h.data == 0.0)
-        assert np.all(c.data == 0.0)
 
     def test_zero_input_kernels_make_output_independent_of_input(self):
         rng = np.random.default_rng(1)
         p = _cell(rng)
         p.input_kernels.data[:] = 0.0
-        h0 = Tensor(np.zeros((4, 4, 2)))
-        c0 = Tensor(np.zeros((4, 4, 2)))
-        out_a, _ = convlstm_step(Tensor(rng.normal(size=(4, 4, 1))), h0, c0, p)
-        out_b, _ = convlstm_step(Tensor(rng.normal(size=(4, 4, 1))), h0, c0, p)
+        out_a = convlstm_over_channels(Tensor(rng.normal(size=(4, 4, 3))), p)
+        out_b = convlstm_over_channels(Tensor(rng.normal(size=(4, 4, 3))), p)
         assert np.array_equal(out_a.data, out_b.data)
 
     def test_matches_unfused_per_gate_oracle(self):
         rng = np.random.default_rng(2)
         p = _cell(rng, filters=3)
-        x = rng.normal(size=(8, 8, 1))
-        h_prev = rng.normal(size=(8, 8, 3)) * 0.5
-        c_prev = rng.normal(size=(8, 8, 3)) * 0.5
-        h, c = convlstm_step(Tensor(x), Tensor(h_prev), Tensor(c_prev), p)
-        h_ref, c_ref = reference_convlstm_step(
-            x, h_prev, c_prev,
-            p.input_kernels.data, p.recurrent_kernels.data, p.biases.data,
-        )
-        assert np.abs(h.data - h_ref).max() < 1e-6
-        assert np.abs(c.data - c_ref).max() < 1e-6
+        x = rng.normal(size=(8, 8, 3))
+        h = convlstm_over_channels(Tensor(x), p)
+        assert np.abs(h.data - _reference_scan(x, p)).max() < 1e-6
 
     @pytest.mark.parametrize("extent", [1, 3, 5])
     def test_preserves_spatial_extents(self, extent):
         rng = np.random.default_rng(extent)
         p = _cell(rng, filters=2, extent=extent)
-        h, c = convlstm_step(
-            Tensor(rng.normal(size=(7, 7, 1))),
-            Tensor(np.zeros((7, 7, 2))),
-            Tensor(np.zeros((7, 7, 2))),
-            p,
-        )
+        h = convlstm_over_channels(Tensor(rng.normal(size=(7, 7, 2))), p)
         assert h.shape == (7, 7, 2)
-        assert c.shape == (7, 7, 2)
 
     def test_hidden_state_strictly_bounded(self):
         rng = np.random.default_rng(4)
         p = _cell(rng, scale=3.0)
-        h, _ = convlstm_step(
-            Tensor(rng.normal(size=(6, 6, 1)) * 5),
-            Tensor(rng.normal(size=(6, 6, 2))),
-            Tensor(rng.normal(size=(6, 6, 2)) * 5),
-            p,
-        )
+        h = convlstm_over_channels(Tensor(rng.normal(size=(6, 6, 4)) * 5), p)
         assert np.abs(h.data).max() < 1.0
 
     def test_forget_gate_saturation_keeps_cell_state(self):
+        # i, f and o saturate at 1, so c after T steps is T * tanh(b_g)
         p = _zero_cell(filters=2)
-        p.biases.data[2:4] = 20.0  # forget slice of (i, f, g, o)
-        c_prev = np.random.default_rng(5).normal(size=(4, 4, 2))
-        _, c = convlstm_step(
-            Tensor(np.zeros((4, 4, 1))),
-            Tensor(np.zeros((4, 4, 2))),
-            Tensor(c_prev),
-            p,
-        )
-        assert np.abs(c.data - c_prev).max() < 1e-6
-
-    def test_state_shape_mismatch_rejected(self):
-        p = _zero_cell(filters=2)
-        with pytest.raises(ShapeError, match="hidden"):
-            convlstm_step(
-                Tensor(np.zeros((4, 4, 1))),
-                Tensor(np.zeros((4, 4, 3))),
-                Tensor(np.zeros((4, 4, 2))),
-                p,
-            )
+        p.biases.data[0:4] = 20.0  # input and forget slices of (i, f, g, o)
+        p.biases.data[6:8] = 20.0  # output slice
+        p.biases.data[4:6] = [0.3, -0.7]  # candidate slice
+        T = 3
+        h = convlstm_over_channels(Tensor(np.zeros((4, 4, T))), p)
+        want = np.tanh(T * np.tanh(np.array([0.3, -0.7])))
+        assert np.abs(h.data - want).max() < 1e-6
 
     def test_gate_stacking_validated(self):
         with pytest.raises(ShapeError, match="4F"):
@@ -129,10 +110,18 @@ class TestConvLstmOverChannels:
         p = _cell(rng)
         x = rng.normal(size=(5, 5, 1))
         scanned = convlstm_over_channels(Tensor(x), p)
-        stepped, _ = convlstm_step(
-            Tensor(x), Tensor(np.zeros((5, 5, 2))), Tensor(np.zeros((5, 5, 2))), p
+        stepped, _ = reference_convlstm_step(
+            x, np.zeros((5, 5, 2)), np.zeros((5, 5, 2)),
+            p.input_kernels.data, p.recurrent_kernels.data, p.biases.data,
         )
-        assert np.array_equal(scanned.data, stepped.data)
+        assert np.abs(scanned.data - stepped).max() < 1e-12
+
+    def test_three_channels_match_iterated_reference_step(self):
+        rng = np.random.default_rng(13)
+        p = _cell(rng, filters=2)
+        x = rng.normal(size=(6, 5, 3))
+        h = convlstm_over_channels(Tensor(x), p)
+        assert np.abs(h.data - _reference_scan(x, p)).max() < 1e-6
 
     def test_channel_order_matters(self):
         rng = np.random.default_rng(7)
@@ -147,6 +136,30 @@ class TestConvLstmOverChannels:
         p = _cell(rng, filters=16)
         out = convlstm_over_channels(Tensor(rng.normal(size=(32, 32, 3))), p)
         assert out.shape == (32, 32, 16)
+
+    @pytest.mark.parametrize("extent", [1, 3])
+    def test_gradients_match_finite_differences(self, extent):
+        rng = np.random.default_rng(14 + extent)
+        params = ParameterSet()
+        params.add("x", Tensor(rng.normal(size=(5, 4, 4))))
+        params.add("input-kernels", Tensor(rng.normal(size=(extent, extent, 1, 8)) * 0.5))
+        params.add("recurrent-kernels", Tensor(rng.normal(size=(extent, extent, 2, 8)) * 0.5))
+        params.add("biases", Tensor(rng.normal(size=8) * 0.5))
+
+        def loss(p):
+            cell = ConvLstmParams(p["input-kernels"], p["recurrent-kernels"], p["biases"])
+            return sum_squares(convlstm_over_channels(p["x"], cell))
+
+        assert grad_check(loss, params, h=1e-5) < 1e-6
+
+    def test_scan_is_one_tape_node(self):
+        rng = np.random.default_rng(16)
+        p = _cell(rng)
+        for t in (p.input_kernels, p.recurrent_kernels, p.biases):
+            t.requires_grad = True
+        x = Tensor(rng.normal(size=(5, 5, 3)), requires_grad=True)
+        out = convlstm_over_channels(x, p)
+        assert out._parents == (x, p.input_kernels, p.recurrent_kernels, p.biases)
 
 
 class TestParallelConv:

@@ -321,3 +321,14 @@ class TestCsvInterchange:
         assert rows[0] == "id,px,py,norm"
         first = rows[1].split(",")
         assert float(first[3]) == pytest.approx(float(np.linalg.norm(e.rows[0])))
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "clusters.csv"
+        write_clusters(path, ["a", "b"], np.array([0, 1]))
+        old = path.read_bytes()
+        # the second row's label cannot become an int, so the writer raises
+        # after it has written the header and the first row
+        with pytest.raises(ValueError):
+            write_clusters(path, ["a", "b"], np.array([1.0, np.nan]))
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["clusters.csv"]

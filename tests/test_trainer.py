@@ -183,6 +183,27 @@ class TestAdam:
         with pytest.raises(NumericError, match="pfe/convlstm1/biases"):
             state.step(1e-3)
 
+    def test_non_finite_gradient_leaves_every_parameter_and_moment_unchanged(self):
+        params = ParameterSet()
+        a = params.add("a", Tensor(np.array([1.0, -2.0], dtype=np.float64)))
+        b = params.add("b", Tensor(np.array([0.5], dtype=np.float64)))
+        state = Adam(params)
+        a.grad = np.array([0.3, -0.1])
+        b.grad = np.array([0.2])
+        state.step(1e-2)
+        before = (params.value_arrays(), {n: m.copy() for n, m in state.m.items()},
+                  {n: v.copy() for n, v in state.v.items()}, state.t)
+        a.grad = np.array([0.3, -0.1])
+        b.grad = np.array([np.nan])
+        with pytest.raises(NumericError, match="'b'"):
+            state.step(1e-2)
+        values, m, v, t = before
+        assert t == state.t == 1
+        for name in ("a", "b"):
+            assert np.array_equal(params[name].data, values[name])
+            assert np.array_equal(state.m[name], m[name])
+            assert np.array_equal(state.v[name], v[name])
+
     def test_moment_shapes_track_parameters(self):
         params = ParameterSet()
         params.add("a", Tensor(np.zeros((2, 3))))
