@@ -77,7 +77,7 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     ik = p.input_kernels.data.reshape(k * k, 4 * F)
     rk = p.recurrent_kernels.data.reshape(k * k * F, 4 * F)
     xp = np.pad(x.data.transpose(2, 0, 1)[..., None], ((0, 0), (s, s), (s, s), (0, 0)))  # one map per step
-    inputs = (_im2col(xp, k, k, 1) @ ik + p.biases.data).reshape(T, H * W, 4 * F)
+    inputs = (_im2col(xp, k, k) @ ik + p.biases.data).reshape(T, H * W, 4 * F)
     h = np.zeros((H, W, F), dtype=inputs.dtype)
     cells = [np.zeros((H * W, F), dtype=inputs.dtype)]
     hidden_padded, gates = [], []
@@ -85,7 +85,7 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
         pre = inputs[t]
         if t:  # the recurrent term of the zero initial state is zero
             hidden_padded.append(np.pad(h, ((s, s), (s, s), (0, 0))))
-            pre = pre + _im2col(hidden_padded[-1], k, k, 1) @ rk
+            pre = pre + _im2col(hidden_padded[-1], k, k) @ rk
         act = _stable_sigmoid(pre)
         act[:, 2 * F : 3 * F] = np.tanh(pre[:, 2 * F : 3 * F])
         i, f, g, o = np.split(act, 4, axis=1)
@@ -110,17 +110,17 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
             dc = dc * f
             if t:
                 hp = hidden_padded[t - 1]
-                d_rk += _im2col(hp, k, k, 1).T @ d
-                dh = _col2im(d @ rk.T, hp.shape, k, k, 1, H, W)[s : s + H, s : s + W].reshape(H * W, F)
+                d_rk += _im2col(hp, k, k).T @ d
+                dh = _col2im(d @ rk.T, hp.shape, k, k)[s : s + H, s : s + W].reshape(H * W, F)
         d_pre = d_pre.reshape(T * H * W, 4 * F)
         if p.biases.requires_grad:
             p.biases._accumulate(d_pre.sum(axis=0))
         if p.recurrent_kernels.requires_grad:
             p.recurrent_kernels._accumulate(d_rk.reshape(p.recurrent_kernels.shape))
         if p.input_kernels.requires_grad:
-            p.input_kernels._accumulate((_im2col(xp, k, k, 1).T @ d_pre).reshape(p.input_kernels.shape))
+            p.input_kernels._accumulate((_im2col(xp, k, k).T @ d_pre).reshape(p.input_kernels.shape))
         if x.requires_grad:
-            dxp = _col2im(d_pre @ ik.T, xp.shape, k, k, 1, H, W)
+            dxp = _col2im(d_pre @ ik.T, xp.shape, k, k)
             x._accumulate(dxp[:, s : s + H, s : s + W, 0].transpose(1, 2, 0))
 
     return custom_op(h, (x, p.input_kernels, p.recurrent_kernels, p.biases), backward)

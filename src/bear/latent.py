@@ -20,6 +20,10 @@ DEFAULT_ELBOW_RANGE = (10, 20)
 
 _MONOTONE_SLACK = 1e-9
 
+# Rows per k-means assignment block: bounds the difference tensor at
+# _ASSIGN_BLOCK x k x m values, however many rows there are.
+_ASSIGN_BLOCK = 64
+
 
 @dataclass
 class EmbeddingSet:
@@ -74,8 +78,15 @@ class ElbowCurve:
 
 
 def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    dist2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return dist2.argmin(axis=1)  # argmin takes the lowest index on ties
+    """Index of each row's nearest centroid, the lowest on ties. Each row's
+    distances are summed as in one pass over all rows, so the labels do not
+    depend on the block size."""
+    labels = np.empty(X.shape[0], dtype=np.intp)
+    for start in range(0, X.shape[0], _ASSIGN_BLOCK):
+        block = X[start : start + _ASSIGN_BLOCK]
+        dist2 = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels[start : start + _ASSIGN_BLOCK] = dist2.argmin(axis=1)  # argmin takes the lowest index
+    return labels
 
 
 def _sse(X: np.ndarray, centroids: np.ndarray, assign: np.ndarray, canon: np.ndarray | None = None) -> float:
@@ -349,6 +360,13 @@ def write_embeddings(path: str | Path, e: EmbeddingSet) -> None:
 
 def read_embeddings(path: str | Path) -> EmbeddingSet:
     path = Path(path)
+    try:
+        return _read_embeddings(path)
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: embeddings file is not UTF-8 text") from None
+
+
+def _read_embeddings(path: Path) -> EmbeddingSet:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -63,6 +63,14 @@ def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
     return fh.read(count)
 
 
+def _decode_utf8(raw: bytes, what: str, offset: int) -> str:
+    """``raw`` as UTF-8 text; ``offset`` is where ``raw`` starts in its file."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} is not UTF-8 at byte offset {offset + exc.start}") from None
+
+
 def write_bt1(fh: BinaryIO, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr, dtype="<f4")
     fh.write(BT1_MAGIC)
@@ -155,7 +163,7 @@ def split_run_config(mapping: Mapping[str, str], label: str = "config"):
 
 
 def load_run_config(path: str | Path):
-    text = Path(path).read_text(encoding="utf-8")
+    text = _decode_utf8(Path(path).read_bytes(), str(path), 0)
     return split_run_config(parse_kv_text(text, label=str(path)), label=str(path))
 
 
@@ -218,7 +226,7 @@ def load_checkpoint(path: str | Path, expect_config: BearConfig | None = None) -
         if magic != BC1_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r} at byte offset 0 (expected {BC1_MAGIC!r})")
         (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        header = _read_exact(fh, header_len, "checkpoint header").decode("utf-8")
+        header = _decode_utf8(_read_exact(fh, header_len, "checkpoint header"), "checkpoint header", len(BC1_MAGIC) + 4)
         raw = parse_kv_text(header, label=f"{path} header")
         cfg_map = {k[4:]: v for k, v in raw.items() if k.startswith("cfg.")}
         meta = {k[5:]: v for k, v in raw.items() if k.startswith("meta.")}
@@ -231,7 +239,7 @@ def load_checkpoint(path: str | Path, expect_config: BearConfig | None = None) -
         for expected_name, expected_shape in expected.items():
             offset = fh.tell()
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "parameter name length"))
-            name = _read_exact(fh, name_len, "parameter name").decode("utf-8")
+            name = _decode_utf8(_read_exact(fh, name_len, "parameter name"), "parameter name", offset + 4)
             if name != expected_name:
                 raise FormatError(
                     f"unknown parameter name {name!r} at byte offset {offset} (expected {expected_name!r})"

@@ -136,30 +136,37 @@ def custom_op(value, parents: Sequence[Tensor], backward: BackwardFn) -> Tensor:
 # primitive operations
 
 
-def _im2col(xp: Array, kh: int, kw: int, stride: int) -> Array:
-    """One row per output position of a padded (..., Hp, Wp, C) array, holding
+def _im2col(xp: Array, kh: int, kw: int) -> Array:
+    """One row per window position of a padded (..., Hp, Wp, C) array, holding
     its kh x kw window in (i, j, c) order; leading axes fold into the rows."""
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(-3, -2))
-    windows = windows[..., ::stride, ::stride, :, :, :]
     return np.moveaxis(windows, -3, -1).reshape(-1, kh * kw * xp.shape[-1])
 
 
-def _col2im(cols: Array, xp_shape: tuple[int, ...], kh: int, kw: int, stride: int, out_h: int, out_w: int) -> Array:
+def _col2im(cols: Array, xp_shape: tuple[int, ...], kh: int, kw: int) -> Array:
     """Adjoint of ``_im2col``: add every window row back onto a zero array of
     the padded input's shape."""
+    out_h, out_w = xp_shape[-3] - kh + 1, xp_shape[-2] - kw + 1
     cols = cols.reshape(*xp_shape[:-3], out_h, out_w, kh, kw, xp_shape[-1])
     out = np.zeros(xp_shape, dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
-            out[..., i : i + stride * out_h : stride, j : j + stride * out_w : stride, :] += cols[..., i, j, :]
+            out[..., i : i + out_h, j : j + out_w, :] += cols[..., i, j, :]
     return out
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: str = "same") -> Tensor:
-    """2-D convolution of an (H, W, C) input with a (kh, kw, C, F) kernel.
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Same-padding, stride-1 2-D convolution of an (H, W, C) input with a
+    (kh, kw, C, F) kernel of odd extents, giving an (H, W, F) output.
 
-    "same" keeps H' = ceil(H / stride) (extents preserved at stride 1 for odd
-    kernels); "valid" slides the kernel over fully covered windows only.
+    The GEMM is lowered on the narrower side, so no matrix is wider than
+    kh*kw*min(C, F). When F >= C, each output position's input window is one
+    row (im2col) and the backward pass adds the rows back (col2im). When
+    F < C, one GEMM of the kernel by the padded input gives every tap's
+    contribution at every position, and the output sums the kh*kw shifted
+    tap planes. Its backward pass builds one window matrix of the output
+    gradient, padded by k-1 with its taps reversed, and gets both gradients
+    from it with one GEMM each.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv2d: input must be rank 3 (H, W, C), got rank {x.ndim}")
@@ -171,41 +178,47 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: st
         raise ShapeError(f"conv2d: kernel depth {kc} does not match input channel axis extent {C}")
     if bias.ndim != 1 or bias.shape[0] != F:
         raise ShapeError(f"conv2d: bias must have extent {F} along the filter axis, got shape {bias.shape}")
-    if stride < 1:
-        raise ShapeError(f"conv2d: stride must be positive, got {stride}")
-    if padding == "same":
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ShapeError(f"conv2d: same padding requires odd kernel extents, got {kh}x{kw}")
-        out_h = -(-H // stride)
-        out_w = -(-W // stride)
-        pad_h = max((out_h - 1) * stride + kh - H, 0)
-        pad_w = max((out_w - 1) * stride + kw - W, 0)
-    elif padding == "valid":
-        if kh > H or kw > W:
-            raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds input extents {H}x{W}")
-        out_h = (H - kh) // stride + 1
-        out_w = (W - kw) // stride + 1
-        pad_h = pad_w = 0
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(f"conv2d: same padding requires odd kernel extents, got {kh}x{kw}")
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x.data, ((ph, ph), (pw, pw), (0, 0))) if ph or pw else x.data
+    Hp, Wp = xp.shape[:2]
+    xmat = xp.reshape(Hp * Wp, C)
+    output_side = F < C
+    if output_side:
+        ktap = kernel.data.transpose(0, 1, 3, 2).reshape(kh * kw * F, C)  # row (i, j, f)
+        taps = (ktap @ xmat.T).reshape(kh, kw, F, Hp, Wp)
+        out = np.empty((F, H, W), dtype=taps.dtype)
+        out[...] = bias.data[:, None, None]
+        for i in range(kh):
+            for j in range(kw):
+                out += taps[i, j, :, i : i + H, j : j + W]
+        out = out.transpose(1, 2, 0)
     else:
-        raise ValueError(f"conv2d: unknown padding {padding!r}")
-    pt, pl = pad_h // 2, pad_w // 2
-    pb, pr = pad_h - pt, pad_w - pl
-    xp = np.pad(x.data, ((pt, pb), (pl, pr), (0, 0))) if pad_h or pad_w else x.data
-    kmat = kernel.data.reshape(kh * kw * C, F)
-    cols = _im2col(xp, kh, kw, stride)
-    out = (cols @ kmat + bias.data).reshape(out_h, out_w, F)
+        kmat = kernel.data.reshape(kh * kw * C, F)
+        out = (_im2col(xp, kh, kw) @ kmat + bias.data).reshape(H, W, F)
 
     def backward(g: Array) -> None:
         gmat = g.reshape(-1, F)
         if bias.requires_grad:
             bias._accumulate(gmat.sum(axis=0))
+        if output_side and (kernel.requires_grad or x.requires_grad):
+            # row (i, j, f), column (p, q) holds g[p - i, q - j, f], zero outside
+            gp = np.pad(g.transpose(2, 0, 1), ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+            windows = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(1, 2))[..., ::-1, ::-1]
+            gcols = np.ascontiguousarray(windows.transpose(3, 4, 0, 1, 2)).reshape(kh * kw * F, Hp * Wp)
         if kernel.requires_grad:
-            # columns are rebuilt here instead of captured to keep graphs lean
-            c = _im2col(xp, kh, kw, stride)
-            kernel._accumulate((c.T @ gmat).reshape(kernel.shape))
+            if output_side:
+                kernel._accumulate((gcols @ xmat).reshape(kh, kw, F, C).transpose(0, 1, 3, 2))
+            else:
+                # columns are rebuilt here instead of captured to keep graphs lean
+                kernel._accumulate((_im2col(xp, kh, kw).T @ gmat).reshape(kernel.shape))
         if x.requires_grad:
-            gxp = _col2im(gmat @ kmat.T, xp.shape, kh, kw, stride, out_h, out_w)
-            x._accumulate(gxp[pt : pt + H, pl : pl + W])
+            if output_side:
+                gxp = (gcols.T @ ktap).reshape(Hp, Wp, C)
+            else:
+                gxp = _col2im(gmat @ kmat.T, xp.shape, kh, kw)
+            x._accumulate(gxp[ph : ph + H, pw : pw + W])
 
     return custom_op(out, (x, kernel, bias), backward)
 
@@ -235,10 +248,12 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
 
 
 def _stable_sigmoid(v: Array) -> Array:
-    """1 / (1 + exp(-v)) without overflow: exp only ever sees -|v|. Unlike
+    """1 / (1 + exp(-v)) without overflow or a select: exp never sees a
+    positive argument. The numerator is exactly 1 for v >= 0 and exactly
+    exp(-|v|) for v < 0, so this gives the bits of the masked form
+    where(v >= 0, 1 / (1 + e), e / (1 + e)) with e = exp(-|v|). Unlike
     0.5 * (1 + tanh(v / 2)), it does not round to 0 below about -17 in float32."""
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.exp(np.minimum(v, 0)) / (1.0 + np.exp(-np.abs(v)))
 
 
 def sigmoid(x: Tensor) -> Tensor:

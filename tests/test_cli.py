@@ -262,6 +262,42 @@ class TestFailureModes:
         assert proc.returncode == 2
         assert "truncated tensor elements" in proc.stderr
 
+    def test_non_utf8_checkpoint_header_is_data_error(self, tmp_path):
+        cfg = BearConfig(n=16, d=3, r=4, m=8, f_pfe=1, f_rfe=1, f_bfe=1, f_dec=1)
+        path = tmp_path / "model.bc1"
+        save_checkpoint(Checkpoint(cfg, init_params(cfg), {}), path)
+        data = bytearray(path.read_bytes())
+        data[12] = 0xFF  # inside the header, which starts after the magic and its length
+        path.write_bytes(bytes(data))
+        proc = run_cli(["info", "--ckpt", "model.bc1"], tmp_path)
+        assert proc.returncode == 2
+        assert "checkpoint header is not UTF-8 at byte offset 12" in proc.stderr
+
+    def test_non_utf8_parameter_name_is_data_error(self, tmp_path):
+        cfg = BearConfig(n=16, d=3, r=4, m=8, f_pfe=1, f_rfe=1, f_bfe=1, f_dec=1)
+        path = tmp_path / "model.bc1"
+        save_checkpoint(Checkpoint(cfg, init_params(cfg), {}), path)
+        data = bytearray(path.read_bytes())
+        first_name = data.index(b"pfe/")
+        data[first_name] = 0xFF
+        path.write_bytes(bytes(data))
+        proc = run_cli(["info", "--ckpt", "model.bc1"], tmp_path)
+        assert proc.returncode == 2
+        assert f"parameter name is not UTF-8 at byte offset {first_name}" in proc.stderr
+
+    def test_non_utf8_run_config_is_data_error(self, tmp_path):
+        (tmp_path / "bad.cfg").write_bytes(b"n=16\n\xff=1\n")
+        (tmp_path / "data").mkdir()
+        proc = run_cli(["train", "--data", "data", "--config", "bad.cfg", "--out", "m.bc1"], tmp_path)
+        assert proc.returncode == 2
+        assert "bad.cfg is not UTF-8 at byte offset 5" in proc.stderr
+
+    def test_non_utf8_embeddings_csv_is_data_error(self, tmp_path):
+        (tmp_path / "emb.csv").write_bytes(b"id,z0\nrow\xff,1.0\n")
+        proc = run_cli(["cluster", "--embeddings", "emb.csv", "--k", "1", "--out", "c.csv"], tmp_path)
+        assert proc.returncode == 2
+        assert "emb.csv: embeddings file is not UTF-8 text" in proc.stderr
+
     def test_pca_rank_cluster_path(self, pipeline):
         proc = run_cli(
             ["cluster", "--embeddings", "emb.csv", "--k", "2", "--pca-rank", "2", "--out", "c2.csv"],

@@ -27,6 +27,7 @@ from bear.latent import (
     write_embeddings,
     write_projection,
 )
+from bear.latent import _ASSIGN_BLOCK, _assign
 
 
 def _embeddings(rows, prefix="row"):
@@ -103,6 +104,19 @@ class TestKMeans:
         assert np.array_equal(a.assignments, b.assignments)
         assert a.centroids.tobytes() == b.centroids.tobytes()
         assert a.inertia == b.inertia
+
+    def test_blocked_assignment_matches_one_shot_formula(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(2 * _ASSIGN_BLOCK + 5, 8))
+        centroids = rng.normal(size=(7, 8))
+        centroids[2], centroids[5] = 0.5, -0.5
+        X[_ASSIGN_BLOCK + 3] = 0.0
+        tied = ((X[_ASSIGN_BLOCK + 3] - centroids) ** 2).sum(axis=1)
+        assert tied[2] == tied[5] == tied.min()
+        labels = _assign(X, centroids)
+        one_shot = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        assert np.array_equal(labels, one_shot)
+        assert labels[_ASSIGN_BLOCK + 3] == 2
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 2**16))
