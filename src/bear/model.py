@@ -152,18 +152,18 @@ def init_params(cfg: BearConfig, dtype=np.float32) -> ParameterSet:
     """Seeded initialization: kernels uniform in +-sqrt(6/(fan_in+fan_out)),
     biases zero except the forget-gate slice of each cell at +1."""
     rng = np.random.default_rng(cfg.seed)
-    params = ParameterSet()
-    for name, shape in parameter_shapes(cfg).items():
+    # zero-stride placeholders: the arena is the one allocation, filled in place
+    zero = np.zeros((), dtype)
+    params = ParameterSet({name: np.broadcast_to(zero, shape) for name, shape in parameter_shapes(cfg).items()})
+    for name, t in params.items():
         if name.endswith("bias") or name.endswith("biases"):
-            value = np.zeros(shape, dtype=dtype)
             if name.endswith("/biases"):
-                f = shape[0] // 4
-                value[f : 2 * f] = 1.0
+                f = t.shape[0] // 4
+                t.data[f : 2 * f] = 1.0
         else:
-            fan_in, fan_out = _fans(shape)
+            fan_in, fan_out = _fans(t.shape)
             limit = math.sqrt(6.0 / (fan_in + fan_out))
-            value = rng.uniform(-limit, limit, size=shape).astype(dtype)
-        params.add(name, Tensor(value, requires_grad=True))
+            t.data[...] = rng.uniform(-limit, limit, size=t.shape)
     return params
 
 

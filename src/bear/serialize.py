@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .model import BearConfig, parameter_shapes
-from .tensor import ParameterSet, Tensor
+from .tensor import ParameterSet
 
 BT1_MAGIC = b"BEART1"
 BC1_MAGIC = b"BEARC1"
@@ -80,6 +80,8 @@ def write_bt1(fh: BinaryIO, arr: np.ndarray) -> None:
 
 
 def read_bt1(fh: BinaryIO) -> np.ndarray:
+    """The next BT1 tensor as float32. On a little-endian machine the array
+    is a read-only view of the bytes read, so reading costs no second copy."""
     offset = fh.tell()
     magic = _read_exact(fh, len(BT1_MAGIC), "tensor magic")
     if magic != BT1_MAGIC:
@@ -92,7 +94,7 @@ def read_bt1(fh: BinaryIO) -> np.ndarray:
         raise FormatError(f"zero extent in tensor shape {shape} at byte offset {offset}")
     count = math.prod(shape)
     raw = _read_exact(fh, 4 * count, "tensor elements")
-    return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+    return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +237,7 @@ def load_checkpoint(path: str | Path, expect_config: BearConfig | None = None) -
             raise FormatError(f"{path}: unexpected header key {stray[0]!r}")
         cfg = config_from_mapping(cfg_map, label=f"{path} header")
         expected = parameter_shapes(cfg)
-        params = ParameterSet()
+        values = {}
         for expected_name, expected_shape in expected.items():
             offset = fh.tell()
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "parameter name length"))
@@ -249,7 +251,7 @@ def load_checkpoint(path: str | Path, expect_config: BearConfig | None = None) -
                 raise FormatError(
                     f"parameter {name!r}: stored shape {arr.shape} does not match configured {expected_shape}"
                 )
-            params.add(name, Tensor(arr, requires_grad=True))
+            values[name] = arr
         if fh.read(1):
             raise FormatError(f"trailing bytes after parameters at byte offset {fh.tell() - 1}")
     if expect_config is not None and cfg != expect_config:
@@ -257,4 +259,4 @@ def load_checkpoint(path: str | Path, expect_config: BearConfig | None = None) -
             f"checkpoint config hash {config_hash(cfg)[:12]} does not match "
             f"expected {config_hash(expect_config)[:12]}"
         )
-    return Checkpoint(config=cfg, params=params, metadata=meta)
+    return Checkpoint(config=cfg, params=ParameterSet(values), metadata=meta)

@@ -7,9 +7,11 @@ float64 when running finite-difference checks.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,6 +21,10 @@ Array = np.ndarray
 BackwardFn = Callable[[Array], None]
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+# Elements per block of the in-place passes over large arrays (the dense
+# weight gradient, Adam's update), sized so a block's temporaries stay in cache.
+CHUNK = 1 << 16
 
 _grad_enabled = True
 
@@ -240,7 +246,12 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             bias._accumulate(g)
         if weights.requires_grad:
-            weights._accumulate(np.outer(x.data, g))
+            if weights.grad is None:
+                weights.grad = np.zeros_like(weights.data)
+            # row blocks of the outer product, added in place: no full-size temporary
+            rows = max(1, CHUNK // g.size)
+            for i in range(0, x.size, rows):
+                weights.grad[i : i + rows] += np.outer(x.data[i : i + rows], g)
         if x.requires_grad:
             x._accumulate(weights.data @ g)
 
@@ -408,18 +419,31 @@ def sum_squares(x: Tensor) -> Tensor:
 
 
 class ParameterSet:
-    """Insertion-ordered mapping of unique names to trainable tensors."""
+    """Insertion-ordered mapping of unique names to trainable tensors, held in
+    one flat arena.
 
-    def __init__(self) -> None:
+    ``data`` and ``grad`` are flat contiguous arrays of one float dtype, in
+    insertion order. Every tensor's ``data`` and ``grad`` is a reshaped view
+    into them, so in-place updates of either side are seen by the other.
+    Views are never rebound: write into them (``t.grad[...] = g``).
+    """
+
+    def __init__(self, values: Mapping[str, Array]) -> None:
+        arrays = {name: np.asarray(value) for name, value in values.items()}
+        dtypes = {a.dtype for a in arrays.values()} or {np.dtype(np.float32)}
+        if len(dtypes) > 1 or not dtypes <= set(_FLOAT_DTYPES):
+            raise ValueError(f"parameters must share one float dtype, got {sorted(map(str, dtypes))}")
+        (dtype,) = dtypes
+        self._starts = [0, *itertools.accumulate(a.size for a in arrays.values())]
+        self.data = np.empty(self._starts[-1], dtype)
+        # np.zeros, not zeros_like: its pages stay unmapped until a backward pass writes them
+        self.grad = np.zeros(self.data.size, dtype)
         self._params: dict[str, Tensor] = {}
-
-    def add(self, name: str, value) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"parameter {name!r} already exists")
-        t = value if isinstance(value, Tensor) else Tensor(value)
-        t.requires_grad = True
-        self._params[name] = t
-        return t
+        for (name, a), start in zip(arrays.items(), self._starts):
+            t = Tensor(self.data[start : start + a.size].reshape(a.shape), requires_grad=True)
+            t.data[...] = a
+            t.grad = self.grad[start : start + a.size].reshape(a.shape)
+            self._params[name] = t
 
     def __getitem__(self, name: str) -> Tensor:
         try:
@@ -445,16 +469,15 @@ class ParameterSet:
     def tensors(self) -> Iterator[Tensor]:
         return iter(self._params.values())
 
+    def name_at(self, index: int) -> str:
+        """The parameter that holds flat arena element ``index``."""
+        return self.names()[bisect.bisect_right(self._starts, index) - 1]
+
     def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.grad = None
+        self.grad.fill(0)
 
     def total_size(self) -> int:
-        return sum(t.size for t in self._params.values())
-
-    def value_arrays(self) -> dict[str, Array]:
-        """Copies of every parameter value, keyed by name (insertion order)."""
-        return {name: t.data.copy() for name, t in self._params.items()}
+        return self.data.size
 
     def load_values(self, values: Mapping[str, Array]) -> None:
         """Overwrite every parameter from ``values``; names must match exactly."""
@@ -468,7 +491,23 @@ class ParameterSet:
             arr = np.asarray(values[name])
             if arr.shape != t.data.shape:
                 raise ShapeError(f"parameter {name!r}: shape {arr.shape} does not match {t.data.shape}")
-            t.data = np.ascontiguousarray(arr.astype(t.data.dtype, copy=False))
+        for name, t in self._params.items():
+            t.data[...] = values[name]
+
+
+class GradCheck(NamedTuple):
+    """Mismatch between tape gradients and central differences.
+
+    ``error`` is the largest |analytic - numeric| / max(1, |analytic|) over
+    the checked coordinates. ``scaled_error`` is the largest, over
+    parameters, of max |analytic - numeric| / max |numeric| on that
+    parameter's checked coordinates, so it also sees gradients far below 1.
+    ``coordinates`` counts the checked coordinates.
+    """
+
+    error: float
+    scaled_error: float
+    coordinates: int
 
 
 def grad_check(
@@ -477,35 +516,32 @@ def grad_check(
     h: float = 1e-4,
     samples: int | None = None,
     seed: int = 0,
-) -> float:
-    """Largest relative mismatch between tape gradients and central differences.
+) -> GradCheck:
+    """Compare tape gradients with numeric = (f(p + h e) - f(p - h e)) / 2h.
 
-    Returns max over checked coordinates of |analytic - numeric| / max(1, |analytic|)
-    where numeric = (f(p + h e) - f(p - h e)) / 2h. When ``samples`` is given,
-    coordinates are drawn per parameter in proportion to its size (at least one
-    each); otherwise every coordinate is checked. Parameters must be float64.
+    When ``samples`` is given, coordinates are drawn per parameter in
+    proportion to its size (at least one each); otherwise every coordinate
+    is checked. Parameters must be float64.
     """
-    for name, t in params.items():
-        if t.data.dtype != np.float64:
-            raise ValueError(f"grad_check requires float64 parameters, {name!r} is {t.data.dtype}")
+    if params.data.dtype != np.float64:
+        raise ValueError(f"grad_check requires float64 parameters, got {params.data.dtype}")
     params.zero_grads()
-    loss = f(params)
-    loss.backward()
-    analytic = {
-        name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data)) for name, t in params.items()
-    }
+    f(params).backward()
+    analytic = {name: t.grad.copy() for name, t in params.items()}
     rng = np.random.default_rng(seed)
     total = params.total_size()
-    worst = 0.0
+    error = scaled_error = 0.0
+    count = 0
     for name, t in params.items():
         flat = t.data.reshape(-1)
-        ana = analytic[name].reshape(-1)
         if samples is None:
             coords = np.arange(flat.size)
         else:
             want = min(flat.size, max(1, math.ceil(samples * flat.size / total)))
             coords = rng.choice(flat.size, size=want, replace=False)
-        for c in coords:
+        ana = analytic[name].reshape(-1)[coords]
+        numeric = np.empty(coords.size)
+        for k, c in enumerate(coords):
             original = flat[c]
             flat[c] = original + h
             with no_grad():
@@ -514,14 +550,11 @@ def grad_check(
             with no_grad():
                 fm = float(f(params).data)
             flat[c] = original
-            numeric = (fp - fm) / (2.0 * h)
-            err = abs(float(ana[c]) - numeric) / max(1.0, abs(float(ana[c])))
-            if err > worst:
-                worst = err
-    return worst
-
-
-def grad_check_coordinate_count(params: ParameterSet, samples: int) -> int:
-    """How many coordinates ``grad_check`` samples for the given budget."""
-    total = params.total_size()
-    return sum(min(t.size, max(1, math.ceil(samples * t.size / total))) for t in params.tensors())
+            numeric[k] = (fp - fm) / (2.0 * h)
+        diff = np.abs(ana - numeric)
+        if diff.size and diff.max() > 0:
+            error = max(error, float((diff / np.maximum(1.0, np.abs(ana))).max()))
+            reference = np.abs(numeric).max()
+            scaled_error = max(scaled_error, float(diff.max() / reference) if reference > 0 else math.inf)
+        count += coords.size
+    return GradCheck(error, scaled_error, count)

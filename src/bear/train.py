@@ -15,7 +15,7 @@ from .blocks import l2_penalty
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import BearConfig, forward, init_params
 from .serialize import Checkpoint, atomic_write
-from .tensor import ParameterSet, Tensor, add, add_n, custom_op, no_grad, scale
+from .tensor import CHUNK, ParameterSet, Tensor, add, add_n, custom_op, no_grad, scale
 
 # Validation loss changes smaller than this do not count as improvements.
 IMPROVE_EPS = 1e-6
@@ -138,7 +138,11 @@ LOSS_FUNCTIONS: dict[str, Callable[[Tensor, Tensor], Tensor]] = {
 
 
 class Adam:
-    """Adam with bias correction; gradients are zeroed after each step."""
+    """Adam with bias correction; gradients are zeroed after each step.
+
+    The moments ``m`` and ``v`` are flat arrays aligned with the parameter
+    arena, and the update runs over it in blocks of ``CHUNK`` elements.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
@@ -147,29 +151,37 @@ class Adam:
     def __init__(self, params: ParameterSet) -> None:
         self.params = params
         self.t = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.m = np.zeros(params.data.size, params.data.dtype)
+        self.v = np.zeros(params.data.size, params.data.dtype)
+        self._scratch = (np.empty(CHUNK, params.data.dtype), np.empty(CHUNK, params.data.dtype))
 
     def step(self, lr: float) -> None:
         """Update every parameter, or none: all gradients are checked first."""
-        grads = {name: p.grad if p.grad is not None else np.zeros_like(p.data) for name, p in self.params.items()}
-        for name, g in grads.items():
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for parameter {name!r}")
+        grad = self.params.grad
+        finite = np.isfinite(grad)
+        if not finite.all():
+            bad = self.params.name_at(int(np.argmin(finite)))
+            raise NumericError(f"non-finite gradient for parameter {bad!r}")
         self.t += 1
         correction1 = 1.0 - self.beta1**self.t
         correction2 = 1.0 - self.beta2**self.t
-        for name, p in self.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
+        for start in range(0, grad.size, CHUNK):
+            block = slice(start, start + CHUNK)
+            g, m, v, p = grad[block], self.m[block], self.v[block], self.params.data[block]
+            a, b = (s[: g.size] for s in self._scratch)
+            # the operation order of p -= lr * (m / c1) / (sqrt(v / c2) + eps), which
+            # keeps the bits; folding lr / c1 into one scalar would change them
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / correction1
-            v_hat = v / correction2
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            np.divide(m, correction1, out=a)
+            a *= lr
+            np.sqrt(np.divide(v, correction2, out=b), out=b)
+            b += self.eps
+            p -= np.divide(a, b, out=a)
         self.params.zero_grads()
 
 
@@ -280,7 +292,7 @@ def fit(
     history: list[float] = []
     lr = cfg.lr0
     best_val = math.inf
-    best_values = params.value_arrays()
+    best_values = params.data.copy()
     best_epoch = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -312,14 +324,13 @@ def fit(
         history.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
-            best_values = params.value_arrays()
+            best_values = params.data.copy()
             best_epoch = epoch
         lr = plateau_decay(history, lr, cfg)
         if early_stop(history, cfg):
             break
 
-    best_params = init_params(bcfg)
-    best_params.load_values(best_values)
+    params.data[...] = best_values
     metadata = {
         "epochs_run": str(len(records)),
         "best_epoch": str(best_epoch),
@@ -328,7 +339,7 @@ def fit(
         "n_train": str(len(train_set)),
         "n_val": str(n_val),
     }
-    return Checkpoint(config=bcfg, params=best_params, metadata=metadata), records
+    return Checkpoint(config=bcfg, params=params, metadata=metadata), records
 
 
 EPOCH_LOG_HEADER = "epoch,train_loss,val_loss,lr,seconds"

@@ -145,6 +145,37 @@ def scalar_adam_trace(w0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return values
 
 
+def reference_adam_steps(value, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam over one parameter array, written as the whole-array formula with
+    a new array per operation; returns the final value, m and v."""
+    p = value.copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    for t, g in enumerate(grads, start=1):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return p, m, v
+
+
+def assert_in_arena(params):
+    """Every parameter's data and grad are views that tile the flat arena in
+    insertion order."""
+    start = 0
+    for name, t in params.items():
+        stop = start + t.size
+        for view, flat in ((t.data, params.data), (t.grad, params.grad)):
+            assert view.base is flat, name
+            assert view.ctypes.data == flat[start:stop].ctypes.data, name
+            assert view.flags.c_contiguous, name
+        start = stop
+    assert start == params.data.size == params.grad.size
+
+
 @pytest.fixture
 def desk_config():
     """Small 16x16 configuration used across unit tests."""

@@ -43,7 +43,7 @@ from bear.serialize import (
     write_bt1,
 )
 from bear.synth import synthetic_images
-from bear.tensor import ParameterSet, Tensor, grad_check, grad_check_coordinate_count
+from bear.tensor import ParameterSet, Tensor, grad_check
 from bear.train import Adam, TrainConfig, bce_loss, early_stop, fit, mse_loss, plateau_decay
 
 
@@ -61,15 +61,17 @@ def test_c01_gradient_integrity():
     def f(p):
         return bce_loss(x, forward(x, p, cfg))
 
-    budget = 220
-    coords = grad_check_coordinate_count(params, budget)
-    error = grad_check(f, params, h=1e-4, samples=budget, seed=5)
+    # Every gradient here is below 4e-3, so the max(1, |analytic|) error is in
+    # effect absolute; the per-parameter scaled error also sees the small ones.
+    # Its float64 noise floor on correct code is 8e-5 to 9e-4 over sampling
+    # seeds 0-5 (the pfe gradients are near 1e-8).
+    error, scaled, coords = grad_check(f, params, h=1e-4, samples=220, seed=5)
     elapsed = time.perf_counter() - started
     _report(
         1,
-        coords >= 200 and error < 1e-3 and elapsed < 300.0,
-        f"max relative error {error:.3e} over {coords} coordinates in {elapsed:.1f}s "
-        f"(tolerance 1e-3, budget 300s)",
+        coords >= 200 and error < 1e-3 and scaled < 1e-2 and elapsed < 300.0,
+        f"max relative error {error:.3e} (tolerance 1e-3) and max per-parameter scaled error "
+        f"{scaled:.3e} (tolerance 1e-2) over {coords} coordinates in {elapsed:.1f}s (budget 300s)",
     )
 
 
@@ -156,23 +158,23 @@ def test_c04_loss_correctness():
 
 def test_c05_adam_correctness():
     lr = 1e-4
-    params = ParameterSet()
-    w = params.add("w", Tensor(np.array([1.0], dtype=np.float64)))
+    params = ParameterSet({"w": np.array([1.0], dtype=np.float64)})
+    w = params["w"]
     state = Adam(params)
     grads = [2.0 * (1.0 - 5.0)]
     trace = []
     for step in range(3):
-        w.grad = np.array([grads[-1]], dtype=np.float64)
+        w.grad[...] = np.array([grads[-1]], dtype=np.float64)
         state.step(lr)
         trace.append(float(w.data[0]))
         grads.append(2.0 * (trace[-1] - 5.0))
     oracle = scalar_adam_trace(1.0, grads[:3], lr)
     worst = max(abs(a - b) for a, b in zip(trace, oracle))
 
-    params2 = ParameterSet()
-    p = params2.add("p", Tensor(np.array([3.0], dtype=np.float64)))
+    params2 = ParameterSet({"p": np.array([3.0], dtype=np.float64)})
+    p = params2["p"]
     state2 = Adam(params2)
-    p.grad = np.array([0.7])
+    p.grad[...] = np.array([0.7])
     state2.step(lr)
     first_step = abs(3.0 - float(p.data[0]))
     magnitude_ok = abs(first_step - lr) < 1e-9

@@ -140,17 +140,18 @@ class TestConvLstmOverChannels:
     @pytest.mark.parametrize("extent", [1, 3])
     def test_gradients_match_finite_differences(self, extent):
         rng = np.random.default_rng(14 + extent)
-        params = ParameterSet()
-        params.add("x", Tensor(rng.normal(size=(5, 4, 4))))
-        params.add("input-kernels", Tensor(rng.normal(size=(extent, extent, 1, 8)) * 0.5))
-        params.add("recurrent-kernels", Tensor(rng.normal(size=(extent, extent, 2, 8)) * 0.5))
-        params.add("biases", Tensor(rng.normal(size=8) * 0.5))
+        params = ParameterSet({
+            "x": rng.normal(size=(5, 4, 4)),
+            "input-kernels": rng.normal(size=(extent, extent, 1, 8)) * 0.5,
+            "recurrent-kernels": rng.normal(size=(extent, extent, 2, 8)) * 0.5,
+            "biases": rng.normal(size=8) * 0.5,
+        })
 
         def loss(p):
             cell = ConvLstmParams(p["input-kernels"], p["recurrent-kernels"], p["biases"])
             return sum_squares(convlstm_over_channels(p["x"], cell))
 
-        assert grad_check(loss, params, h=1e-5) < 1e-6
+        assert grad_check(loss, params, h=1e-5).error < 1e-6
 
     def test_scan_is_one_tape_node(self):
         rng = np.random.default_rng(16)
@@ -194,16 +195,17 @@ class TestParallelConv:
     def test_branch_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(6, 6, 2)))
-        params = ParameterSet()
+        values = {}
         for e in (1, 3, 5):
-            params.add(f"conv{e}/kernel", Tensor(rng.normal(size=(e, e, 2, 3)) * 0.5))
-            params.add(f"conv{e}/bias", Tensor(rng.normal(size=3) * 0.5))
+            values[f"conv{e}/kernel"] = rng.normal(size=(e, e, 2, 3)) * 0.5
+            values[f"conv{e}/bias"] = rng.normal(size=3) * 0.5
+        params = ParameterSet(values)
 
         def loss(p):
             branches = [(p[f"conv{e}/kernel"], p[f"conv{e}/bias"]) for e in (1, 3, 5)]
             return sum_squares(mean_conv(x, branches))
 
-        assert grad_check(loss, params, h=1e-5) < 1e-6
+        assert grad_check(loss, params, h=1e-5).error < 1e-6
 
     def test_empty_branch_list_rejected(self):
         with pytest.raises(ShapeError, match="at least one"):
@@ -233,10 +235,9 @@ class TestL2Penalty:
         assert l2_penalty([w], 0.5).item() == pytest.approx(2.0)
 
     def test_gradient_is_two_lambda_w(self):
-        params = ParameterSet()
-        params.add("w", Tensor(np.array([1.5, -0.5, 2.0], dtype=np.float64)))
+        params = ParameterSet({"w": np.array([1.5, -0.5, 2.0], dtype=np.float64)})
         lam = 0.3
-        err = grad_check(lambda p: l2_penalty([p["w"]], lam), params, h=1e-4)
+        err = grad_check(lambda p: l2_penalty([p["w"]], lam), params, h=1e-4).error
         assert err < 1e-9
         params.zero_grads()
         loss = l2_penalty([params["w"]], lam)
@@ -250,11 +251,11 @@ class TestL2Penalty:
 
 def test_all_cell_parameters_receive_gradients():
     rng = np.random.default_rng(12)
-    params = ParameterSet()
-    filters = 2
-    params.add("cell/input-kernels", Tensor(rng.normal(size=(3, 3, 1, 8)) * 0.4))
-    params.add("cell/recurrent-kernels", Tensor(rng.normal(size=(3, 3, 2, 8)) * 0.4))
-    params.add("cell/biases", Tensor(rng.normal(size=8) * 0.4))
+    params = ParameterSet({
+        "cell/input-kernels": rng.normal(size=(3, 3, 1, 8)) * 0.4,
+        "cell/recurrent-kernels": rng.normal(size=(3, 3, 2, 8)) * 0.4,
+        "cell/biases": rng.normal(size=8) * 0.4,
+    })
     p = ConvLstmParams(
         params["cell/input-kernels"], params["cell/recurrent-kernels"], params["cell/biases"]
     )

@@ -180,7 +180,7 @@ class TestDecoderStages:
 
             return sum_squares(dd(z, p, cfg))
 
-        assert grad_check(f, params, h=1e-4, samples=60, seed=3) < 1e-3
+        assert grad_check(f, params, h=1e-4, samples=60, seed=3).error < 1e-3
 
     def test_pd_doubles_extents(self, desk_config):
         params = init_params(desk_config)
@@ -265,7 +265,7 @@ class TestFullPipeline:
         def f(p):
             return bce_loss(x, forward(x, p, cfg))
 
-        assert grad_check(f, params, h=1e-4, samples=48, seed=11) < 1e-3
+        assert grad_check(f, params, h=1e-4, samples=48, seed=11).error < 1e-3
 
 
 class TestInitialization:
@@ -303,9 +303,7 @@ class TestInitialization:
 
 class TestParamCount:
     def test_dense_block_arithmetic(self):
-        params = ParameterSet()
-        params.add("dd/dense/weights", Tensor(np.zeros((32, 16))))
-        params.add("dd/dense/bias", Tensor(np.zeros(16)))
+        params = ParameterSet({"dd/dense/weights": np.zeros((32, 16)), "dd/dense/bias": np.zeros(16)})
         stages, total = param_count(params)
         assert stages == {"dd": 32 * 16 + 16}
         assert total == 528

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_conv2d, naive_dense
+from conftest import assert_in_arena, naive_conv2d, naive_dense
 
 from bear.errors import FormatError, ShapeError
+from bear.model import init_params
 from bear.serialize import read_bt1, write_bt1
 from bear.tensor import (
     ParameterSet,
@@ -106,6 +107,18 @@ class TestDense:
         b = rng.normal(size=4)
         got = dense(Tensor(x), Tensor(w), Tensor(b))
         assert np.abs(got.data - naive_dense(x, w, b)).max() < 1e-6
+
+    def test_weight_gradient_in_row_blocks_matches_outer_product_bit_for_bit(self):
+        # 5000 outputs give 13-row blocks of the weight gradient: 3 full, 1 partial
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=40).astype(np.float32)
+        w = Tensor(rng.normal(size=(40, 5000)).astype(np.float32), requires_grad=True)
+        w.grad = rng.normal(size=(40, 5000)).astype(np.float32)
+        before = w.grad.copy()
+        g = rng.normal(size=5000).astype(np.float32)
+        out = dense(Tensor(x), w, Tensor(np.zeros(5000, dtype=np.float32)))
+        out._backward(g)
+        assert w.grad.tobytes() == (before + np.outer(x, g)).tobytes()
 
     def test_rank_and_extent_errors(self):
         with pytest.raises(ShapeError, match="rank 1"):
@@ -257,14 +270,12 @@ class TestBackward:
 
 class TestGradCheck:
     def test_quadratic_is_nearly_exact(self):
-        params = ParameterSet()
-        params.add("w", Tensor(np.array([1.0, -2.0, 0.5], dtype=np.float64)))
-        err = grad_check(lambda p: sum_squares(p["w"]), params, h=1e-4)
+        params = ParameterSet({"w": np.array([1.0, -2.0, 0.5], dtype=np.float64)})
+        err = grad_check(lambda p: sum_squares(p["w"]), params, h=1e-4).error
         assert err < 1e-9
 
     def test_flags_corrupted_backward_rule(self):
-        params = ParameterSet()
-        params.add("w", Tensor(np.array([1.5, -2.0], dtype=np.float64)))
+        params = ParameterSet({"w": np.array([1.5, -2.0], dtype=np.float64)})
 
         def bad_square_sum(t):
             value = (t.data**2).sum()
@@ -275,12 +286,11 @@ class TestGradCheck:
 
             return custom_op(value, (t,), backward)
 
-        err = grad_check(lambda p: bad_square_sum(p["w"]), params, h=1e-4)
+        err = grad_check(lambda p: bad_square_sum(p["w"]), params, h=1e-4).error
         assert err > 0.1
 
     def test_requires_float64(self):
-        params = ParameterSet()
-        params.add("w", Tensor(np.ones(2, dtype=np.float32)))
+        params = ParameterSet({"w": np.ones(2, dtype=np.float32)})
         with pytest.raises(ValueError, match="float64"):
             grad_check(lambda p: sum_squares(p["w"]), params)
 
@@ -293,44 +303,44 @@ class TestGradCheck:
     )
     def test_every_core_op_passes_finite_differences(self, name):
         rng = np.random.default_rng(17)
-        params = ParameterSet()
+        values = {}
 
         if name == "conv_same":
-            params.add("x", Tensor(rng.normal(size=(6, 6, 2))))
-            params.add("k", Tensor(rng.normal(size=(3, 3, 2, 3))))
-            params.add("b", Tensor(rng.normal(size=3)))
+            values["x"] = rng.normal(size=(6, 6, 2))
+            values["k"] = rng.normal(size=(3, 3, 2, 3))
+            values["b"] = rng.normal(size=3)
             fn = lambda p: sum_squares(conv2d(p["x"], p["k"], p["b"]))
         elif name == "conv_narrow":
-            params.add("x", Tensor(rng.normal(size=(6, 5, 4))))
-            params.add("k", Tensor(rng.normal(size=(3, 5, 4, 2))))
-            params.add("b", Tensor(rng.normal(size=2)))
+            values["x"] = rng.normal(size=(6, 5, 4))
+            values["k"] = rng.normal(size=(3, 5, 4, 2))
+            values["b"] = rng.normal(size=2)
             fn = lambda p: sum_squares(conv2d(p["x"], p["k"], p["b"]))
         elif name == "dense":
-            params.add("x", Tensor(rng.normal(size=5)))
-            params.add("w", Tensor(rng.normal(size=(5, 3))))
-            params.add("b", Tensor(rng.normal(size=3)))
+            values["x"] = rng.normal(size=5)
+            values["w"] = rng.normal(size=(5, 3))
+            values["b"] = rng.normal(size=3)
             fn = lambda p: sum_squares(dense(p["x"], p["w"], p["b"]))
         elif name in ("sigmoid", "tanh"):
-            params.add("x", Tensor(rng.normal(size=(4, 4, 2))))
+            values["x"] = rng.normal(size=(4, 4, 2))
             op = sigmoid if name == "sigmoid" else tanh
             fn = lambda p: sum_squares(op(p["x"]))
         elif name == "downsample":
-            params.add("x", Tensor(rng.normal(size=(6, 6, 2))))
+            values["x"] = rng.normal(size=(6, 6, 2))
             fn = lambda p: sum_squares(downsample_avg(p["x"], 2))
         elif name == "upsample":
-            params.add("x", Tensor(rng.normal(size=(3, 3, 2))))
+            values["x"] = rng.normal(size=(3, 3, 2))
             fn = lambda p: sum_squares(upsample_nearest(p["x"], 2))
         elif name == "concat":
-            params.add("a", Tensor(rng.normal(size=(3, 3, 2))))
-            params.add("b", Tensor(rng.normal(size=(3, 3, 1))))
+            values["a"] = rng.normal(size=(3, 3, 2))
+            values["b"] = rng.normal(size=(3, 3, 1))
             fn = lambda p: sum_squares(concat_channels(p["a"], p["b"]))
         else:
-            params.add("x", Tensor(rng.normal(size=(2, 3, 2))))
-            params.add("w", Tensor(rng.normal(size=(12, 2))))
-            params.add("b", Tensor(rng.normal(size=2)))
+            values["x"] = rng.normal(size=(2, 3, 2))
+            values["w"] = rng.normal(size=(12, 2))
+            values["b"] = rng.normal(size=2)
             fn = lambda p: sum_squares(dense(reshape(p["x"], (12,)), p["w"], p["b"]))
 
-        assert grad_check(fn, params, h=1e-4, seed=2) < 1e-6
+        assert grad_check(fn, ParameterSet(values), h=1e-4, seed=2).error < 1e-6
 
 
 def _graph_bytes(seed):
@@ -350,21 +360,43 @@ def test_determinism_bit_identical_outputs_and_gradients():
 
 
 class TestParameterSet:
-    def test_duplicate_name_rejected(self):
-        params = ParameterSet()
-        params.add("a", Tensor(np.zeros(2)))
-        with pytest.raises(ValueError, match="exists"):
-            params.add("a", Tensor(np.zeros(2)))
-
     def test_insertion_order_kept(self):
-        params = ParameterSet()
-        for name in ("z", "a", "m"):
-            params.add(name, Tensor(np.zeros(1)))
+        params = ParameterSet({name: np.zeros(1) for name in ("z", "a", "m")})
         assert params.names() == ["z", "a", "m"]
 
+    def test_views_tile_the_arena_after_init_params(self, desk_config):
+        params = init_params(desk_config)
+        assert_in_arena(params)
+        assert params.data.dtype == params.grad.dtype == np.float32
+        assert not params.grad.any()
+
+    def test_load_values_copies_into_the_arena(self):
+        params = ParameterSet({"a": np.zeros((2, 3)), "b": np.zeros(4)})
+        views = [t.data for t in params.tensors()]
+        params.load_values({"a": np.arange(6.0).reshape(2, 3), "b": np.full(4, 7.0)})
+        assert_in_arena(params)
+        assert all(t.data is view for t, view in zip(params.tensors(), views))
+        assert np.array_equal(params.data, [0, 1, 2, 3, 4, 5, 7, 7, 7, 7])
+
+    def test_zero_grads_clears_every_view(self):
+        params = ParameterSet({"a": np.ones(3), "b": np.ones((2, 2))})
+        sum_squares(add(params["a"], params["a"])).backward()
+        sum_squares(params["b"]).backward()
+        assert params["a"].grad.all() and params["b"].grad.all()
+        params.zero_grads()
+        assert_in_arena(params)
+        assert not params.grad.any()
+
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(ValueError, match="one float dtype"):
+            ParameterSet({"a": np.zeros(2, dtype=np.float32), "b": np.zeros(2, dtype=np.float64)})
+
+    def test_name_at_maps_flat_indices_to_parameters(self):
+        params = ParameterSet({"a": np.zeros((2, 3)), "b": np.zeros(1), "c": np.zeros(4)})
+        assert [params.name_at(i) for i in range(11)] == ["a"] * 6 + ["b"] + ["c"] * 4
+
     def test_load_values_checks_names_and_shapes(self):
-        params = ParameterSet()
-        params.add("a", Tensor(np.zeros(2)))
+        params = ParameterSet({"a": np.zeros(2)})
         with pytest.raises(ValueError, match="missing"):
             params.load_values({})
         with pytest.raises(ValueError, match="unknown"):

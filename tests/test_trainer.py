@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scalar_adam_trace, scalar_bce, scalar_mse
+from conftest import assert_in_arena, reference_adam_steps, scalar_adam_trace, scalar_bce, scalar_mse
 
 from bear.errors import ConfigError, DataError, FormatError, NumericError, ShapeError
 from bear.model import BearConfig, init_params
 from bear.serialize import Checkpoint, load_checkpoint, save_checkpoint
 from bear.synth import synthetic_images
-from bear.tensor import ParameterSet, Tensor, grad_check
+from bear.tensor import CHUNK, ParameterSet, Tensor, grad_check
 from bear.train import (
     Adam,
     TrainConfig,
@@ -70,9 +70,8 @@ class TestBceLoss:
     def test_gradient_by_finite_differences(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.uniform(size=(4, 4, 2)))
-        params = ParameterSet()
-        params.add("xhat", Tensor(rng.uniform(0.1, 0.9, size=(4, 4, 2))))
-        assert grad_check(lambda p: bce_loss(x, p["xhat"]), params, h=1e-6) < 1e-3
+        params = ParameterSet({"xhat": rng.uniform(0.1, 0.9, size=(4, 4, 2))})
+        assert grad_check(lambda p: bce_loss(x, p["xhat"]), params, h=1e-6).error < 1e-3
 
     def test_gradient_zero_at_clamped_binary_optimum(self):
         rng = np.random.default_rng(6)
@@ -114,9 +113,8 @@ class TestMseLoss:
     def test_gradient_by_finite_differences(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(3, 3, 1)))
-        params = ParameterSet()
-        params.add("xhat", Tensor(rng.normal(size=(3, 3, 1))))
-        assert grad_check(lambda p: mse_loss(x, p["xhat"]), params, h=1e-5) < 1e-6
+        params = ParameterSet({"xhat": rng.normal(size=(3, 3, 1))})
+        assert grad_check(lambda p: mse_loss(x, p["xhat"]), params, h=1e-5).error < 1e-6
         params.zero_grads()
         loss = mse_loss(x, params["xhat"])
         loss.backward()
@@ -126,33 +124,33 @@ class TestMseLoss:
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters_but_advances_time(self):
-        params = ParameterSet()
-        w = params.add("w", Tensor(np.array([1.0, 2.0])))
+        params = ParameterSet({"w": np.array([1.0, 2.0])})
+        w = params["w"]
         state = Adam(params)
-        w.grad = np.zeros(2, dtype=w.data.dtype)
+        w.grad[...] = np.zeros(2, dtype=w.data.dtype)
         state.step(1e-3)
         assert np.allclose(w.data, [1.0, 2.0])
         assert state.t == 1
 
     def test_first_step_magnitude_is_learning_rate(self):
-        params = ParameterSet()
-        w = params.add("w", Tensor(np.array([3.0], dtype=np.float64)))
+        params = ParameterSet({"w": np.array([3.0], dtype=np.float64)})
+        w = params["w"]
         state = Adam(params)
-        w.grad = np.array([0.5])
+        w.grad[...] = np.array([0.5])
         state.step(1e-4)
         assert abs(abs(3.0 - float(w.data[0])) - 1e-4) < 1e-10
 
     def test_three_steps_match_scalar_oracle(self):
         lr = 0.1
-        params = ParameterSet()
-        w = params.add("w", Tensor(np.array([1.0], dtype=np.float64)))
+        params = ParameterSet({"w": np.array([1.0], dtype=np.float64)})
+        w = params["w"]
         state = Adam(params)
         grads = []
         got = []
         for _ in range(3):
             g = 2.0 * (float(w.data[0]) - 5.0)
             grads.append(g)
-            w.grad = np.array([g], dtype=np.float64)
+            w.grad[...] = np.array([g], dtype=np.float64)
             state.step(lr)
             got.append(float(w.data[0]))
         want = scalar_adam_trace(1.0, grads, lr)
@@ -160,56 +158,103 @@ class TestAdam:
             assert abs(a - b) < 1e-10
 
     def test_zero_learning_rate_changes_nothing(self):
-        params = ParameterSet()
-        w = params.add("w", Tensor(np.array([1.0, -2.0], dtype=np.float64)))
+        params = ParameterSet({"w": np.array([1.0, -2.0], dtype=np.float64)})
+        w = params["w"]
         state = Adam(params)
-        w.grad = np.array([5.0, -3.0])
+        w.grad[...] = np.array([5.0, -3.0])
         state.step(0.0)
         assert np.array_equal(w.data, [1.0, -2.0])
 
     def test_gradients_cleared_after_step(self):
-        params = ParameterSet()
-        w = params.add("w", Tensor(np.array([1.0])))
+        params = ParameterSet({"w": np.array([1.0])})
+        w = params["w"]
         state = Adam(params)
-        w.grad = np.array([1.0], dtype=w.data.dtype)
+        w.grad[...] = np.array([1.0], dtype=w.data.dtype)
         state.step(1e-3)
-        assert w.grad is None
+        assert np.all(w.grad == 0.0)
 
     def test_non_finite_gradient_names_parameter(self):
-        params = ParameterSet()
-        w = params.add("pfe/convlstm1/biases", Tensor(np.array([1.0])))
+        params = ParameterSet({"pfe/convlstm1/biases": np.array([1.0])})
+        w = params["pfe/convlstm1/biases"]
         state = Adam(params)
-        w.grad = np.array([np.inf], dtype=w.data.dtype)
+        w.grad[...] = np.array([np.inf], dtype=w.data.dtype)
         with pytest.raises(NumericError, match="pfe/convlstm1/biases"):
             state.step(1e-3)
 
     def test_non_finite_gradient_leaves_every_parameter_and_moment_unchanged(self):
-        params = ParameterSet()
-        a = params.add("a", Tensor(np.array([1.0, -2.0], dtype=np.float64)))
-        b = params.add("b", Tensor(np.array([0.5], dtype=np.float64)))
+        params = ParameterSet({"a": np.array([1.0, -2.0], dtype=np.float64), "b": np.array([0.5], dtype=np.float64)})
+        a, b = params["a"], params["b"]
         state = Adam(params)
-        a.grad = np.array([0.3, -0.1])
-        b.grad = np.array([0.2])
+        a.grad[...] = np.array([0.3, -0.1])
+        b.grad[...] = np.array([0.2])
         state.step(1e-2)
-        before = (params.value_arrays(), {n: m.copy() for n, m in state.m.items()},
-                  {n: v.copy() for n, v in state.v.items()}, state.t)
-        a.grad = np.array([0.3, -0.1])
-        b.grad = np.array([np.nan])
+        before = (params.data.copy(), state.m.copy(), state.v.copy(), state.t)
+        a.grad[...] = np.array([0.3, -0.1])
+        b.grad[...] = np.array([np.nan])
         with pytest.raises(NumericError, match="'b'"):
             state.step(1e-2)
         values, m, v, t = before
         assert t == state.t == 1
-        for name in ("a", "b"):
-            assert np.array_equal(params[name].data, values[name])
-            assert np.array_equal(state.m[name], m[name])
-            assert np.array_equal(state.v[name], v[name])
+        assert np.array_equal(params.data, values)
+        assert np.array_equal(state.m, m)
+        assert np.array_equal(state.v, v)
+
+    @staticmethod
+    def _straddling_set(rng):
+        # 75000 + 74800 + 77 float32 elements: "a" straddles the first chunk
+        # boundary, "b" the second, and the total is not a multiple of CHUNK
+        values = {
+            "a": rng.normal(size=(300, 250)).astype(np.float32),
+            "b": rng.normal(size=(400, 187)).astype(np.float32),
+            "c": rng.normal(size=(7, 11)).astype(np.float32),
+        }
+        assert CHUNK == 65536 and 300 * 250 > CHUNK and 300 * 250 + 400 * 187 > 2 * CHUNK
+        assert sum(v.size for v in values.values()) % CHUNK != 0
+        return values
+
+    def test_chunked_steps_match_reference_formula_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        values = self._straddling_set(rng)
+        grads = [
+            {name: (rng.normal(size=v.shape) * 10.0**-k).astype(np.float32) for name, v in values.items()}
+            for k in range(5)
+        ]
+        params = ParameterSet(values)
+        state = Adam(params)
+        for step in grads:
+            for name, g in step.items():
+                params[name].grad[...] = g
+            state.step(3e-3)
+        assert_in_arena(params)
+        start = 0
+        for name, value in values.items():
+            want_p, want_m, want_v = reference_adam_steps(value, [step[name] for step in grads], 3e-3)
+            stop = start + value.size
+            assert params[name].data.tobytes() == want_p.tobytes(), name
+            assert state.m[start:stop].tobytes() == want_m.tobytes(), name
+            assert state.v[start:stop].tobytes() == want_v.tobytes(), name
+            start = stop
+
+    def test_non_finite_gradient_past_first_chunk_names_it_and_changes_nothing(self):
+        rng = np.random.default_rng(22)
+        params = ParameterSet(self._straddling_set(rng))
+        state = Adam(params)
+        params.grad[...] = rng.normal(size=params.grad.size)
+        state.step(1e-3)
+        before = (params.data.copy(), state.m.copy(), state.v.copy())
+        params.grad[...] = rng.normal(size=params.grad.size)
+        params["b"].grad[399, 186] = np.nan  # flat index 149799, in the third chunk
+        with pytest.raises(NumericError, match="'b'"):
+            state.step(1e-3)
+        assert state.t == 1
+        for got, want in zip((params.data, state.m, state.v), before):
+            assert got.tobytes() == want.tobytes()
 
     def test_moment_shapes_track_parameters(self):
-        params = ParameterSet()
-        params.add("a", Tensor(np.zeros((2, 3))))
+        params = ParameterSet({"a": np.zeros((2, 3)), "b": np.zeros(4)})
         state = Adam(params)
-        assert state.m["a"].shape == (2, 3)
-        assert state.v["a"].shape == (2, 3)
+        assert state.m.shape == state.v.shape == (10,)
+        assert state.m.dtype == state.v.dtype == params.data.dtype
 
 
 class TestPlateauDecay:
@@ -291,6 +336,12 @@ class TestFit:
         rates = [r.lr for r in records]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
+    def test_trained_parameters_live_in_the_arena(self):
+        images, tcfg, bcfg = _desk_setup(max_epochs=1)
+        ckpt, _ = fit(images, tcfg, bcfg)
+        assert_in_arena(ckpt.params)
+        assert ckpt.params.data.tobytes() != init_params(bcfg).data.tobytes()
+
     def test_zero_epochs_returns_initial_checkpoint_and_empty_log(self):
         images, tcfg, bcfg = _desk_setup(max_epochs=0)
         ckpt, records = fit(images, tcfg, bcfg)
@@ -336,6 +387,14 @@ class TestCheckpointFormat:
         assert back.params.names() == params.names()
         for (name, a), (_, b) in zip(back.params.items(), params.items()):
             assert a.data.tobytes() == b.data.tobytes(), name
+
+    def test_loaded_parameters_live_in_the_arena(self, tmp_path):
+        bcfg = BearConfig(n=16, d=3, r=4, m=8, f_pfe=2, f_rfe=2, f_bfe=2, f_dec=2, seed=4)
+        path = tmp_path / "model.bc1"
+        save_checkpoint(Checkpoint(bcfg, init_params(bcfg), {}), path)
+        back = load_checkpoint(path).params
+        assert_in_arena(back)
+        assert back.data.tobytes() == init_params(bcfg).data.tobytes()
 
     def test_corrupted_magic_names_offset_zero(self, tmp_path):
         bcfg = BearConfig(n=16, d=3, r=4, m=8, f_pfe=1, f_rfe=1, f_bfe=1, f_dec=1)
