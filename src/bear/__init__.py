@@ -10,10 +10,8 @@ from .errors import (
 )
 from .model import (
     BearConfig,
-    LatentVector,
     decode,
     encode,
-    encode_latent,
     forward,
     init_params,
     param_count,
@@ -36,7 +34,6 @@ __all__ = [
     "EmbeddingSet",
     "EpochRecord",
     "FormatError",
-    "LatentVector",
     "NumericError",
     "ParameterSet",
     "ShapeError",
@@ -47,7 +44,6 @@ __all__ = [
     "early_stop",
     "elbow",
     "encode",
-    "encode_latent",
     "fit",
     "forward",
     "grad_check",

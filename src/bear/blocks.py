@@ -7,13 +7,14 @@ so callers keep, train and store every branch kernel."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _col2im, _im2col, _stable_sigmoid, add_n, conv2d, custom_op, scale, sum_squares
+from .tensor import Tensor, _col2im, _im2col, _pad_hw, _stable_sigmoid, add, conv2d, custom_op, scale, sum_squares
 
 
 @dataclass
@@ -56,9 +57,10 @@ class ConvLstmParams:
 
 
 def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
-    """Run the cell across the channel axis of an (H, W, T) input as a
+    """Run the cell across the channel axis of an (..., H, W, T) input as a
     sequence of T single-channel steps from zero state, and return the final
-    hidden state (H, W, F) as one tape node.
+    hidden state (..., H, W, F) as one tape node. Leading axes are scanned
+    together, as independent maps.
 
     Per step, with same padding,
     i = sig(conv(x_t; Wi) + conv(h; Ui) + bi), f and o likewise,
@@ -69,33 +71,34 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     GEMM before the loop. The backward pass runs the loop in reverse and
     rebuilds im2col columns instead of keeping them.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"convlstm_over_channels: input must be rank 3, got rank {x.ndim}")
-    H, W, T = x.shape
+    if x.ndim < 3:
+        raise ShapeError(f"convlstm_over_channels: input must have rank 3 or more, got rank {x.ndim}")
+    *lead, H, W, T = x.shape
     F, k = p.filters, p.kernel_extent
     s = k // 2
     ik = p.input_kernels.data.reshape(k * k, 4 * F)
     rk = p.recurrent_kernels.data.reshape(k * k * F, 4 * F)
-    xp = np.pad(x.data.transpose(2, 0, 1)[..., None], ((0, 0), (s, s), (s, s), (0, 0)))  # one map per step
-    inputs = (_im2col(xp, k, k) @ ik + p.biases.data).reshape(T, H * W, 4 * F)
-    h = np.zeros((H, W, F), dtype=inputs.dtype)
-    cells = [np.zeros((H * W, F), dtype=inputs.dtype)]
+    xp = _pad_hw(np.moveaxis(x.data.reshape(-1, H, W, T), -1, 0)[..., None], s, s)  # one map set per step
+    N = xp.shape[1]
+    inputs = (_im2col(xp, k, k) @ ik + p.biases.data).reshape(T, N * H * W, 4 * F)
+    h = np.zeros((N, H, W, F), dtype=inputs.dtype)
+    cells = [np.zeros((N * H * W, F), dtype=inputs.dtype)]
     hidden_padded, gates = [], []
     for t in range(T):
         pre = inputs[t]
         if t:  # the recurrent term of the zero initial state is zero
-            hidden_padded.append(np.pad(h, ((s, s), (s, s), (0, 0))))
+            hidden_padded.append(_pad_hw(h, s, s))
             pre = pre + _im2col(hidden_padded[-1], k, k) @ rk
         act = _stable_sigmoid(pre)
         act[:, 2 * F : 3 * F] = np.tanh(pre[:, 2 * F : 3 * F])
         i, f, g, o = np.split(act, 4, axis=1)
         cells.append(f * cells[-1] + i * g)
-        h = (o * np.tanh(cells[-1])).reshape(H, W, F)
+        h = (o * np.tanh(cells[-1])).reshape(N, H, W, F)
         gates.append(act)
 
     def backward(grad: np.ndarray) -> None:
-        d_pre = np.empty((T, H * W, 4 * F), dtype=h.dtype)
-        dh = grad.reshape(H * W, F)
+        d_pre = np.empty((T, N * H * W, 4 * F), dtype=h.dtype)
+        dh = grad.reshape(N * H * W, F)
         dc = np.zeros_like(dh)
         d_rk = np.zeros_like(rk)
         for t in reversed(range(T)):
@@ -111,8 +114,8 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
             if t:
                 hp = hidden_padded[t - 1]
                 d_rk += _im2col(hp, k, k).T @ d
-                dh = _col2im(d @ rk.T, hp.shape, k, k)[s : s + H, s : s + W].reshape(H * W, F)
-        d_pre = d_pre.reshape(T * H * W, 4 * F)
+                dh = _col2im(d @ rk.T, hp.shape, k, k)[:, s : s + H, s : s + W].reshape(N * H * W, F)
+        d_pre = d_pre.reshape(T * N * H * W, 4 * F)
         if p.biases.requires_grad:
             p.biases._accumulate(d_pre.sum(axis=0))
         if p.recurrent_kernels.requires_grad:
@@ -121,9 +124,9 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
             p.input_kernels._accumulate((_im2col(xp, k, k).T @ d_pre).reshape(p.input_kernels.shape))
         if x.requires_grad:
             dxp = _col2im(d_pre @ ik.T, xp.shape, k, k)
-            x._accumulate(dxp[:, s : s + H, s : s + W, 0].transpose(1, 2, 0))
+            x._accumulate(np.moveaxis(dxp[:, :, s : s + H, s : s + W, 0], 0, -1).reshape(x.shape))
 
-    return custom_op(h, (x, p.input_kernels, p.recurrent_kernels, p.biases), backward)
+    return custom_op(h.reshape(*lead, H, W, F), (x, p.input_kernels, p.recurrent_kernels, p.biases), backward)
 
 
 def _centred_mean(parts: Sequence[Tensor]) -> Tensor:
@@ -181,4 +184,4 @@ def l2_penalty(tensors: Iterable[Tensor], lam: float) -> Tensor:
     ts = list(tensors)
     if not ts:
         return Tensor(np.zeros((), dtype=np.float32))
-    return scale(add_n([sum_squares(t) for t in ts]), lam)
+    return scale(functools.reduce(add, [sum_squares(t) for t in ts]), lam)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import latent as lat
 from .errors import ConfigError, DataError, FormatError, NumericError
-from .model import encode_latent, forward, param_count
+from .model import encode, forward, param_count
 from .ppm import image_to_unit, read_ppm, resize_unit, unit_to_image, write_ppm
 from .serialize import atomic_write, config_hash, load_checkpoint, load_run_config, save_checkpoint
 from .synth import synthetic_images
@@ -137,11 +137,16 @@ def _cmd_encode(args) -> int:
         print(f"warning: skipped {skipped} unreadable images", file=sys.stderr)
     if not images:
         raise DataError(f"no usable images in {args.data}")
-    rows = []
-    for image_id, img in zip(ids, images):
-        rows.append(encode_latent(img, ckpt.params, ckpt.config, image_id).values)
+    size = ckpt.config.forward_chunk
+    with no_grad():
+        chunks = [encode(Tensor(np.stack(images[i : i + size])), ckpt.params, ckpt.config).data
+                  for i in range(0, len(images), size)]
+    rows = np.concatenate(chunks)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"non-finite embedding for {ids[int(np.argmin(finite))]!r}")
     out = Path(args.out)
-    lat.write_embeddings(out, lat.EmbeddingSet(rows=np.stack(rows), ids=ids))
+    lat.write_embeddings(out, lat.EmbeddingSet(rows=rows, ids=ids))
     _write_manifest(out, "encode", None, None, [str(args.ckpt), str(args.data)], [str(out)], config_hash(ckpt.config))
     print(f"encoded {len(rows)} images to {out}")
     return EXIT_OK
@@ -152,9 +157,9 @@ def _cmd_reconstruct(args) -> int:
     pixels = read_ppm(args.input)
     x = resize_unit(image_to_unit(pixels), ckpt.config.n)
     with no_grad():
-        xhat = forward(Tensor(x), ckpt.params, ckpt.config)
+        xhat = forward(Tensor(x[None]), ckpt.params, ckpt.config)
     out = Path(args.out)
-    write_ppm(out, unit_to_image(xhat.data))
+    write_ppm(out, unit_to_image(xhat.data[0]))
     _write_manifest(out, "reconstruct", None, None, [str(args.ckpt), str(args.input)], [str(out)], config_hash(ckpt.config))
     print(f"reconstructed {args.input} to {out}")
     return EXIT_OK

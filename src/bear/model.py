@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import ConvLstmParams, convlstm_over_channels, mean_conv
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import (
     ParameterSet,
     Tensor,
@@ -26,7 +26,6 @@ from .tensor import (
     conv2d,
     dense,
     downsample_avg,
-    no_grad,
     reshape,
     sigmoid,
     tanh,
@@ -93,20 +92,12 @@ class BearConfig:
         """Input elements per latent element, n*n*d / m."""
         return (self.n * self.n * self.d) / self.m
 
-
-@dataclass
-class LatentVector:
-    """An encoder output row with the identifier of its source image."""
-
-    values: np.ndarray
-    source_id: str
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values)
-        if self.values.ndim != 1:
-            raise ShapeError(f"latent vector must be rank 1, got shape {self.values.shape}")
-        if not np.isfinite(self.values).all():
-            raise NumericError(f"latent vector for {self.source_id!r} contains non-finite values")
+    @property
+    def forward_chunk(self) -> int:
+        """Images per forward-only pass in validation and encoding: 16384
+        pixels' worth, so one image at n=128 (whose forward pass alone peaks
+        near 44 MB of allocations) and 16 at n=32."""
+        return max(1, 16384 // (self.n * self.n))
 
 
 def parameter_shapes(cfg: BearConfig) -> dict[str, tuple[int, ...]]:
@@ -185,8 +176,8 @@ def _branches(params: ParameterSet, stage: str, extents) -> list[tuple[Tensor, T
 
 def residual_input(x: Tensor, cfg: BearConfig) -> Tensor:
     """The input average-pooled by r per spatial axis, depth unchanged."""
-    if x.shape != (cfg.n, cfg.n, cfg.d):
-        raise ShapeError(f"residual_input: expected shape {(cfg.n, cfg.n, cfg.d)}, got {x.shape}")
+    if x.shape[-3:] != (cfg.n, cfg.n, cfg.d):
+        raise ShapeError(f"residual_input: expected shape (..., {cfg.n}, {cfg.n}, {cfg.d}), got {x.shape}")
     return downsample_avg(x, cfg.r)
 
 
@@ -209,8 +200,8 @@ def rfe(z: Tensor, residual: Tensor, params: ParameterSet, stage: str = "rfe1") 
     The residual channels are concatenated onto the feature channels, then a
     same-padding convolution maps back to the incoming channel count.
     """
-    if z.shape[:2] != residual.shape[:2]:
-        raise ShapeError(f"rfe: spatial extents {z.shape[:2]} and {residual.shape[:2]} differ")
+    if z.shape[-3:-1] != residual.shape[-3:-1]:
+        raise ShapeError(f"rfe: spatial extents {z.shape[-3:-1]} and {residual.shape[-3:-1]} differ")
     h = concat_channels(z, residual)
     h = conv2d(h, params[f"{stage}/conv/kernel"], params[f"{stage}/conv/bias"])
     return tanh(h)
@@ -218,12 +209,12 @@ def rfe(z: Tensor, residual: Tensor, params: ParameterSet, stage: str = "rfe1") 
 
 def bfe(z: Tensor, residual: Tensor, params: ParameterSet, cfg: BearConfig) -> Tensor:
     """Bottleneck: residual concat, cell scan, 2x pool, flatten, dense to m."""
-    if z.shape[:2] != residual.shape[:2]:
-        raise ShapeError(f"bfe: spatial extents {z.shape[:2]} and {residual.shape[:2]} differ")
+    if z.shape[-3:-1] != residual.shape[-3:-1]:
+        raise ShapeError(f"bfe: spatial extents {z.shape[-3:-1]} and {residual.shape[-3:-1]} differ")
     h = concat_channels(z, residual)
     h = convlstm_over_channels(h, _cell_params(params, "bfe/convlstm"))
     h = downsample_avg(h, 2)
-    h = reshape(h, (h.size,))
+    h = reshape(h, (*h.shape[:-3], math.prod(h.shape[-3:])))
     h = dense(h, params["bfe/dense/weights"], params["bfe/dense/bias"])
     return tanh(h)
 
@@ -236,7 +227,7 @@ def dd(z: Tensor, params: ParameterSet, cfg: BearConfig) -> Tensor:
     """Dense expansion of the latent vector into an n/4 feature map."""
     s4 = cfg.n // 4
     h = dense(z, params["dd/dense/weights"], params["dd/dense/bias"])
-    h = reshape(h, (s4, s4, cfg.f_dec))
+    h = reshape(h, (*z.shape[:-1], s4, s4, cfg.f_dec))
     return tanh(h)
 
 
@@ -262,7 +253,7 @@ def pf_reconstruct(z: Tensor, params: ParameterSet, cfg: BearConfig) -> Tensor:
 
 
 def encode(x: Tensor, params: ParameterSet, cfg: BearConfig) -> Tensor:
-    """Image to latent vector of extent m."""
+    """Images (..., n, n, d) to latent vectors (..., m)."""
     residual = residual_input(x, cfg)
     z = pfe(x, params, cfg)
     z = rfe(z, residual, params, "rfe1")
@@ -271,9 +262,9 @@ def encode(x: Tensor, params: ParameterSet, cfg: BearConfig) -> Tensor:
 
 
 def decode(z: Tensor, params: ParameterSet, cfg: BearConfig) -> Tensor:
-    """Latent vector back to an (n, n, d) image with elements in (0, 1)."""
-    if z.shape != (cfg.m,):
-        raise ShapeError(f"decode: expected latent shape {(cfg.m,)}, got {z.shape}")
+    """Latent vectors (..., m) back to (..., n, n, d) images with elements in (0, 1)."""
+    if z.shape[-1:] != (cfg.m,):
+        raise ShapeError(f"decode: expected latent shape (..., {cfg.m}), got {z.shape}")
     h = dd(z, params, cfg)
     h = pd(h, params, cfg, "pd1")
     h = pd(h, params, cfg, "pd2")
@@ -283,13 +274,6 @@ def decode(z: Tensor, params: ParameterSet, cfg: BearConfig) -> Tensor:
 def forward(x: Tensor, params: ParameterSet, cfg: BearConfig) -> Tensor:
     """Full reconstruction pass, decode(encode(x))."""
     return decode(encode(x, params, cfg), params, cfg)
-
-
-def encode_latent(image: np.ndarray, params: ParameterSet, cfg: BearConfig, source_id: str) -> LatentVector:
-    """Encode a raw image array (forward-only) into a labelled latent row."""
-    with no_grad():
-        z = encode(Tensor(image), params, cfg)
-    return LatentVector(z.data.copy(), source_id)
 
 
 def param_count(params: ParameterSet) -> tuple[dict[str, int], int]:

@@ -1,8 +1,10 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
-Values are numpy arrays in channels-last layout (height, width, channels),
-stored row-major. float32 is the working precision; build parameters as
-float64 when running finite-difference checks.
+Values are numpy arrays in channels-last layout (..., height, width,
+channels), stored row-major. Like numpy, every op takes any number of
+leading batch axes and treats each leading index as an independent item;
+parameters carry no batch axis. float32 is the working precision; build
+parameters as float64 when running finite-difference checks.
 """
 
 from __future__ import annotations
@@ -161,24 +163,32 @@ def _col2im(cols: Array, xp_shape: tuple[int, ...], kh: int, kw: int) -> Array:
     return out
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Same-padding, stride-1 2-D convolution of an (H, W, C) input with a
-    (kh, kw, C, F) kernel of odd extents, giving an (H, W, F) output.
+def _pad_hw(a: Array, ph: int, pw: int) -> Array:
+    """Zero-pad the height and width axes of a (..., H, W, C) array by ph and
+    pw on each side."""
+    if not (ph or pw):
+        return a
+    return np.pad(a, ((0, 0),) * (a.ndim - 3) + ((ph, ph), (pw, pw), (0, 0)))
 
-    The GEMM is lowered on the narrower side, so no matrix is wider than
-    kh*kw*min(C, F). When F >= C, each output position's input window is one
-    row (im2col) and the backward pass adds the rows back (col2im). When
-    F < C, one GEMM of the kernel by the padded input gives every tap's
-    contribution at every position, and the output sums the kh*kw shifted
-    tap planes. Its backward pass builds one window matrix of the output
-    gradient, padded by k-1 with its taps reversed, and gets both gradients
-    from it with one GEMM each.
+
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Same-padding, stride-1 2-D convolution of an (..., H, W, C) input with
+    a (kh, kw, C, F) kernel of odd extents, giving an (..., H, W, F) output.
+
+    Leading axes fold into the rows of one GEMM. The GEMM is lowered on the
+    narrower side, so no matrix is wider than kh*kw*min(C, F). When F >= C,
+    each output position's input window is one row (im2col) and the backward
+    pass adds the rows back (col2im). When F < C, one GEMM of the kernel by
+    the padded input gives every tap's contribution at every position, and
+    the output sums the kh*kw shifted tap planes. Its backward pass builds
+    one window matrix of the output gradient, padded by k-1 with its taps
+    reversed, and gets both gradients from it with one GEMM each.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"conv2d: input must be rank 3 (H, W, C), got rank {x.ndim}")
+    if x.ndim < 3:
+        raise ShapeError(f"conv2d: input must have rank 3 or more (..., H, W, C), got rank {x.ndim}")
     if kernel.ndim != 4:
         raise ShapeError(f"conv2d: kernel must be rank 4 (kh, kw, C, F), got rank {kernel.ndim}")
-    H, W, C = x.shape
+    *lead, H, W, C = x.shape
     kh, kw, kc, F = kernel.shape
     if kc != C:
         raise ShapeError(f"conv2d: kernel depth {kc} does not match input channel axis extent {C}")
@@ -187,32 +197,32 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d: same padding requires odd kernel extents, got {kh}x{kw}")
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((ph, ph), (pw, pw), (0, 0))) if ph or pw else x.data
-    Hp, Wp = xp.shape[:2]
-    xmat = xp.reshape(Hp * Wp, C)
+    xp = _pad_hw(x.data, ph, pw)
+    Hp, Wp = xp.shape[-3:-1]
+    xmat = xp.reshape(-1, C)  # row (..., p, q)
     output_side = F < C
     if output_side:
         ktap = kernel.data.transpose(0, 1, 3, 2).reshape(kh * kw * F, C)  # row (i, j, f)
-        taps = (ktap @ xmat.T).reshape(kh, kw, F, Hp, Wp)
-        out = np.empty((F, H, W), dtype=taps.dtype)
-        out[...] = bias.data[:, None, None]
+        taps = (ktap @ xmat.T).reshape(kh, kw, F, -1, Hp, Wp)
+        out = np.empty(taps.shape[2:4] + (H, W), dtype=taps.dtype)
+        out[...] = bias.data[:, None, None, None]
         for i in range(kh):
             for j in range(kw):
-                out += taps[i, j, :, i : i + H, j : j + W]
-        out = out.transpose(1, 2, 0)
+                out += taps[i, j, ..., i : i + H, j : j + W]
+        out = np.moveaxis(out, 0, -1).reshape(*lead, H, W, F)
     else:
         kmat = kernel.data.reshape(kh * kw * C, F)
-        out = (_im2col(xp, kh, kw) @ kmat + bias.data).reshape(H, W, F)
+        out = (_im2col(xp, kh, kw) @ kmat + bias.data).reshape(*lead, H, W, F)
 
     def backward(g: Array) -> None:
         gmat = g.reshape(-1, F)
         if bias.requires_grad:
             bias._accumulate(gmat.sum(axis=0))
         if output_side and (kernel.requires_grad or x.requires_grad):
-            # row (i, j, f), column (p, q) holds g[p - i, q - j, f], zero outside
-            gp = np.pad(g.transpose(2, 0, 1), ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+            # row (i, j, f), column (..., p, q) holds g[..., p - i, q - j, f], zero outside
+            gp = _pad_hw(g.reshape(-1, H, W, F), kh - 1, kw - 1)
             windows = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(1, 2))[..., ::-1, ::-1]
-            gcols = np.ascontiguousarray(windows.transpose(3, 4, 0, 1, 2)).reshape(kh * kw * F, Hp * Wp)
+            gcols = np.ascontiguousarray(windows.transpose(4, 5, 3, 0, 1, 2)).reshape(kh * kw * F, -1)
         if kernel.requires_grad:
             if output_side:
                 kernel._accumulate((gcols @ xmat).reshape(kh, kw, F, C).transpose(0, 1, 3, 2))
@@ -221,39 +231,43 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                 kernel._accumulate((_im2col(xp, kh, kw).T @ gmat).reshape(kernel.shape))
         if x.requires_grad:
             if output_side:
-                gxp = (gcols.T @ ktap).reshape(Hp, Wp, C)
+                gxp = (gcols.T @ ktap).reshape(xp.shape)
             else:
                 gxp = _col2im(gmat @ kmat.T, xp.shape, kh, kw)
-            x._accumulate(gxp[ph : ph + H, pw : pw + W])
+            x._accumulate(gxp[..., ph : ph + H, pw : pw + W, :])
 
     return custom_op(out, (x, kernel, bias), backward)
 
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """Affine map of a rank-1 input: out_j = sum_i x_i w_ij + b_j."""
-    if x.ndim != 1:
-        raise ShapeError(f"dense: input must be rank 1 (flatten first), got rank {x.ndim}")
-    if weights.ndim != 2 or weights.shape[0] != x.shape[0]:
+    """Affine map of the last axis: out[..., j] = sum_i x[..., i] w_ij + b_j.
+    Leading axes are independent rows of one GEMM."""
+    if x.ndim < 1:
+        raise ShapeError(f"dense: input must have rank 1 or more (..., K), got rank {x.ndim}")
+    if weights.ndim != 2 or weights.shape[0] != x.shape[-1]:
         raise ShapeError(
             f"dense: weights expect input extent {weights.shape[0] if weights.ndim == 2 else '?'}, "
-            f"got {x.shape[0]} along the input axis"
+            f"got {x.shape[-1]} along the input axis"
         )
     if bias.ndim != 1 or bias.shape[0] != weights.shape[1]:
         raise ShapeError(f"dense: bias must have extent {weights.shape[1]}, got shape {bias.shape}")
     out = x.data @ weights.data + bias.data
 
     def backward(g: Array) -> None:
+        gmat = g.reshape(-1, g.shape[-1])
         if bias.requires_grad:
-            bias._accumulate(g)
+            bias._accumulate(gmat.sum(axis=0))
         if weights.requires_grad:
             if weights.grad is None:
                 weights.grad = np.zeros_like(weights.data)
-            # row blocks of the outer product, added in place: no full-size temporary
-            rows = max(1, CHUNK // g.size)
-            for i in range(0, x.size, rows):
-                weights.grad[i : i + rows] += np.outer(x.data[i : i + rows], g)
+            # row blocks of x.T @ g, leading axes folded into rows, added in
+            # place: no full-size temporary. One row gives exact outer products.
+            xmat = x.data.reshape(-1, x.shape[-1])
+            rows = max(1, CHUNK // gmat.shape[1])
+            for i in range(0, xmat.shape[1], rows):
+                weights.grad[i : i + rows] += xmat[:, i : i + rows].T @ gmat
         if x.requires_grad:
-            x._accumulate(weights.data @ g)
+            x._accumulate(g @ weights.data.T)
 
     return custom_op(out, (x, weights, bias), backward)
 
@@ -288,55 +302,58 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def downsample_avg(x: Tensor, r: int) -> Tensor:
-    """Mean over non-overlapping r x r spatial blocks, depth unchanged."""
-    if x.ndim != 3:
-        raise ShapeError(f"downsample_avg: input must be rank 3, got rank {x.ndim}")
+    """Mean over non-overlapping r x r spatial blocks of an (..., H, W, C)
+    input, depth unchanged."""
+    if x.ndim < 3:
+        raise ShapeError(f"downsample_avg: input must have rank 3 or more, got rank {x.ndim}")
     if r < 1:
         raise ShapeError(f"downsample_avg: factor must be positive, got {r}")
-    H, W, C = x.shape
+    *lead, H, W, C = x.shape
     if H % r:
         raise ShapeError(f"downsample_avg: height extent {H} is not divisible by {r}")
     if W % r:
         raise ShapeError(f"downsample_avg: width extent {W} is not divisible by {r}")
-    out = x.data.reshape(H // r, r, W // r, r, C).mean(axis=(1, 3))
+    out = x.data.reshape(*lead, H // r, r, W // r, r, C).mean(axis=(-4, -2))
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x._accumulate(np.repeat(np.repeat(g, r, axis=0), r, axis=1) / (r * r))
+            x._accumulate(np.repeat(np.repeat(g, r, axis=-3), r, axis=-2) / (r * r))
 
     return custom_op(out, (x,), backward)
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
-    """Replicate each element into a factor x factor spatial block."""
-    if x.ndim != 3:
-        raise ShapeError(f"upsample_nearest: input must be rank 3, got rank {x.ndim}")
+    """Replicate each element of an (..., H, W, C) input into a factor x
+    factor spatial block."""
+    if x.ndim < 3:
+        raise ShapeError(f"upsample_nearest: input must have rank 3 or more, got rank {x.ndim}")
     if factor < 1:
         raise ShapeError(f"upsample_nearest: factor must be positive, got {factor}")
-    H, W, C = x.shape
-    out = np.repeat(np.repeat(x.data, factor, axis=0), factor, axis=1)
+    *lead, H, W, C = x.shape
+    out = np.repeat(np.repeat(x.data, factor, axis=-3), factor, axis=-2)
 
     def backward(g: Array) -> None:
         if x.requires_grad:
-            x._accumulate(g.reshape(H, factor, W, factor, C).sum(axis=(1, 3)))
+            x._accumulate(g.reshape(*lead, H, factor, W, factor, C).sum(axis=(-4, -2)))
 
     return custom_op(out, (x,), backward)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Stack two maps along the channel axis; a's channels come first."""
-    if a.ndim != 3 or b.ndim != 3:
-        raise ShapeError("concat_channels: both inputs must be rank 3")
-    if a.shape[:2] != b.shape[:2]:
-        raise ShapeError(f"concat_channels: spatial extents {a.shape[:2]} and {b.shape[:2]} differ")
-    ca = a.shape[2]
-    out = np.concatenate([a.data, b.data], axis=2)
+    """Stack two (..., H, W, C) maps along the channel axis; a's channels
+    come first."""
+    if a.ndim < 3 or b.ndim < 3:
+        raise ShapeError("concat_channels: both inputs must have rank 3 or more")
+    if a.shape[:-1] != b.shape[:-1]:
+        raise ShapeError(f"concat_channels: batch and spatial extents {a.shape[:-1]} and {b.shape[:-1]} differ")
+    ca = a.shape[-1]
+    out = np.concatenate([a.data, b.data], axis=-1)
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a._accumulate(g[:, :, :ca])
+            a._accumulate(g[..., :ca])
         if b.requires_grad:
-            b._accumulate(g[:, :, ca:])
+            b._accumulate(g[..., ca:])
 
     return custom_op(out, (a, b), backward)
 
@@ -381,26 +398,6 @@ def scale(x: Tensor, c: float) -> Tensor:
             x._accumulate(g * c)
 
     return custom_op(out, (x,), backward)
-
-
-def add_n(tensors: Sequence[Tensor]) -> Tensor:
-    """Sum an arbitrary number of same-shape tensors in one tape node."""
-    if not tensors:
-        raise ValueError("add_n: need at least one tensor")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise ShapeError(f"add_n: shapes {shape} and {t.shape} differ")
-    total = tensors[0].data.copy()
-    for t in tensors[1:]:
-        total += t.data
-
-    def backward(g: Array) -> None:
-        for t in tensors:
-            if t.requires_grad:
-                t._accumulate(g)
-
-    return custom_op(total, tuple(tensors), backward)
 
 
 def sum_squares(x: Tensor) -> Tensor:

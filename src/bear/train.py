@@ -15,7 +15,7 @@ from .blocks import l2_penalty
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import BearConfig, forward, init_params
 from .serialize import Checkpoint, atomic_write
-from .tensor import CHUNK, ParameterSet, Tensor, add, add_n, custom_op, no_grad, scale
+from .tensor import CHUNK, ParameterSet, Tensor, add, custom_op, no_grad
 
 # Validation loss changes smaller than this do not count as improvements.
 IMPROVE_EPS = 1e-6
@@ -244,7 +244,7 @@ def early_stop(history: Sequence[float], cfg: TrainConfig) -> bool:
 # the training loop
 
 
-def _chunks(seq: np.ndarray, size: int):
+def _chunks(seq: Sequence, size: int):
     for start in range(0, len(seq), size):
         yield seq[start : start + size]
 
@@ -283,9 +283,9 @@ def fit(
     def validation_loss() -> float:
         total = 0.0
         with no_grad():
-            for img in val_set:
-                x = Tensor(img)
-                total += float(loss_fn(x, forward(x, params, bcfg)).data)
+            for chunk in _chunks(val_set, bcfg.forward_chunk):
+                x = Tensor(np.stack(chunk))
+                total += float(loss_fn(x, forward(x, params, bcfg)).data) * len(chunk)
         return total / len(val_set)
 
     records: list[EpochRecord] = []
@@ -301,11 +301,8 @@ def fit(
         running = 0.0
         seen = 0
         for batch in _chunks(epoch_order, cfg.batch_size):
-            losses = []
-            for i in batch:
-                x = Tensor(train_set[i])
-                losses.append(loss_fn(x, forward(x, params, bcfg)))
-            batch_loss = scale(add_n(losses), 1.0 / len(batch))
+            x = Tensor(np.stack([train_set[i] for i in batch]))
+            batch_loss = loss_fn(x, forward(x, params, bcfg))
             value = float(batch_loss.data)
             if not math.isfinite(value):
                 raise NumericError(f"non-finite training loss in epoch {epoch}")
@@ -314,6 +311,8 @@ def fit(
                 objective = add(batch_loss, l2_penalty(recurrent, cfg.l2))
             objective.backward()
             optimizer.step(lr)
+            # release this batch's graph, or it stays alive through the next forward pass
+            del x, batch_loss, objective
             running += value * len(batch)
             seen += len(batch)
         train_loss = running / seen

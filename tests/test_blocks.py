@@ -122,6 +122,12 @@ class TestConvLstmOverChannels:
         x = rng.normal(size=(6, 5, 3))
         h = convlstm_over_channels(Tensor(x), p)
         assert np.abs(h.data - _reference_scan(x, p)).max() < 1e-6
+        # leading axes are scanned as independent maps
+        xs = rng.normal(size=(2, 1, 6, 5, 3))
+        hs = convlstm_over_channels(Tensor(xs), p)
+        assert hs.shape == (2, 1, 6, 5, 2)
+        for index in np.ndindex(2, 1):
+            assert np.abs(hs.data[index] - _reference_scan(xs[index], p)).max() < 1e-6
 
     def test_channel_order_matters(self):
         rng = np.random.default_rng(7)
@@ -137,11 +143,13 @@ class TestConvLstmOverChannels:
         out = convlstm_over_channels(Tensor(rng.normal(size=(32, 32, 3))), p)
         assert out.shape == (32, 32, 16)
 
-    @pytest.mark.parametrize("extent", [1, 3])
-    def test_gradients_match_finite_differences(self, extent):
+    @pytest.mark.parametrize(
+        "extent,lead", [(1, ()), (3, ()), (1, (2,)), (3, (2,))], ids=["1", "3", "1-batch2", "3-batch2"]
+    )
+    def test_gradients_match_finite_differences(self, extent, lead):
         rng = np.random.default_rng(14 + extent)
         params = ParameterSet({
-            "x": rng.normal(size=(5, 4, 4)),
+            "x": rng.normal(size=(*lead, 5, 4, 4)),
             "input-kernels": rng.normal(size=(extent, extent, 1, 8)) * 0.5,
             "recurrent-kernels": rng.normal(size=(extent, extent, 2, 8)) * 0.5,
             "biases": rng.normal(size=8) * 0.5,

@@ -245,6 +245,19 @@ class TestFailureModes:
         assert proc.returncode == 2
         assert "offset 0" in proc.stderr
 
+    def test_non_finite_embeddings_are_numeric_error_and_write_nothing(self, tmp_path):
+        cfg = BearConfig(n=32, d=3, r=4, m=32, f_pfe=8, f_rfe=8, f_bfe=8, f_dec=8)
+        params = init_params(cfg)
+        params["bfe/dense/bias"].data[:] = np.nan
+        save_checkpoint(Checkpoint(cfg, params, {}), tmp_path / "model.bc1")
+        proc = run_cli(["synth", "--out", "data", "--count", "3", "--size", "32", "--seed", "0"], tmp_path)
+        assert proc.returncode == 0
+        proc = run_cli(["encode", "--ckpt", "model.bc1", "--data", "data", "--out", "emb.csv"], tmp_path)
+        assert proc.returncode == 3
+        assert "non-finite" in proc.stderr and "img0000.ppm" in proc.stderr
+        assert not (tmp_path / "emb.csv").exists()
+        assert not (tmp_path / "emb.csv.manifest").exists()
+
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         proc = run_cli(["info", "--ckpt", "missing.bc1"], tmp_path)
         assert proc.returncode == 2

@@ -6,12 +6,10 @@ import pytest
 from bear.errors import ConfigError, NumericError, ShapeError
 from bear.model import (
     BearConfig,
-    LatentVector,
     bfe,
     dd,
     decode,
     encode,
-    encode_latent,
     forward,
     init_params,
     param_count,
@@ -22,8 +20,14 @@ from bear.model import (
     residual_input,
     rfe,
 )
-from bear.tensor import ParameterSet, Tensor, conv2d, grad_check, sigmoid
+from bear.tensor import ParameterSet, Tensor, conv2d, grad_check, no_grad, sigmoid
 from bear.train import bce_loss
+
+
+# The batch-invariance tolerance of README "Determinism": an image's
+# embedding or reconstruction may move by this much with the batch it runs
+# in. Measured drift was at most 3.0e-7 (full scale) and 1.7e-7 (desk).
+BATCH_TOL = 1e-5
 
 
 def _image(cfg, seed=0):
@@ -267,6 +271,36 @@ class TestFullPipeline:
 
         assert grad_check(f, params, h=1e-4, samples=48, seed=11).error < 1e-3
 
+    def test_batch_of_two_gradients_match_finite_differences(self):
+        # c01's configuration and tolerances, over one batched graph
+        cfg = BearConfig(n=16, d=3, r=4, m=16, f_pfe=4, f_rfe=4, f_bfe=4, f_dec=4, seed=1)
+        params = init_params(cfg, dtype=np.float64)
+        x = Tensor(np.random.default_rng(3).uniform(0.05, 0.95, size=(2, 16, 16, 3)))
+
+        def f(p):
+            return bce_loss(x, forward(x, p, cfg))
+
+        check = grad_check(f, params, h=1e-4, samples=40, seed=5)
+        assert check.error < 1e-3 and check.scaled_error < 1e-2
+
+    def test_forward_on_a_batch_matches_single_images(self, desk_config):
+        params = init_params(desk_config)
+        images = np.stack([_image(desk_config, seed=s) for s in range(3)])
+        batch = forward(Tensor(images), params, desk_config)
+        assert batch.shape == images.shape
+        for image, out in zip(images, batch.data):
+            assert np.abs(forward(Tensor(image), params, desk_config).data - out).max() <= BATCH_TOL
+
+    def test_embedding_does_not_depend_on_its_batch(self):
+        cfg = BearConfig(n=32, d=3, r=4, m=32, f_pfe=8, f_rfe=8, f_bfe=8, f_dec=8, seed=0)
+        params = init_params(cfg)
+        images = np.stack([_image(cfg, seed=s) for s in range(16)])
+        with no_grad():
+            batch = encode(Tensor(images), params, cfg).data
+            alone = np.stack([encode(Tensor(image[None]), params, cfg).data[0] for image in images])
+        assert batch.shape == (16, 32)
+        assert np.abs(alone - batch).max() <= BATCH_TOL
+
 
 class TestInitialization:
     def test_same_seed_same_parameters(self, desk_config):
@@ -320,21 +354,3 @@ class TestParamCount:
         assert total < 10_000_000
         # far below the cited ~86M floor of large attention-based encoders
         assert total < 86_000_000 // 8
-
-
-class TestLatentVector:
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericError, match="non-finite"):
-            LatentVector(np.array([1.0, np.nan]), "img")
-
-    def test_encode_latent_flags_non_finite_model(self, desk_config):
-        params = init_params(desk_config)
-        params["bfe/dense/bias"].data[:] = np.nan
-        with pytest.raises(NumericError):
-            encode_latent(_image(desk_config), params, desk_config, "img")
-
-    def test_encode_latent_roundtrip(self, desk_config):
-        params = init_params(desk_config)
-        lv = encode_latent(_image(desk_config), params, desk_config, "img0")
-        assert lv.source_id == "img0"
-        assert lv.values.shape == (16,)

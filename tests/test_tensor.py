@@ -53,20 +53,21 @@ class TestConv2d:
         assert out.data.reshape(()) == pytest.approx(7.0)
 
     @pytest.mark.parametrize(
-        "size,extent,channels,filters",
-        [(5, 3, 2, 3), (7, 3, 4, 2), (7, 5, 4, 2)],
-        ids=["input_side", "output_side_3x3", "output_side_5x5"],
+        "size,extent,channels,filters,lead",
+        [(5, 3, 2, 3, ()), (7, 3, 4, 2, ()), (7, 5, 4, 2, ()), (5, 3, 2, 3, (2, 1)), (7, 5, 4, 2, (2, 1))],
+        ids=["input_side", "output_side_3x3", "output_side_5x5", "input_side-batch2x1", "output_side_5x5-batch2x1"],
     )
-    def test_matches_loop_oracle(self, size, extent, channels, filters):
-        # fewer filters than channels takes the output-side lowering
+    def test_matches_loop_oracle(self, size, extent, channels, filters, lead):
+        # fewer filters than channels takes the output-side lowering; every
+        # leading index is convolved on its own
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(size, size, channels))
+        x = rng.normal(size=(*lead, size, size, channels))
         k = rng.normal(size=(extent, extent, channels, filters))
         b = rng.normal(size=filters)
         got = conv2d(Tensor(x), Tensor(k), Tensor(b))
-        want = naive_conv2d(x, k, b)
-        assert got.shape == want.shape
-        assert np.abs(got.data - want).max() < 1e-6
+        assert got.shape == (*lead, size, size, filters)
+        for index in np.ndindex(*lead):
+            assert np.abs(got.data[index] - naive_conv2d(x[index], k, b)).max() < 1e-6
 
     def test_channel_mismatch_names_axis(self):
         x = Tensor(np.zeros((4, 4, 3)))
@@ -107,6 +108,12 @@ class TestDense:
         b = rng.normal(size=4)
         got = dense(Tensor(x), Tensor(w), Tensor(b))
         assert np.abs(got.data - naive_dense(x, w, b)).max() < 1e-6
+        # leading axes are independent rows
+        xs = rng.normal(size=(2, 3, 6))
+        got = dense(Tensor(xs), Tensor(w), Tensor(b))
+        assert got.shape == (2, 3, 4)
+        for index in np.ndindex(2, 3):
+            assert np.abs(got.data[index] - naive_dense(xs[index], w, b)).max() < 1e-6
 
     def test_weight_gradient_in_row_blocks_matches_outer_product_bit_for_bit(self):
         # 5000 outputs give 13-row blocks of the weight gradient: 3 full, 1 partial
@@ -122,7 +129,7 @@ class TestDense:
 
     def test_rank_and_extent_errors(self):
         with pytest.raises(ShapeError, match="rank 1"):
-            dense(Tensor(np.zeros((2, 2))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
+            dense(Tensor(np.zeros(())), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
         with pytest.raises(ShapeError):
             dense(Tensor(np.zeros(5)), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
 
@@ -177,6 +184,8 @@ class TestResampling:
         x = np.arange(1, 17, dtype=np.float64).reshape(4, 4, 1)
         out = downsample_avg(Tensor(x), 2)
         assert np.allclose(out.data[:, :, 0], [[3.5, 5.5], [11.5, 13.5]])
+        batch = downsample_avg(Tensor(np.stack([x, -x])), 2)
+        assert np.array_equal(batch.data, np.stack([out.data, -out.data]))
 
     def test_downsample_non_divisible_rejected(self):
         with pytest.raises(ShapeError, match="divisible"):
@@ -186,6 +195,9 @@ class TestResampling:
         out = upsample_nearest(Tensor(np.array([[[5.0]]])), 2)
         assert out.shape == (2, 2, 1)
         assert np.all(out.data == 5.0)
+        batch = upsample_nearest(Tensor(np.array([5.0, -1.0]).reshape(2, 1, 1, 1)), 2)
+        assert batch.shape == (2, 2, 2, 1)
+        assert np.all(batch.data[0] == 5.0) and np.all(batch.data[1] == -1.0)
 
     def test_upsample_shape(self):
         assert upsample_nearest(Tensor(np.zeros((16, 16, 8))), 2).shape == (32, 32, 8)
@@ -209,6 +221,8 @@ class TestConcatSlice:
         joined = concat_channels(Tensor(a), Tensor(b))
         assert np.array_equal(joined.data[:, :, 0:2], a)
         assert np.array_equal(joined.data[:, :, 2:5], b)
+        batch = concat_channels(Tensor(np.stack([a, -a])), Tensor(np.stack([b, -b])))
+        assert np.array_equal(batch.data, np.stack([joined.data, -joined.data]))
 
     def test_concat_spatial_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="spatial"):
@@ -294,51 +308,54 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="float64"):
             grad_check(lambda p: sum_squares(p["w"]), params)
 
+    CORE_OPS = [
+        "conv_same", "conv_narrow", "dense", "sigmoid", "tanh",
+        "downsample", "upsample", "concat", "reshape_dense",
+    ]
+
     @pytest.mark.parametrize(
-        "name",
-        [
-            "conv_same", "conv_narrow", "dense", "sigmoid", "tanh",
-            "downsample", "upsample", "concat", "reshape_dense",
-        ],
+        "name,lead",
+        [(name, ()) for name in CORE_OPS] + [(name, (2,)) for name in CORE_OPS],
+        ids=CORE_OPS + [f"{name}-batch2" for name in CORE_OPS],
     )
-    def test_every_core_op_passes_finite_differences(self, name):
+    def test_every_core_op_passes_finite_differences(self, name, lead):
         rng = np.random.default_rng(17)
         values = {}
 
         if name == "conv_same":
-            values["x"] = rng.normal(size=(6, 6, 2))
+            values["x"] = rng.normal(size=(*lead, 6, 6, 2))
             values["k"] = rng.normal(size=(3, 3, 2, 3))
             values["b"] = rng.normal(size=3)
             fn = lambda p: sum_squares(conv2d(p["x"], p["k"], p["b"]))
         elif name == "conv_narrow":
-            values["x"] = rng.normal(size=(6, 5, 4))
+            values["x"] = rng.normal(size=(*lead, 6, 5, 4))
             values["k"] = rng.normal(size=(3, 5, 4, 2))
             values["b"] = rng.normal(size=2)
             fn = lambda p: sum_squares(conv2d(p["x"], p["k"], p["b"]))
         elif name == "dense":
-            values["x"] = rng.normal(size=5)
+            values["x"] = rng.normal(size=(*lead, 5))
             values["w"] = rng.normal(size=(5, 3))
             values["b"] = rng.normal(size=3)
             fn = lambda p: sum_squares(dense(p["x"], p["w"], p["b"]))
         elif name in ("sigmoid", "tanh"):
-            values["x"] = rng.normal(size=(4, 4, 2))
+            values["x"] = rng.normal(size=(*lead, 4, 4, 2))
             op = sigmoid if name == "sigmoid" else tanh
             fn = lambda p: sum_squares(op(p["x"]))
         elif name == "downsample":
-            values["x"] = rng.normal(size=(6, 6, 2))
+            values["x"] = rng.normal(size=(*lead, 6, 6, 2))
             fn = lambda p: sum_squares(downsample_avg(p["x"], 2))
         elif name == "upsample":
-            values["x"] = rng.normal(size=(3, 3, 2))
+            values["x"] = rng.normal(size=(*lead, 3, 3, 2))
             fn = lambda p: sum_squares(upsample_nearest(p["x"], 2))
         elif name == "concat":
-            values["a"] = rng.normal(size=(3, 3, 2))
-            values["b"] = rng.normal(size=(3, 3, 1))
+            values["a"] = rng.normal(size=(*lead, 3, 3, 2))
+            values["b"] = rng.normal(size=(*lead, 3, 3, 1))
             fn = lambda p: sum_squares(concat_channels(p["a"], p["b"]))
         else:
-            values["x"] = rng.normal(size=(2, 3, 2))
+            values["x"] = rng.normal(size=(*lead, 2, 3, 2))
             values["w"] = rng.normal(size=(12, 2))
             values["b"] = rng.normal(size=2)
-            fn = lambda p: sum_squares(dense(reshape(p["x"], (12,)), p["w"], p["b"]))
+            fn = lambda p: sum_squares(dense(reshape(p["x"], (*lead, 12)), p["w"], p["b"]))
 
         assert grad_check(fn, ParameterSet(values), h=1e-4, seed=2).error < 1e-6
 

@@ -69,9 +69,10 @@ class TestBceLoss:
 
     def test_gradient_by_finite_differences(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.uniform(size=(4, 4, 2)))
-        params = ParameterSet({"xhat": rng.uniform(0.1, 0.9, size=(4, 4, 2))})
-        assert grad_check(lambda p: bce_loss(x, p["xhat"]), params, h=1e-6).error < 1e-3
+        for shape in ((4, 4, 2), (2, 4, 4, 2)):  # one map, then a batch of two
+            x = Tensor(rng.uniform(size=shape))
+            params = ParameterSet({"xhat": rng.uniform(0.1, 0.9, size=shape)})
+            assert grad_check(lambda p: bce_loss(x, p["xhat"]), params, h=1e-6).error < 1e-3
 
     def test_gradient_zero_at_clamped_binary_optimum(self):
         rng = np.random.default_rng(6)
@@ -112,14 +113,15 @@ class TestMseLoss:
 
     def test_gradient_by_finite_differences(self):
         rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(size=(3, 3, 1)))
-        params = ParameterSet({"xhat": rng.normal(size=(3, 3, 1))})
-        assert grad_check(lambda p: mse_loss(x, p["xhat"]), params, h=1e-5).error < 1e-6
-        params.zero_grads()
-        loss = mse_loss(x, params["xhat"])
-        loss.backward()
-        want = 2.0 * (params["xhat"].data - x.data) / x.size
-        assert np.allclose(params["xhat"].grad, want)
+        for shape in ((3, 3, 1), (2, 3, 3, 1)):  # one map, then a batch of two
+            x = Tensor(rng.normal(size=shape))
+            params = ParameterSet({"xhat": rng.normal(size=shape)})
+            assert grad_check(lambda p: mse_loss(x, p["xhat"]), params, h=1e-5).error < 1e-6
+            params.zero_grads()
+            loss = mse_loss(x, params["xhat"])
+            loss.backward()
+            want = 2.0 * (params["xhat"].data - x.data) / x.size
+            assert np.allclose(params["xhat"].grad, want)
 
 
 class TestAdam:
