@@ -1,20 +1,20 @@
 """Neural building blocks: a convolutional LSTM cell scanned over the channel
 axis, the mean of multi-scale convolution branches run as one folded
 convolution, and the recurrent-kernel penalty used to regularize the cells.
-Each scan is one tape node with a hand-written backward pass; it shares the
-im2col window layout of ``tensor.conv2d``. The fold happens at forward time,
-so callers keep, train and store every branch kernel."""
+Each scan is one tape node with a hand-written backward pass, and runs in
+channel-major layout with its own window matrices. The fold happens at
+forward time, so callers keep, train and store every branch kernel."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _col2im, _im2col, _pad_hw, _stable_sigmoid, add, conv2d, custom_op, scale, sum_squares
+from .tensor import Tensor, _records, _stable_sigmoid, add, conv2d, custom_op, scale, sum_squares
 
 
 @dataclass
@@ -56,6 +56,55 @@ class ConvLstmParams:
         return self.input_kernels.shape[0]
 
 
+def _taps(k: int, H: int, W: int) -> Iterator[tuple[int, slice, slice]]:
+    """Each tap (i, j) of a same-padded k x k window over row-major H x W
+    maps, in row-major tap order. Window position p reads flat map position
+    p + offset, with offset = (i - k//2) * W + (j - k//2). Yields the offset,
+    the window positions whose read stays inside the flat map, and the
+    columns whose read wraps into a neighbouring row instead of the zero
+    padding."""
+    s = k // 2
+    for i in range(k):
+        for j in range(k):
+            dx = j - s
+            offset = (i - s) * W + dx
+            start = max(0, -offset)
+            inside = slice(start, max(start, min(H * W, H * W - offset)))
+            yield offset, inside, slice(0, -dx) if dx < 0 else slice(W - dx, W)
+
+
+def _windows(maps: np.ndarray, k: int, buffer: np.ndarray) -> np.ndarray:
+    """The window matrix of contiguous (C, ..., H, W) maps, written into the
+    leading k*k*C rows of ``buffer``, a contiguous 2-D array with one column
+    per position: row (tap, c) holds the tap's view of map c, zero where the
+    tap falls outside it."""
+    C, (H, W) = maps.shape[0], maps.shape[-2:]
+    out = buffer[: k * k * C]
+    source = maps.reshape(-1, H * W)
+    for tap, (offset, inside, wrapped) in enumerate(_taps(k, H, W)):
+        window = out[tap * C : (tap + 1) * C].reshape(-1, H * W)
+        window[:, inside] = source[:, inside.start + offset : inside.stop + offset]
+        window[:, : inside.start] = 0
+        window[:, inside.stop :] = 0
+        window.reshape(-1, H, W)[..., wrapped] = 0
+    return out
+
+
+def _shift_add(planes: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+    """Adjoint of ``_windows`` (a tap-major col2im): fill contiguous
+    (C, ..., H, W) ``out`` with the sum over taps, in tap order from zero, of
+    each tap's rows of the (k*k*C, positions) matrix ``planes`` moved back
+    onto the maps. Zeroes the wrapped columns of ``planes`` in place."""
+    C, (H, W) = out.shape[0], out.shape[-2:]
+    target = out.reshape(-1, H * W)
+    target[...] = 0
+    for tap, (offset, inside, wrapped) in enumerate(_taps(k, H, W)):
+        plane = planes[tap * C : (tap + 1) * C].reshape(-1, H * W)
+        plane.reshape(-1, H, W)[..., wrapped] = 0
+        target[:, inside.start + offset : inside.stop + offset] += plane[:, inside]
+    return out
+
+
 def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     """Run the cell across the channel axis of an (..., H, W, T) input as a
     sequence of T single-channel steps from zero state, and return the final
@@ -66,67 +115,119 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     i = sig(conv(x_t; Wi) + conv(h; Ui) + bi), f and o likewise,
     g = tanh(conv(x_t; Wg) + conv(h; Ug) + bg),
     c = f * c_prev + i * g,  h = o * tanh(c).
-    Channel order matters: slices are consumed in storage order. The input
-    kernels are shared by every step, so all input convolutions run as one
-    GEMM before the loop. The backward pass runs the loop in reverse and
-    rebuilds im2col columns instead of keeping them.
+    Channel order matters: slices are consumed in storage order.
+
+    The scan runs channel-major: a step's arrays have one row per channel
+    and one column per map position (R of them), so each gate is a
+    contiguous (F, R) block. A step's pre-activations are two GEMMs,
+    kernels.T @ windows, into its (4F, R) slice of the gate buffer, and the
+    gates are computed in place there. Only when the tape records does the
+    scan keep every step's gates, cells and hidden maps; otherwise it keeps
+    the current step's. The backward pass runs the steps in reverse,
+    overwrites each step's gates with their gradients, rebuilds window
+    matrices instead of keeping them, and turns kernels @ gradients, k*k
+    tap planes, back into map gradients by shift-adding them.
     """
     if x.ndim < 3:
         raise ShapeError(f"convlstm_over_channels: input must have rank 3 or more, got rank {x.ndim}")
     *lead, H, W, T = x.shape
     F, k = p.filters, p.kernel_extent
-    s = k // 2
-    ik = p.input_kernels.data.reshape(k * k, 4 * F)
-    rk = p.recurrent_kernels.data.reshape(k * k * F, 4 * F)
-    xp = _pad_hw(np.moveaxis(x.data.reshape(-1, H, W, T), -1, 0)[..., None], s, s)  # one map set per step
-    N = xp.shape[1]
-    inputs = (_im2col(xp, k, k) @ ik + p.biases.data).reshape(T, N * H * W, 4 * F)
-    h = np.zeros((N, H, W, F), dtype=inputs.dtype)
-    cells = [np.zeros((N * H * W, F), dtype=inputs.dtype)]
-    hidden_padded, gates = [], []
+    kk = k * k
+    ik = p.input_kernels.data.reshape(kk, 4 * F)
+    rk = p.recurrent_kernels.data.reshape(kk * F, 4 * F)
+    bias = p.biases.data[:, None]
+    parents = (x, p.input_kernels, p.recurrent_kernels, p.biases)
+    keep = _records(parents)
+
+    def slot(t: int) -> int:  # where step t's gates, cell and hidden map live
+        return t if keep else 0
+
+    xmaps = np.ascontiguousarray(np.moveaxis(x.data.reshape(-1, H, W, T), -1, 0))  # (T, N, H, W)
+    N = xmaps.shape[1]
+    R = N * H * W
+    dtype = np.result_type(xmaps, ik, rk, bias)
+    gates = np.empty((slot(T - 1) + 1, 4 * F, R), dtype)  # rows (i, f, g, o), F each
+    cells = np.zeros((slot(T) + 1, F, R), dtype)  # cells[0] is the zero initial state
+    hidden = np.empty((slot(T - 1) + 1, F, R), dtype)
+    windows = np.empty((kk * F, R), dtype)
+    work = np.empty((4 * F, R), dtype)
     for t in range(T):
-        pre = inputs[t]
+        pre = gates[slot(t)]
+        np.matmul(ik.T, _windows(xmaps[t : t + 1], k, windows), out=pre)
+        pre += bias
         if t:  # the recurrent term of the zero initial state is zero
-            hidden_padded.append(_pad_hw(h, s, s))
-            pre = pre + _im2col(hidden_padded[-1], k, k) @ rk
-        act = _stable_sigmoid(pre)
-        act[:, 2 * F : 3 * F] = np.tanh(pre[:, 2 * F : 3 * F])
-        i, f, g, o = np.split(act, 4, axis=1)
-        cells.append(f * cells[-1] + i * g)
-        h = (o * np.tanh(cells[-1])).reshape(N, H, W, F)
-        gates.append(act)
+            pre += np.matmul(rk.T, _windows(hidden[slot(t - 1)].reshape(F, N, H, W), k, windows), out=work)
+        i, f, g, o = pre[:F], pre[F : 2 * F], pre[2 * F : 3 * F], pre[3 * F :]
+        _stable_sigmoid(pre[: 2 * F], out=pre[: 2 * F], work=work[: 2 * F])
+        np.tanh(g, out=g)
+        _stable_sigmoid(o, out=o, work=work[:F])
+        c = cells[slot(t + 1)]
+        np.multiply(f, cells[slot(t)], out=c)
+        c += np.multiply(i, g, out=work[:F])
+        np.multiply(o, np.tanh(c, out=work[:F]), out=hidden[slot(t)])
+    h = np.moveaxis(hidden[-1].reshape(F, N, H, W), 0, -1)
+    del windows, work
 
     def backward(grad: np.ndarray) -> None:
-        d_pre = np.empty((T, N * H * W, 4 * F), dtype=h.dtype)
-        dh = grad.reshape(N * H * W, F)
+        dh = np.ascontiguousarray(grad.reshape(R, F).T)
         dc = np.zeros_like(dh)
-        d_rk = np.zeros_like(rk)
+        # gate gradients run in place over reused scratch: the same formulas as
+        # expressions allocate about 15 (F, R) temporaries a step, which raised
+        # full-scale training's peak RSS by about 11 MB
+        s1, s2, s3 = np.empty((3, F, R), dtype)
+        windows = np.empty((kk * F, R), dtype)  # each step's window matrices, then its tap planes
+        dx = np.empty((T, N, H, W), dtype)
+        d_ik = np.zeros((4 * F, kk), dtype)  # kernel gradients, transposed
+        d_rk = np.zeros((4 * F, kk * F), dtype)
         for t in reversed(range(T)):
-            i, f, g, o = np.split(gates[t], 4, axis=1)
-            tc = np.tanh(cells[t + 1])
-            dc = dc + dh * o * (1.0 - tc * tc)
-            d = d_pre[t]
-            d[:, :F] = dc * g * i * (1.0 - i)
-            d[:, F : 2 * F] = dc * cells[t] * f * (1.0 - f)
-            d[:, 2 * F : 3 * F] = dc * i * (1.0 - g * g)
-            d[:, 3 * F :] = dh * tc * o * (1.0 - o)
-            dc = dc * f
+            d = gates[t]  # this step's gates in, their gradients out
+            i, f, g, o = d[:F], d[F : 2 * F], d[2 * F : 3 * F], d[3 * F :]
+            tc = np.tanh(cells[t + 1], out=s1)
+            # dc += dh * o * (1 - tc^2)
+            np.multiply(tc, tc, out=s2)
+            np.subtract(1.0, s2, out=s2)
+            np.multiply(dh, o, out=s3)
+            s3 *= s2
+            dc += s3
+            # d_o = dh * tc * o * (1 - o)
+            np.multiply(dh, tc, out=s2)
+            s2 *= o
+            np.subtract(1.0, o, out=s3)
+            np.multiply(s2, s3, out=o)
+            # d_i = dc * g * i * (1 - i), held in s1 until d_g has read i
+            np.multiply(dc, g, out=s1)
+            s1 *= i
+            np.subtract(1.0, i, out=s3)
+            s1 *= s3
+            # d_g = dc * i * (1 - g^2)
+            np.multiply(g, g, out=s2)
+            np.subtract(1.0, s2, out=s2)
+            np.multiply(dc, i, out=s3)
+            np.multiply(s3, s2, out=g)
+            i[...] = s1
+            # d_f = dc * c_prev * f * (1 - f), then dc carries back through f
+            np.multiply(dc, cells[t], out=s1)
+            s1 *= f
+            np.subtract(1.0, f, out=s2)
+            dc *= f
+            np.multiply(s1, s2, out=f)
+            if p.input_kernels.requires_grad:
+                d_ik += d @ _windows(xmaps[t : t + 1], k, windows).T
+            if x.requires_grad:
+                _shift_add(np.matmul(ik, d, out=windows[:kk]), k, dx[t : t + 1])
             if t:
-                hp = hidden_padded[t - 1]
-                d_rk += _im2col(hp, k, k).T @ d
-                dh = _col2im(d @ rk.T, hp.shape, k, k)[:, s : s + H, s : s + W].reshape(N * H * W, F)
-        d_pre = d_pre.reshape(T * N * H * W, 4 * F)
+                d_rk += d @ _windows(hidden[t - 1].reshape(F, N, H, W), k, windows).T
+                _shift_add(np.matmul(rk, d, out=windows), k, dh.reshape(F, N, H, W))
         if p.biases.requires_grad:
-            p.biases._accumulate(d_pre.sum(axis=0))
-        if p.recurrent_kernels.requires_grad:
-            p.recurrent_kernels._accumulate(d_rk.reshape(p.recurrent_kernels.shape))
+            p.biases._accumulate(gates.sum(axis=(0, 2)))
         if p.input_kernels.requires_grad:
-            p.input_kernels._accumulate((_im2col(xp, k, k).T @ d_pre).reshape(p.input_kernels.shape))
+            p.input_kernels._accumulate(d_ik.T.reshape(p.input_kernels.shape))
+        if p.recurrent_kernels.requires_grad:
+            p.recurrent_kernels._accumulate(d_rk.T.reshape(p.recurrent_kernels.shape))
         if x.requires_grad:
-            dxp = _col2im(d_pre @ ik.T, xp.shape, k, k)
-            x._accumulate(np.moveaxis(dxp[:, :, s : s + H, s : s + W, 0], 0, -1).reshape(x.shape))
+            x._accumulate(np.moveaxis(dx, 0, -1).reshape(x.shape))
 
-    return custom_op(h.reshape(*lead, H, W, F), (x, p.input_kernels, p.recurrent_kernels, p.biases), backward)
+    return custom_op(h.reshape(*lead, H, W, F), parents, backward)
 
 
 def _centred_mean(parts: Sequence[Tensor]) -> Tensor:

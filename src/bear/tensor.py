@@ -134,10 +134,16 @@ def custom_op(value, parents: Sequence[Tensor], backward: BackwardFn) -> Tensor:
     parent that has ``requires_grad`` set. Only those parents are recorded,
     and nothing is recorded under ``no_grad``.
     """
-    recorded = tuple(p for p in parents if p.requires_grad)
-    if _grad_enabled and recorded:
+    if _records(parents):
+        recorded = tuple(p for p in parents if p.requires_grad)
         return Tensor(value, requires_grad=True, _parents=recorded, _backward=backward)
     return Tensor(value)
+
+
+def _records(parents: Sequence[Tensor]) -> bool:
+    """Whether ``custom_op`` records a node over ``parents``: the tape is on
+    and at least one parent requires a gradient."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +247,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
 def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     """Affine map of the last axis: out[..., j] = sum_i x[..., i] w_ij + b_j.
-    Leading axes are independent rows of one GEMM."""
+
+    Each leading index is one matrix-vector product (GEMV), in the forward
+    pass and for the input gradient. A GEMM over a few rows of a wide weight
+    matrix packs the whole matrix and runs slower, and a GEMV gives a row
+    the same bits whatever batch it comes in."""
     if x.ndim < 1:
         raise ShapeError(f"dense: input must have rank 1 or more (..., K), got rank {x.ndim}")
     if weights.ndim != 2 or weights.shape[0] != x.shape[-1]:
@@ -251,7 +261,7 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
         )
     if bias.ndim != 1 or bias.shape[0] != weights.shape[1]:
         raise ShapeError(f"dense: bias must have extent {weights.shape[1]}, got shape {bias.shape}")
-    out = x.data @ weights.data + bias.data
+    out = (x.data[..., None, :] @ weights.data)[..., 0, :] + bias.data
 
     def backward(g: Array) -> None:
         gmat = g.reshape(-1, g.shape[-1])
@@ -267,18 +277,29 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
             for i in range(0, xmat.shape[1], rows):
                 weights.grad[i : i + rows] += xmat[:, i : i + rows].T @ gmat
         if x.requires_grad:
-            x._accumulate(g @ weights.data.T)
+            x._accumulate((g[..., None, :] @ weights.data.T)[..., 0, :])
 
     return custom_op(out, (x, weights, bias), backward)
 
 
-def _stable_sigmoid(v: Array) -> Array:
+def _stable_sigmoid(v: Array, out: Array | None = None, work: Array | None = None) -> Array:
     """1 / (1 + exp(-v)) without overflow or a select: exp never sees a
     positive argument. The numerator is exactly 1 for v >= 0 and exactly
     exp(-|v|) for v < 0, so this gives the bits of the masked form
     where(v >= 0, 1 / (1 + e), e / (1 + e)) with e = exp(-|v|). Unlike
-    0.5 * (1 + tanh(v / 2)), it does not round to 0 below about -17 in float32."""
-    return np.exp(np.minimum(v, 0)) / (1.0 + np.exp(-np.abs(v)))
+    0.5 * (1 + tanh(v / 2)), it does not round to 0 below about -17 in float32.
+
+    ``out`` (which may be ``v`` itself) and ``work`` are optional arrays of
+    v's shape that receive the result and the numerator."""
+    out = np.empty_like(v) if out is None else out
+    work = np.empty_like(v) if work is None else work
+    np.minimum(v, 0, out=work)
+    np.exp(work, out=work)
+    np.abs(v, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(work, out, out=out)
 
 
 def sigmoid(x: Tensor) -> Tensor:

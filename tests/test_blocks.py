@@ -7,12 +7,14 @@ from conftest import naive_conv2d, reference_convlstm_step
 
 from bear.blocks import (
     ConvLstmParams,
+    _shift_add,
+    _windows,
     convlstm_over_channels,
     l2_penalty,
     mean_conv,
 )
 from bear.errors import ShapeError
-from bear.tensor import ParameterSet, Tensor, conv2d, grad_check, sum_squares
+from bear.tensor import ParameterSet, Tensor, conv2d, grad_check, no_grad, sum_squares
 
 
 def _cell(rng, filters=2, extent=3, scale=0.4, dtype=np.float64):
@@ -161,6 +163,49 @@ class TestConvLstmOverChannels:
 
         assert grad_check(loss, params, h=1e-5).error < 1e-6
 
+    @pytest.mark.parametrize("extent", [1, 3])
+    def test_non_square_batch_matches_iterated_reference_step(self, extent):
+        # 7x5 maps, a batch of 3 and 4 steps: rows of the channel-major
+        # layout neither match the map width nor divide evenly
+        rng = np.random.default_rng(20 + extent)
+        p = _cell(rng, filters=3, extent=extent)
+        xs = rng.normal(size=(3, 7, 5, 4))
+        hs = convlstm_over_channels(Tensor(xs), p)
+        assert hs.shape == (3, 7, 5, 3)
+        for index in range(3):
+            assert np.abs(hs.data[index] - _reference_scan(xs[index], p)).max() < 1e-9
+
+    @pytest.mark.parametrize("extent", [1, 3])
+    def test_non_square_batch_gradients_match_finite_differences(self, extent):
+        rng = np.random.default_rng(30 + extent)
+        params = ParameterSet({
+            "x": rng.normal(size=(3, 7, 5, 4)),
+            "input-kernels": rng.normal(size=(extent, extent, 1, 12)) * 0.5,
+            "recurrent-kernels": rng.normal(size=(extent, extent, 3, 12)) * 0.5,
+            "biases": rng.normal(size=12) * 0.5,
+        })
+
+        def loss(p):
+            cell = ConvLstmParams(p["input-kernels"], p["recurrent-kernels"], p["biases"])
+            return sum_squares(convlstm_over_channels(p["x"], cell))
+
+        check = grad_check(loss, params, h=1e-5)
+        assert check.error < 1e-6 and check.scaled_error < 1e-6
+
+    def test_forward_without_a_tape_matches_the_taped_forward_bit_for_bit(self):
+        # without a tape the scan keeps one step of state instead of all of them
+        rng = np.random.default_rng(17)
+        p = _cell(rng, filters=3, dtype=np.float32)
+        for t in (p.input_kernels, p.recurrent_kernels, p.biases):
+            t.requires_grad = True
+        x = Tensor(rng.normal(size=(3, 7, 5, 6)).astype(np.float32))
+        taped = convlstm_over_channels(x, p)
+        assert taped.requires_grad
+        with no_grad():
+            untaped = convlstm_over_channels(x, p)
+        assert not untaped.requires_grad
+        assert np.array_equal(taped.data, untaped.data)
+
     def test_scan_is_one_tape_node(self):
         rng = np.random.default_rng(16)
         p = _cell(rng)
@@ -169,6 +214,36 @@ class TestConvLstmOverChannels:
         x = Tensor(rng.normal(size=(5, 5, 3)), requires_grad=True)
         out = convlstm_over_channels(x, p)
         assert out._parents == (x, p.input_kernels, p.recurrent_kernels, p.biases)
+
+
+class TestWindows:
+    """The scan's window matrix and its adjoint, the tap-major shift-add."""
+
+    @pytest.mark.parametrize("extent", [1, 3, 5])
+    @pytest.mark.parametrize("H,W", [(7, 5), (1, 3), (2, 2)], ids=["7x5", "1x3", "2x2"])
+    def test_windows_match_zero_padded_slices(self, extent, H, W):
+        rng = np.random.default_rng(40 + extent)
+        maps = rng.normal(size=(2, 3, H, W))  # (C, N, H, W)
+        s = extent // 2
+        padded = np.pad(maps, ((0, 0), (0, 0), (s, s), (s, s)))
+        buffer = np.full((extent * extent * 2 + 1, 3 * H * W), np.nan)
+        got = _windows(maps, extent, buffer)
+        assert got.shape == (extent * extent * 2, 3 * H * W)
+        for i in range(extent):
+            for j in range(extent):
+                tap = i * extent + j
+                want = padded[:, :, i : i + H, j : j + W].reshape(2, -1)
+                assert np.array_equal(got[tap * 2 : tap * 2 + 2], want)
+
+    @pytest.mark.parametrize("extent", [1, 3, 5])
+    @pytest.mark.parametrize("H,W", [(7, 5), (1, 3), (2, 2)], ids=["7x5", "1x3", "2x2"])
+    def test_shift_add_is_the_adjoint_of_windows(self, extent, H, W):
+        rng = np.random.default_rng(50 + extent)
+        maps = rng.normal(size=(2, 3, H, W))
+        planes = rng.normal(size=(extent * extent * 2, 3 * H * W))
+        windows = _windows(maps, extent, np.empty_like(planes))
+        back = _shift_add(planes.copy(), extent, np.full_like(maps, np.nan))
+        assert np.vdot(windows, planes) == pytest.approx(np.vdot(maps, back), rel=1e-12)
 
 
 class TestParallelConv:

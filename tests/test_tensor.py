@@ -127,6 +127,24 @@ class TestDense:
         out._backward(g)
         assert w.grad.tobytes() == (before + np.outer(x, g)).tobytes()
 
+    def test_rows_do_not_depend_on_their_batch(self):
+        # one GEMV per row: a row gives the same bits alone and in a batch,
+        # for the output and for the input gradient
+        rng = np.random.default_rng(7)
+        xs = rng.normal(size=(5, 300)).astype(np.float32)
+        w = Tensor(rng.normal(size=(300, 700)).astype(np.float32))
+        b = Tensor(rng.normal(size=700).astype(np.float32))
+        g = rng.normal(size=(5, 700)).astype(np.float32)
+        batch = Tensor(xs, requires_grad=True)
+        out = dense(batch, w, b)
+        out._backward(g)
+        for row in range(5):
+            alone = Tensor(xs[row], requires_grad=True)
+            one = dense(alone, w, b)
+            one._backward(g[row])
+            assert np.array_equal(one.data, out.data[row])
+            assert np.array_equal(alone.grad, batch.grad[row])
+
     def test_rank_and_extent_errors(self):
         with pytest.raises(ShapeError, match="rank 1"):
             dense(Tensor(np.zeros(())), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
