@@ -70,7 +70,7 @@ def _taps(k: int, H: int, W: int) -> Iterator[tuple[int, slice, slice]]:
             offset = (i - s) * W + dx
             start = max(0, -offset)
             inside = slice(start, max(start, min(H * W, H * W - offset)))
-            yield offset, inside, slice(0, -dx) if dx < 0 else slice(W - dx, W)
+            yield offset, inside, slice(0, -dx) if dx < 0 else slice(max(0, W - dx), W)
 
 
 def _windows(maps: np.ndarray, k: int, buffer: np.ndarray) -> np.ndarray:

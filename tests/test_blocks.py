@@ -163,15 +163,16 @@ class TestConvLstmOverChannels:
 
         assert grad_check(loss, params, h=1e-5).error < 1e-6
 
-    @pytest.mark.parametrize("extent", [1, 3])
-    def test_non_square_batch_matches_iterated_reference_step(self, extent):
+    @pytest.mark.parametrize("extent,H,W", [(1, 7, 5), (3, 7, 5), (7, 3, 2)], ids=["1", "3", "7"])
+    def test_non_square_batch_matches_iterated_reference_step(self, extent, H, W):
         # 7x5 maps, a batch of 3 and 4 steps: rows of the channel-major
-        # layout neither match the map width nor divide evenly
+        # layout neither match the map width nor divide evenly. A 7x7 kernel
+        # on 3x2 maps reaches further sideways than a map is wide.
         rng = np.random.default_rng(20 + extent)
         p = _cell(rng, filters=3, extent=extent)
-        xs = rng.normal(size=(3, 7, 5, 4))
+        xs = rng.normal(size=(3, H, W, 4))
         hs = convlstm_over_channels(Tensor(xs), p)
-        assert hs.shape == (3, 7, 5, 3)
+        assert hs.shape == (3, H, W, 3)
         for index in range(3):
             assert np.abs(hs.data[index] - _reference_scan(xs[index], p)).max() < 1e-9
 
@@ -219,7 +220,7 @@ class TestConvLstmOverChannels:
 class TestWindows:
     """The scan's window matrix and its adjoint, the tap-major shift-add."""
 
-    @pytest.mark.parametrize("extent", [1, 3, 5])
+    @pytest.mark.parametrize("extent", [1, 3, 5, 7])
     @pytest.mark.parametrize("H,W", [(7, 5), (1, 3), (2, 2)], ids=["7x5", "1x3", "2x2"])
     def test_windows_match_zero_padded_slices(self, extent, H, W):
         rng = np.random.default_rng(40 + extent)
@@ -235,7 +236,7 @@ class TestWindows:
                 want = padded[:, :, i : i + H, j : j + W].reshape(2, -1)
                 assert np.array_equal(got[tap * 2 : tap * 2 + 2], want)
 
-    @pytest.mark.parametrize("extent", [1, 3, 5])
+    @pytest.mark.parametrize("extent", [1, 3, 5, 7])
     @pytest.mark.parametrize("H,W", [(7, 5), (1, 3), (2, 2)], ids=["7x5", "1x3", "2x2"])
     def test_shift_add_is_the_adjoint_of_windows(self, extent, H, W):
         rng = np.random.default_rng(50 + extent)
