@@ -20,9 +20,12 @@ DEFAULT_ELBOW_RANGE = (10, 20)
 
 _MONOTONE_SLACK = 1e-9
 
-# Rows per k-means assignment block: bounds the difference tensor at
-# _ASSIGN_BLOCK x k x m values, however many rows there are.
-_ASSIGN_BLOCK = 64
+# Rows per block of the k-means distance passes: bounds their scratch at
+# _ASSIGN_BLOCK x k screened distances and _ASSIGN_BLOCK x m differences,
+# however many rows and centroids there are.
+_ASSIGN_BLOCK = 128
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -77,93 +80,179 @@ class ElbowCurve:
 # k-means
 
 
-def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of each row's nearest centroid, the lowest on ties. Each row's
-    distances are summed as in one pass over all rows, so the labels do not
-    depend on the block size."""
-    labels = np.empty(X.shape[0], dtype=np.intp)
-    for start in range(0, X.shape[0], _ASSIGN_BLOCK):
-        block = X[start : start + _ASSIGN_BLOCK]
-        dist2 = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels[start : start + _ASSIGN_BLOCK] = dist2.argmin(axis=1)  # argmin takes the lowest index
-    return labels
+def _screen_bound(x_norm, y_norm, m: int):
+    """A bound B on |screen − exact| for the squared distance of rows x and y
+    of norms ``x_norm`` and ``y_norm`` in m dimensions. The screen is
+    fl(fl(‖x‖² − 2·fl(x·y)) + ‖y‖²) from a GEMM or GEMV; the exact value is
+    fl(Σ fl((x_j − y_j)²)), the formula every label and seed is defined by.
+
+    With u = ε/2 and γ_n = nu/(1 − nu), a dot product of length m has an
+    error of at most γ_m·Σ|terms|, whatever the BLAS's summation order or
+    FMA use. So ‖x‖², x·y and ‖y‖² are off by at most γ_m times ‖x‖²,
+    ‖x‖‖y‖ (Cauchy–Schwarz) and ‖y‖², and the two additions add u each
+    times a result below (‖x‖ + ‖y‖)². The exact value's m differences and
+    squares add 3u per term and its sum of m nonnegative terms γ_(m−1).
+    Both are bounded by multiples of (‖x‖ + ‖y‖)², which is at least the
+    true distance ‖x − y‖², and together they give
+    |screen − exact| ≤ (m + 2)·ε·(‖x‖ + ‖y‖)² to first order. B is four
+    times that with m + 8 for m + 2, which covers the second-order terms
+    and the rounding of the norms, of B and of the comparisons made with it.
+    """
+    return 4.0 * (m + 8) * _EPS * (x_norm + y_norm) ** 2
 
 
-def _sse(X: np.ndarray, centroids: np.ndarray, assign: np.ndarray, canon: np.ndarray | None = None) -> float:
-    d = ((X - centroids[assign]) ** 2).sum(axis=1)
-    if canon is not None:
-        d = d[canon]  # fixed summation order keeps the value permutation-invariant
-    return float(d.sum())
-
-
-def _canonical_order(X: np.ndarray) -> np.ndarray:
-    """Row indices sorted by point value, so every seeding decision depends on
-    the multiset of points rather than their storage order. This is what makes
-    a fixed seed produce row-permutation-equivariant results."""
-    return np.lexsort(X.T[::-1])
-
-
-def _kmeanspp(X: np.ndarray, k: int, rng: np.random.Generator, canon: np.ndarray) -> np.ndarray:
-    ordered = X[canon]
-    n = ordered.shape[0]
-    chosen = [int(rng.integers(n))]
-    d2 = ((ordered - ordered[chosen[0]]) ** 2).sum(axis=1)
-    while len(chosen) < k:
-        total = float(d2.sum())
-        if total <= 0.0:
-            pick = int(rng.integers(n))
-        else:
-            pick = int(rng.choice(n, p=d2 / total))
-        chosen.append(pick)
-        d2 = np.minimum(d2, ((ordered - ordered[pick]) ** 2).sum(axis=1))
-    return ordered[np.array(chosen)].copy()
-
-
-def _update_centroids(
-    X: np.ndarray, k: int, centroids: np.ndarray, assign: np.ndarray, canon: np.ndarray
-) -> np.ndarray:
-    out = centroids.copy()
-    counts = np.bincount(assign, minlength=k)
-    ordered = X[canon]
-    ordered_assign = assign[canon]
-    for c in range(k):
-        if counts[c] > 0:
-            # averaging in canonical order keeps centroids bitwise
-            # permutation-invariant
-            out[c] = ordered[ordered_assign == c].mean(axis=0)
-    if (counts == 0).any():
-        # Re-seed each empty cluster on the point farthest from its centroid;
-        # that point's contribution drops to zero, so the objective cannot rise.
-        # Ties break in canonical point order to stay permutation-equivariant.
-        d = ((X - out[assign]) ** 2).sum(axis=1)
-        by_distance = canon[np.argsort(-d[canon], kind="stable")]
-        taken: set[int] = set()
-        for c in np.flatnonzero(counts == 0):
-            for i in by_distance:
-                if int(i) not in taken:
-                    taken.add(int(i))
-                    out[c] = X[int(i)]
-                    break
+def _sq_dists(X: np.ndarray, Y: np.ndarray, rows=None, cols=None) -> np.ndarray:
+    """``((X[rows] - Y[cols]) ** 2).sum(axis=1)``, built in one reused block of
+    _ASSIGN_BLOCK rows. ``rows=None`` takes every row of X in order, and
+    ``cols=None`` subtracts the one row Y from each. Each row is still one
+    contiguous reduction over its m values, so the result has the bits of
+    the one-shot expression."""
+    n = X.shape[0] if rows is None else len(rows)
+    out = np.empty(n)
+    diff = np.empty((min(n, _ASSIGN_BLOCK), X.shape[1]))
+    for start in range(0, n, _ASSIGN_BLOCK):
+        stop = min(start + _ASSIGN_BLOCK, n)
+        block = diff[: stop - start]
+        x = X[start:stop] if rows is None else X[rows[start:stop]]
+        np.subtract(x, Y if cols is None else Y[cols[start:stop]], out=block)
+        np.square(block, out=block)
+        block.sum(axis=1, out=out[start:stop])
     return out
 
 
-def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int, canon: np.ndarray):
-    centroids = _kmeanspp(X, k, rng, canon)
-    assign = _assign(X, centroids)
-    inertia = _sse(X, centroids, assign, canon)
+def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest centroid by ``((x - c) ** 2).sum()``, the
+    lowest on ties.
+
+    A GEMM screen ‖x‖² − 2·x·c + ‖c‖², one block of rows at a time, is within
+    B of that exact value (see _screen_bound). If the exact nearest centroid
+    a is not the screen's nearest b, then screen(a) ≤ exact(a) + B ≤
+    exact(b) + B ≤ screen(b) + 2B. So only the centroids within 2B of a
+    row's screened minimum are candidates: a row with one candidate is
+    settled, and the others compare their candidates with the exact formula.
+    The labels therefore do not depend on the BLAS or the block size.
+    """
+    n, m = X.shape
+    k = centroids.shape[0]
+    x_sq = np.einsum("ij,ij->i", X, X)
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    slack = 2.0 * _screen_bound(np.sqrt(x_sq), np.sqrt(c_sq.max()), m)
+    labels = np.empty(n, dtype=np.intp)
+    screen = np.empty((min(n, _ASSIGN_BLOCK), k))
+    for start in range(0, n, _ASSIGN_BLOCK):
+        stop = min(start + _ASSIGN_BLOCK, n)
+        s = screen[: stop - start]
+        np.matmul(X[start:stop], centroids.T, out=s)
+        s *= -2.0
+        s += x_sq[start:stop, None]
+        s += c_sq
+        # a negated > keeps every centroid of a row whose screen overflowed to NaN
+        near = ~(s > (s.min(axis=1) + slack[start:stop])[:, None])
+        labels[start:stop] = near.argmax(axis=1)
+        counts = near.sum(axis=1)
+        tied = np.flatnonzero(counts > 1)
+        if tied.size:
+            r, c = np.nonzero(near[tied])
+            d = _sq_dists(X, centroids, start + tied[r], c)
+            # by row, then exact distance, then centroid: each row's first pair wins
+            order = np.lexsort((c, d, r))
+            labels[start + tied] = c[order[np.cumsum(counts[tied]) - counts[tied]]]
+    return labels
+
+
+def _sse(X: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
+    """Sum of each row's squared distance to its centroid, added in row order."""
+    return float(_sq_dists(X, centroids, cols=labels).sum())
+
+
+def _canonical_order(X: np.ndarray) -> np.ndarray:
+    """Row indices sorted by point value. k-means runs on the rows in this
+    order, so every seeding decision and every sum depends on the multiset of
+    points rather than their storage order. This is what makes a fixed seed
+    produce row-permutation-equivariant results."""
+    return np.lexsort(X.T[::-1])
+
+
+def _kmeanspp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Row indices of k k-means++ seeds drawn from X.
+
+    Each seed lowers d2, every row's squared distance to its nearest seed. A
+    GEMV screens the new seed's distances; a row whose screened distance
+    minus B (see _screen_bound) is above its d2 cannot come closer, so only
+    the other rows are recomputed with the exact formula. d2, and with it
+    every draw, keeps the bits of an exact pass over all rows.
+    """
+    n, m = X.shape
+    x_sq = np.einsum("ij,ij->i", X, X)
+    x_norm = np.sqrt(x_sq)
+    d2 = np.full(n, np.inf)
+    chosen = [int(rng.integers(n))]
+    while len(chosen) < k:
+        pick = chosen[-1]
+        screen = x_sq - 2.0 * (X @ X[pick]) + x_sq[pick]
+        rows = np.flatnonzero(~(screen - _screen_bound(x_norm, x_norm[pick], m) > d2))
+        d2[rows] = np.minimum(d2[rows], _sq_dists(X, X[pick], rows))
+        total = float(d2.sum())
+        if total <= 0.0:
+            chosen.append(int(rng.integers(n)))
+        else:
+            chosen.append(int(rng.choice(n, p=d2 / total)))
+    return np.array(chosen)
+
+
+def _update_centroids(X: np.ndarray, k: int, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    out = centroids.copy()
+    counts = np.bincount(labels, minlength=k)
+    for c in np.flatnonzero(counts):
+        # averaging in canonical order keeps centroids bitwise
+        # permutation-invariant
+        out[c] = X[labels == c].mean(axis=0)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        # Re-seed each empty cluster on the point farthest from its centroid;
+        # that point's contribution drops to zero, so the objective cannot rise.
+        # Ties break in canonical point order to stay permutation-equivariant.
+        d = _sq_dists(X, out, cols=labels)
+        out[empty] = X[np.argsort(-d, kind="stable")[: empty.size]]
+    return out
+
+
+def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
+    centroids = X[_kmeanspp(X, k, rng)]
+    labels = _assign(X, centroids)
+    inertia = _sse(X, centroids, labels)
     iterations = 0
     for _ in range(max_iter):
-        centroids = _update_centroids(X, k, centroids, assign, canon)
-        new_assign = _assign(X, centroids)
-        new_inertia = _sse(X, centroids, new_assign, canon)
+        centroids = _update_centroids(X, k, centroids, labels)
+        new_labels = _assign(X, centroids)
+        new_inertia = _sse(X, centroids, new_labels)
         if new_inertia > inertia + _MONOTONE_SLACK * max(1.0, inertia):
             raise NumericError(f"k-means objective increased from {inertia} to {new_inertia}")
         iterations += 1
-        unchanged = np.array_equal(new_assign, assign)
-        assign, inertia = new_assign, new_inertia
+        unchanged = np.array_equal(new_labels, labels)
+        labels, inertia = new_labels, new_inertia
         if unchanged:
             break
-    return centroids, assign, inertia, iterations
+    return centroids, labels, inertia, iterations
+
+
+def _best_of_restarts(ordered: np.ndarray, k: int, seed: int, max_iter: int, restarts: int):
+    """kmeans on rows already in canonical order, so that elbow sorts its
+    embedding set once for all its ks. Labels come back in that order."""
+    n = ordered.shape[0]
+    if k < 1 or k > n:
+        raise DataError(f"k must be in [1, {n}], got {k}")
+    if max_iter < 1:
+        raise DataError(f"max_iter must be at least 1, got {max_iter}")
+    if restarts < 1:
+        raise DataError(f"restarts must be at least 1, got {restarts}")
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng((seed, r))
+        run = _lloyd(ordered, k, rng, max_iter)
+        if best is None or run[2] < best[2]:
+            best = run
+    return best
 
 
 def kmeans(e: EmbeddingSet, k: int, seed: int = 0, max_iter: int = 100, restarts: int = 5) -> KMeansResult:
@@ -174,24 +263,13 @@ def kmeans(e: EmbeddingSet, k: int, seed: int = 0, max_iter: int = 100, restarts
     Seeding draws in canonical point order, so for a fixed seed the result is
     equivariant under row permutations (assignments permute with the rows).
     """
-    n = e.count
-    if k < 1 or k > n:
-        raise DataError(f"k must be in [1, {n}], got {k}")
-    if max_iter < 1:
-        raise DataError(f"max_iter must be at least 1, got {max_iter}")
-    if restarts < 1:
-        raise DataError(f"restarts must be at least 1, got {restarts}")
     canon = _canonical_order(e.rows)
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng((seed, r))
-        run = _lloyd(e.rows, k, rng, max_iter, canon)
-        if best is None or run[2] < best[2]:
-            best = run
-    centroids, assign, sse, iterations = best
+    centroids, labels, sse, iterations = _best_of_restarts(e.rows[canon], k, seed, max_iter, restarts)
+    assignments = np.empty(e.count, dtype=np.int64)
+    assignments[canon] = labels
     return KMeansResult(
         centroids=centroids,
-        assignments=assign.astype(np.int64),
+        assignments=assignments,
         inertia=sse,
         iterations=iterations,
         seed=seed,
@@ -242,7 +320,8 @@ def elbow(
     if not 1 <= k_min < k_max <= e.count:
         raise DataError(f"need 1 <= k_min < k_max <= {e.count}, got [{k_min}, {k_max}]")
     ks = list(range(k_min, k_max + 1))
-    inertias = [kmeans(e, k, seed=seed, max_iter=max_iter, restarts=restarts).inertia for k in ks]
+    ordered = e.rows[_canonical_order(e.rows)]
+    inertias = [_best_of_restarts(ordered, k, seed, max_iter, restarts)[2] for k in ks]
     violations = [
         ks[i]
         for i in range(1, len(ks))

@@ -143,9 +143,7 @@ def init_params(cfg: BearConfig, dtype=np.float32) -> ParameterSet:
     """Seeded initialization: kernels uniform in +-sqrt(6/(fan_in+fan_out)),
     biases zero except the forget-gate slice of each cell at +1."""
     rng = np.random.default_rng(cfg.seed)
-    # zero-stride placeholders: the arena is the one allocation, filled in place
-    zero = np.zeros((), dtype)
-    params = ParameterSet({name: np.broadcast_to(zero, shape) for name, shape in parameter_shapes(cfg).items()})
+    params = ParameterSet.zeros(parameter_shapes(cfg), dtype)  # filled in place
     for name, t in params.items():
         if name.endswith("bias") or name.endswith("biases"):
             if name.endswith("/biases"):

@@ -52,14 +52,19 @@ def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
 # BT1 tensors
 
 
-def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
-    """Read ``count`` bytes, checked against the bytes left in the stream
-    first, so a corrupt length fails here instead of allocating it."""
+def _check_left(fh: BinaryIO, count: int, what: str) -> None:
+    """Fail unless ``count`` bytes are left in the stream, so a corrupt length
+    fails here instead of allocating it."""
     offset = fh.tell()
     left = fh.seek(0, os.SEEK_END) - offset
     fh.seek(offset)
     if count > left:
         raise FormatError(f"truncated {what}: needed {count} bytes at byte offset {offset}, {left} remain")
+
+
+def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
+    """Read ``count`` bytes, checked against the bytes left in the stream first."""
+    _check_left(fh, count, what)
     return fh.read(count)
 
 
@@ -79,9 +84,9 @@ def write_bt1(fh: BinaryIO, arr: np.ndarray) -> None:
     fh.write(arr.tobytes())
 
 
-def read_bt1(fh: BinaryIO) -> np.ndarray:
-    """The next BT1 tensor as float32. On a little-endian machine the array
-    is a read-only view of the bytes read, so reading costs no second copy."""
+def _read_bt1_header(fh: BinaryIO) -> tuple[int, ...]:
+    """Read a BT1 block's magic, rank and extents, and check that its elements
+    are all in the stream; the stream is left at the first element."""
     offset = fh.tell()
     magic = _read_exact(fh, len(BT1_MAGIC), "tensor magic")
     if magic != BT1_MAGIC:
@@ -92,8 +97,15 @@ def read_bt1(fh: BinaryIO) -> np.ndarray:
     shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "tensor extents"))
     if any(s == 0 for s in shape):
         raise FormatError(f"zero extent in tensor shape {shape} at byte offset {offset}")
-    count = math.prod(shape)
-    raw = _read_exact(fh, 4 * count, "tensor elements")
+    _check_left(fh, 4 * math.prod(shape), "tensor elements")
+    return shape
+
+
+def read_bt1(fh: BinaryIO) -> np.ndarray:
+    """The next BT1 tensor as float32. On a little-endian machine the array
+    is a read-only view of the bytes read, so reading costs no second copy."""
+    shape = _read_bt1_header(fh)
+    raw = fh.read(4 * math.prod(shape))
     return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32, copy=False)
 
 
@@ -236,9 +248,9 @@ def load_checkpoint(path: str | Path, expect_config: BearConfig | None = None) -
         if stray:
             raise FormatError(f"{path}: unexpected header key {stray[0]!r}")
         cfg = config_from_mapping(cfg_map, label=f"{path} header")
-        expected = parameter_shapes(cfg)
-        values = {}
-        for expected_name, expected_shape in expected.items():
+        # the arena is the one copy of the weights: each BT1 block is read into its view
+        params = ParameterSet.zeros(parameter_shapes(cfg))
+        for expected_name, t in params.items():
             offset = fh.tell()
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "parameter name length"))
             name = _decode_utf8(_read_exact(fh, name_len, "parameter name"), "parameter name", offset + 4)
@@ -246,12 +258,14 @@ def load_checkpoint(path: str | Path, expect_config: BearConfig | None = None) -
                 raise FormatError(
                     f"unknown parameter name {name!r} at byte offset {offset} (expected {expected_name!r})"
                 )
-            arr = read_bt1(fh)
-            if arr.shape != expected_shape:
+            shape = _read_bt1_header(fh)
+            if shape != t.shape:
                 raise FormatError(
-                    f"parameter {name!r}: stored shape {arr.shape} does not match configured {expected_shape}"
+                    f"parameter {name!r}: stored shape {shape} does not match configured {t.shape}"
                 )
-            values[name] = arr
+            fh.readinto(t.data)
+            if not np.little_endian:
+                t.data.byteswap(inplace=True)
         if fh.read(1):
             raise FormatError(f"trailing bytes after parameters at byte offset {fh.tell() - 1}")
     if expect_config is not None and cfg != expect_config:
@@ -259,4 +273,4 @@ def load_checkpoint(path: str | Path, expect_config: BearConfig | None = None) -
             f"checkpoint config hash {config_hash(cfg)[:12]} does not match "
             f"expected {config_hash(expect_config)[:12]}"
         )
-    return Checkpoint(config=cfg, params=ParameterSet(values), metadata=meta)
+    return Checkpoint(config=cfg, params=params, metadata=meta)

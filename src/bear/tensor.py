@@ -463,6 +463,13 @@ class ParameterSet:
             t.grad = self.grad[start : start + a.size].reshape(a.shape)
             self._params[name] = t
 
+    @classmethod
+    def zeros(cls, shapes: Mapping[str, tuple[int, ...]], dtype=np.float32) -> "ParameterSet":
+        """Zero tensors of the given shapes. Zero-stride placeholders stand in
+        for the values, so the arena is the one allocation."""
+        zero = np.zeros((), dtype)
+        return cls({name: np.broadcast_to(zero, shape) for name, shape in shapes.items()})
+
     def __getitem__(self, name: str) -> Tensor:
         try:
             return self._params[name]

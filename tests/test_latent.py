@@ -27,7 +27,7 @@ from bear.latent import (
     write_embeddings,
     write_projection,
 )
-from bear.latent import _ASSIGN_BLOCK, _assign
+from bear.latent import _ASSIGN_BLOCK, _assign, _canonical_order, _kmeanspp
 
 
 def _embeddings(rows, prefix="row"):
@@ -38,6 +38,52 @@ def _embeddings(rows, prefix="row"):
 def _blobs(rng, centers, per_blob=30, spread=1.0):
     points = np.concatenate([c + rng.normal(scale=spread, size=(per_blob, len(c))) for c in centers])
     return _embeddings(points)
+
+
+def _one_shot_labels(X, centroids):
+    """The exact formula the k-means labels are defined by, over all rows at once."""
+    return ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+
+def _unscreened_kmeanspp(X, k, rng):
+    """k-means++ seeding with an exact distance pass over every row per pick."""
+    n = X.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = ((X - X[chosen[0]]) ** 2).sum(axis=1)
+    while len(chosen) < k:
+        total = float(d2.sum())
+        pick = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+        chosen.append(pick)
+        d2 = np.minimum(d2, ((X - X[pick]) ** 2).sum(axis=1))
+    return chosen
+
+
+def _screen_case(name):
+    """Rows and centroids on which a GEMM distance screen alone mislabels rows
+    (large offsets, tiny spreads) or must keep exact ties (equal centroids,
+    integer points), and the extremes k = 1 and k = N."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name.startswith("offset"):
+        offset, spread = {"offset-1e3": (1e3, 1e-5), "offset-1e6": (1e6, 1e-6)}[name]
+        base = offset * rng.uniform(0.5, 1.5, 8)
+        X = base + spread * rng.normal(size=(3 * _ASSIGN_BLOCK + 7, 8))
+        return X, base + spread * rng.normal(size=(9, 8))
+    if name == "duplicated-centroids":
+        X = rng.normal(size=(300, 5))
+        centroids = rng.normal(size=(6, 5))
+        centroids[4] = centroids[1]
+        return X, centroids
+    if name == "exact-ties":
+        X = rng.integers(-3, 4, size=(400, 3)).astype(np.float64)
+        return X, rng.integers(-3, 4, size=(12, 3)).astype(np.float64)
+    X = 1e4 + rng.normal(size=(2 * _ASSIGN_BLOCK + 3, 6)) * 1e-4
+    if name == "k=1":
+        return X, X[:1] + 1.0
+    X[7] = X[3]  # a duplicated row ties two centroids at distance zero
+    return X, X[rng.permutation(len(X))]
+
+
+SCREEN_CASES = ["offset-1e3", "offset-1e6", "duplicated-centroids", "exact-ties", "k=1", "k=N"]
 
 
 class TestEmbeddingSet:
@@ -118,6 +164,19 @@ class TestKMeans:
         assert np.array_equal(labels, one_shot)
         assert labels[_ASSIGN_BLOCK + 3] == 2
 
+    @pytest.mark.parametrize("case", SCREEN_CASES)
+    def test_screened_assignment_matches_one_shot_formula(self, case):
+        X, centroids = _screen_case(case)
+        assert np.array_equal(_assign(X, centroids), _one_shot_labels(X, centroids))
+
+    @pytest.mark.parametrize("case", SCREEN_CASES)
+    def test_screened_seeding_draws_the_unscreened_seeds(self, case):
+        X, _ = _screen_case(case)
+        X = X[_canonical_order(X)]
+        for k in (1, 2, 9):
+            got = _kmeanspp(X, k, np.random.default_rng(k))
+            assert got.tolist() == _unscreened_kmeanspp(X, k, np.random.default_rng(k)), k
+
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 2**16))
     def test_permuting_rows_permutes_assignments(self, seed):
@@ -188,6 +247,13 @@ class TestElbow:
         e = _embeddings(rng.normal(size=(40, 3)))
         curve = elbow(e, seed=0, restarts=2, max_iter=30)
         assert [k for k, _ in curve.points] == list(range(10, 21))
+
+    def test_inertias_are_the_kmeans_inertias(self):
+        rng = np.random.default_rng(14)
+        e = _blobs(rng, [np.zeros(3), np.full(3, 8.0), np.array([8.0, -8.0, 0.0])], per_blob=25)
+        curve = elbow(e, 2, 6, seed=3, restarts=2)
+        for k, value in curve.points:
+            assert value == kmeans(e, k, seed=3, restarts=2).inertia, k
 
     def test_collinear_curve_flags_no_elbow(self):
         ks = [1, 2, 3, 4, 5]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -425,6 +426,18 @@ class TestCheckpointFormat:
         assert first_name in data
         path.write_bytes(data.replace(first_name, b"pfe/convlstm9/input-kernels", 1))
         with pytest.raises(FormatError, match="unknown parameter name"):
+            load_checkpoint(path)
+
+    def test_stored_shape_must_match_config(self, tmp_path):
+        bcfg = BearConfig(n=16, d=3, r=4, m=8, f_pfe=1, f_rfe=1, f_bfe=1, f_dec=1)
+        path = tmp_path / "model.bc1"
+        save_checkpoint(Checkpoint(bcfg, init_params(bcfg), {}), path)
+        data = path.read_bytes()
+        # the first tensor, (3, 3, 1, 4), stored as (3, 3, 4, 1): same size, other shape
+        extents = b"BEART1" + struct.pack("<5I", 4, 3, 3, 1, 4)
+        assert extents in data
+        path.write_bytes(data.replace(extents, b"BEART1" + struct.pack("<5I", 4, 3, 3, 4, 1), 1))
+        with pytest.raises(FormatError, match=r"stored shape \(3, 3, 4, 1\) does not match configured \(3, 3, 1, 4\)"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
