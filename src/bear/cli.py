@@ -8,9 +8,11 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -57,26 +59,27 @@ def _write_manifest(
         fh.write("\n".join(lines) + "\n")
 
 
-def _load_image_dir(data_dir: Path, n: int) -> tuple[list[str], list[np.ndarray], int]:
-    """Read every *.ppm under ``data_dir`` (sorted by name), resized to n x n.
+def _read_image_dir(data_dir: Path, n: int, skipped: list[Path]) -> Iterator[tuple[str, np.ndarray]]:
+    """(name, image) for every *.ppm under ``data_dir`` (sorted by name),
+    resized to n x n and read only as the caller asks for it.
 
-    Unreadable files are skipped with a warning; returns (ids, images, skipped).
+    Unreadable files are skipped with a warning and appended to ``skipped``.
     """
     if not data_dir.is_dir():
         raise DataError(f"{data_dir} is not a directory")
-    ids: list[str] = []
-    images: list[np.ndarray] = []
-    skipped = 0
     for path in sorted(data_dir.glob("*.ppm")):
         try:
             pixels = read_ppm(path)
         except (FormatError, OSError) as exc:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
-            skipped += 1
+            skipped.append(path)
             continue
-        ids.append(path.name)
-        images.append(resize_unit(image_to_unit(pixels), n))
-    return ids, images, skipped
+        yield path.name, resize_unit(image_to_unit(pixels), n)
+
+
+def _warn_skipped(skipped: list[Path]) -> None:
+    if skipped:
+        print(f"warning: skipped {len(skipped)} unreadable images", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +115,9 @@ def _cmd_train(args) -> int:
         tcfg = replace(tcfg, seed=args.seed)
     if bcfg.d != 3:
         raise ConfigError(f"training from PPM images requires d=3, config has d={bcfg.d}")
-    ids, images, skipped = _load_image_dir(Path(args.data), bcfg.n)
-    if skipped:
-        print(f"warning: skipped {skipped} unreadable images", file=sys.stderr)
+    skipped: list[Path] = []
+    images = [image for _, image in _read_image_dir(Path(args.data), bcfg.n, skipped)]
+    _warn_skipped(skipped)
     if len(images) < 2:
         raise DataError(f"need at least 2 usable images in {args.data}, found {len(images)}")
     ckpt, records = fit(images, tcfg, bcfg)
@@ -132,15 +135,19 @@ def _cmd_train(args) -> int:
 
 def _cmd_encode(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    ids, images, skipped = _load_image_dir(Path(args.data), ckpt.config.n)
-    if skipped:
-        print(f"warning: skipped {skipped} unreadable images", file=sys.stderr)
-    if not images:
-        raise DataError(f"no usable images in {args.data}")
-    size = ckpt.config.forward_chunk
+    # read, encode and release one chunk of images at a time
+    skipped: list[Path] = []
+    images = _read_image_dir(Path(args.data), ckpt.config.n, skipped)
+    ids: list[str] = []
+    chunks = []
     with no_grad():
-        chunks = [encode(Tensor(np.stack(images[i : i + size])), ckpt.params, ckpt.config).data
-                  for i in range(0, len(images), size)]
+        while chunk := list(itertools.islice(images, ckpt.config.forward_chunk)):
+            names, pixels = zip(*chunk)
+            ids += names
+            chunks.append(encode(Tensor(np.stack(pixels)), ckpt.params, ckpt.config).data)
+    _warn_skipped(skipped)
+    if not chunks:
+        raise DataError(f"no usable images in {args.data}")
     rows = np.concatenate(chunks)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():

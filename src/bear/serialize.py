@@ -77,11 +77,13 @@ def _decode_utf8(raw: bytes, what: str, offset: int) -> str:
 
 
 def write_bt1(fh: BinaryIO, arr: np.ndarray) -> None:
+    """Write ``arr`` as a BT1 block. A contiguous little-endian float32 array
+    is written from its own memory, without a bytes copy."""
     arr = np.ascontiguousarray(arr, dtype="<f4")
     fh.write(BT1_MAGIC)
     fh.write(struct.pack("<I", arr.ndim))
     fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(arr.tobytes())
+    fh.write(memoryview(arr).cast("B"))
 
 
 def _read_bt1_header(fh: BinaryIO) -> tuple[int, ...]:

@@ -24,8 +24,9 @@ BackwardFn = Callable[[Array], None]
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-# Elements per block of the in-place passes over large arrays (the dense
-# weight gradient, Adam's update), sized so a block's temporaries stay in cache.
+# Elements per block of the passes over large arrays (the dense weight
+# gradient, Adam's check and update, the initial draws), sized so a block's
+# temporaries stay in cache.
 CHUNK = 1 << 16
 
 _grad_enabled = True

@@ -15,7 +15,7 @@ from .blocks import l2_penalty
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import BearConfig, forward, init_params
 from .serialize import Checkpoint, atomic_write
-from .tensor import CHUNK, ParameterSet, Tensor, add, custom_op, no_grad
+from .tensor import CHUNK, ParameterSet, Tensor, custom_op, no_grad, scale
 
 # Validation loss changes smaller than this do not count as improvements.
 IMPROVE_EPS = 1e-6
@@ -154,14 +154,17 @@ class Adam:
         self.m = np.zeros(params.data.size, params.data.dtype)
         self.v = np.zeros(params.data.size, params.data.dtype)
         self._scratch = (np.empty(CHUNK, params.data.dtype), np.empty(CHUNK, params.data.dtype))
+        self._finite = np.empty(CHUNK, bool)
 
     def step(self, lr: float) -> None:
         """Update every parameter, or none: all gradients are checked first."""
         grad = self.params.grad
-        finite = np.isfinite(grad)
-        if not finite.all():
-            bad = self.params.name_at(int(np.argmin(finite)))
-            raise NumericError(f"non-finite gradient for parameter {bad!r}")
+        for start in range(0, grad.size, CHUNK):
+            block = grad[start : start + CHUNK]
+            finite = np.isfinite(block, out=self._finite[: block.size])
+            if not finite.all():
+                bad = self.params.name_at(start + int(np.argmin(finite)))
+                raise NumericError(f"non-finite gradient for parameter {bad!r}")
         self.t += 1
         correction1 = 1.0 - self.beta1**self.t
         correction2 = 1.0 - self.beta2**self.t
@@ -249,6 +252,35 @@ def _chunks(seq: Sequence, size: int):
         yield seq[start : start + size]
 
 
+def accumulate_gradients(
+    images: Sequence[np.ndarray],
+    params: ParameterSet,
+    bcfg: BearConfig,
+    loss_fn: Callable[[Tensor, Tensor], Tensor],
+) -> float:
+    """Add the gradient of the mean loss over ``images`` into the arena
+    gradients, and return that loss summed over the images.
+
+    The images run as micro-batches of ``bcfg.forward_chunk``. Each
+    micro-batch's loss is weighted by its share of the images, and its graph
+    is released before the next one is built, so memory follows the
+    micro-batch. A non-finite micro-batch loss is returned at once, before
+    its backward pass.
+    """
+    total = 0.0
+    for micro in _chunks(images, bcfg.forward_chunk):
+        x = Tensor(np.stack(micro))
+        loss = loss_fn(x, forward(x, params, bcfg))
+        value = float(loss.data)
+        if not math.isfinite(value):
+            return value
+        scale(loss, len(micro) / len(images)).backward()
+        total += value * len(micro)
+        # release this graph, or it stays alive through the next forward pass
+        del x, loss
+    return total
+
+
 def fit(
     images: Sequence[np.ndarray],
     cfg: TrainConfig,
@@ -292,28 +324,32 @@ def fit(
     history: list[float] = []
     lr = cfg.lr0
     best_val = math.inf
-    best_values = params.data.copy()
     best_epoch = 0
+    # params holds the best values so far until an epoch after the best one
+    # starts; only then are they copied. Epoch 1 always improves on inf, so
+    # the initial values are never copied, and a run whose last epoch is its
+    # best never restores.
+    best_values: np.ndarray | None = None
+    holds_best = True
 
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()
+        if holds_best and epoch > 1:
+            if best_values is None:
+                best_values = np.empty_like(params.data)
+            best_values[...] = params.data
+        holds_best = False
         epoch_order = rng.permutation(len(train_set))
         running = 0.0
         seen = 0
         for batch in _chunks(epoch_order, cfg.batch_size):
-            x = Tensor(np.stack([train_set[i] for i in batch]))
-            batch_loss = loss_fn(x, forward(x, params, bcfg))
-            value = float(batch_loss.data)
-            if not math.isfinite(value):
+            summed = accumulate_gradients([train_set[i] for i in batch], params, bcfg, loss_fn)
+            if not math.isfinite(summed):
                 raise NumericError(f"non-finite training loss in epoch {epoch}")
-            objective = batch_loss
             if cfg.l2 > 0:
-                objective = add(batch_loss, l2_penalty(recurrent, cfg.l2))
-            objective.backward()
+                l2_penalty(recurrent, cfg.l2).backward()
             optimizer.step(lr)
-            # release this batch's graph, or it stays alive through the next forward pass
-            del x, batch_loss, objective
-            running += value * len(batch)
+            running += summed
             seen += len(batch)
         train_loss = running / seen
         val_loss = validation_loss()
@@ -323,13 +359,14 @@ def fit(
         history.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
-            best_values = params.data.copy()
             best_epoch = epoch
+            holds_best = True
         lr = plateau_decay(history, lr, cfg)
         if early_stop(history, cfg):
             break
 
-    params.data[...] = best_values
+    if not holds_best:
+        params.data[...] = best_values
     metadata = {
         "epochs_run": str(len(records)),
         "best_epoch": str(best_epoch),

@@ -230,6 +230,53 @@ class TestFailureModes:
         assert "skipping" in proc.stderr
         assert "broken.ppm" in proc.stderr
 
+    def test_encode_streams_chunks_of_usable_images(self, tmp_path, monkeypatch, capsys):
+        # forward_chunk is 4 at n=64: six readable images make chunks of 4
+        # and 2, whatever unreadable files lie between them
+        import bear.cli as cli
+        from bear.model import encode
+        from bear.ppm import unit_to_image, write_ppm
+        from bear.synth import synthetic_images
+        from bear.tensor import Tensor, no_grad
+
+        cfg = BearConfig(n=64, d=3, r=4, m=8, f_pfe=2, f_rfe=2, f_bfe=2, f_dec=2)
+        assert cfg.forward_chunk == 4
+        params = init_params(cfg)
+        save_checkpoint(Checkpoint(cfg, params, {}), tmp_path / "model.bc1")
+        data = tmp_path / "data"
+        data.mkdir()
+        images = synthetic_images(6, 64, seed=8)
+        for i, image in enumerate(images):
+            write_ppm(data / f"img{i}.ppm", unit_to_image(image))
+        for name in ("img1b.ppm", "img3b.ppm"):
+            (data / name).write_bytes(b"P6\n4 4\n255\n tiny")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["encode", "--ckpt", "model.bc1", "--data", "data", "--out", "emb.csv"]) == 0
+        warnings = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in warnings] == ["warning"] * 3
+        assert "img1b.ppm" in warnings[0] and "img3b.ppm" in warnings[1]
+        assert warnings[2] == "warning: skipped 2 unreadable images"
+        rows = (tmp_path / "emb.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [f"img{i}.ppm" for i in range(6)]
+        read = [resize_unit(image_to_unit(read_ppm(data / f"img{i}.ppm")), 64) for i in range(6)]
+        with no_grad():
+            want = np.concatenate([encode(Tensor(np.stack(read[i : i + 4])), params, cfg).data for i in (0, 4)])
+        got = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+        assert np.array_equal(got, want.astype(np.float64))
+
+    def test_encode_with_only_unreadable_images_is_data_error(self, tmp_path, pipeline):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "broken.ppm").write_bytes(b"P6\n4 4\n255\n tiny")
+        proc = run_cli(
+            ["encode", "--ckpt", str(pipeline / "model.bc1"), "--data", "data", "--out", "e.csv"],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert "skipping" in lines[0] and "broken.ppm" in lines[0]
+        assert lines[1:] == ["warning: skipped 1 unreadable images", "error: no usable images in data"]
+        assert not (tmp_path / "e.csv").exists()
+
     def test_malformed_embeddings_csv_names_line(self, tmp_path):
         (tmp_path / "emb.csv").write_text("id,z0,z1\nrow0,1.0,2.0\nrow1,nope,2.0\n")
         proc = run_cli(["cluster", "--embeddings", "emb.csv", "--k", "1", "--out", "c.csv"], tmp_path)

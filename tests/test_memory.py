@@ -1,0 +1,57 @@
+"""Peak memory of full-scale training set-up and encoding, measured in a
+child process so that nothing else in the test run counts towards it."""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from bear.model import BearConfig, parameter_shapes
+from bear.ppm import unit_to_image, write_ppm
+from bear.synth import synthetic_images
+
+# Allowed rise of the peak resident set over its value after `import bear`, on
+# top of one float32 parameter arena (36.5 MiB at full scale). Training
+# set-up and encoding two images rose by 59 MiB on Linux with one BLAS
+# thread; the whole-model copies this guards against (a float64 draw of dd's
+# weights, a snapshot of the arena before epoch 1, a bytes copy of each tensor
+# when writing) took the same calls to 103 MiB.
+HEADROOM_MB = 64
+
+# The peak is read as VmHWM, the high-water mark of the child's own address
+# space. Its ru_maxrss would be the same figure, except that Linux carries the
+# peak of the process that started it (here, the whole test run) across exec.
+CHILD = """
+import bear.cli
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+start = peak_kib()
+assert bear.cli.main(["train", "--data", "data", "--config", "zero.cfg", "--out", "model.bc1"]) == 0
+assert bear.cli.main(["encode", "--ckpt", "model.bc1", "--data", "data", "--out", "emb.csv"]) == 0
+print(start, peak_kib())
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux's /proc/self/status")
+def test_full_scale_train_and_encode_peak_stays_within_the_arena_plus_headroom(tmp_path):
+    cfg = BearConfig()  # the paper's full-scale configuration
+    (tmp_path / "data").mkdir()
+    for i, image in enumerate(synthetic_images(2, cfg.n, seed=0)):
+        write_ppm(tmp_path / "data" / f"img{i}.ppm", unit_to_image(image))
+    (tmp_path / "zero.cfg").write_text(f"n={cfg.n}\nm={cfg.m}\nmax_epochs=0\n")
+    # one BLAS thread, so the measure does not depend on the core count
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    start, peak = map(int, proc.stdout.split()[-2:])
+    rise_mb = (peak - start) / 1024
+    arena_mb = 4 * sum(math.prod(shape) for shape in parameter_shapes(cfg).values()) / 2**20
+    assert rise_mb <= arena_mb + HEADROOM_MB, f"peak rose {rise_mb:.1f} MiB for a {arena_mb:.1f} MiB arena"

@@ -1,5 +1,7 @@
 """Stage contracts, the shape pipeline, initialization, and parameter counts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,28 @@ class TestInitialization:
     def test_parameter_order_matches_shape_table(self, desk_config):
         params = init_params(desk_config)
         assert params.names() == list(parameter_shapes(desk_config))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [BearConfig(n=32, d=3, r=4, m=32, f_pfe=8, f_rfe=8, f_bfe=8, f_dec=8), BearConfig()],
+        ids=["desk", "full"],
+    )
+    def test_kernels_equal_one_draw_per_kernel(self, cfg):
+        # init_params fills kernels in blocks; one draw of each whole kernel
+        # from the same generator must give the same bytes
+        params = init_params(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        for name, shape in parameter_shapes(cfg).items():
+            if name.endswith(("bias", "biases")):
+                continue
+            if len(shape) == 2:
+                fan_in, fan_out = shape
+            else:
+                kh, kw, cin, cout = shape
+                fan_in, fan_out = kh * kw * cin, kh * kw * cout
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            want = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+            assert params[name].data.tobytes() == want.tobytes(), name
 
 
 class TestParamCount:

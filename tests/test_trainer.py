@@ -1,6 +1,7 @@
 """Losses, Adam, the decay and stopping state machines, fit, checkpoints."""
 
 import dataclasses
+import io
 import math
 import struct
 
@@ -11,14 +12,17 @@ from hypothesis import strategies as st
 
 from conftest import assert_in_arena, reference_adam_steps, scalar_adam_trace, scalar_bce, scalar_mse
 
+import bear.tensor
+import bear.train
 from bear.errors import ConfigError, DataError, FormatError, NumericError, ShapeError
-from bear.model import BearConfig, init_params
-from bear.serialize import Checkpoint, load_checkpoint, save_checkpoint
+from bear.model import BearConfig, forward, init_params
+from bear.serialize import BT1_MAGIC, Checkpoint, load_checkpoint, save_checkpoint, write_bt1
 from bear.synth import synthetic_images
 from bear.tensor import CHUNK, ParameterSet, Tensor, grad_check
 from bear.train import (
     Adam,
     TrainConfig,
+    accumulate_gradients,
     bce_loss,
     early_stop,
     fit,
@@ -253,6 +257,20 @@ class TestAdam:
         for got, want in zip((params.data, state.m, state.v), before):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        "bad, named",
+        [({"a": (299, 249), "c": (0, 0)}, "a"), ({"b": (399, 186), "c": (6, 10)}, "b"), ({"c": (6, 10)}, "c")],
+        ids=["first-chunk", "same-chunk", "last-element"],
+    )
+    def test_non_finite_check_names_the_first_bad_element(self, bad, named):
+        params = ParameterSet(self._straddling_set(np.random.default_rng(23)))
+        state = Adam(params)
+        for name, index in bad.items():
+            params[name].grad[index] = np.inf if name == named else np.nan
+        with pytest.raises(NumericError, match=f"'{named}'"):
+            state.step(1e-3)
+        assert state.t == 0
+
     def test_moment_shapes_track_parameters(self):
         params = ParameterSet({"a": np.zeros((2, 3)), "b": np.zeros(4)})
         state = Adam(params)
@@ -365,6 +383,41 @@ class TestFit:
         save_checkpoint(ckpt_b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
+    @pytest.mark.parametrize(
+        "modes, best",
+        [
+            ((), 0),
+            (("bad", "bad", "real"), 3),
+            (("real", "bad", "bad"), 1),
+            (("bad", "real", "bad"), 2),
+        ],
+        ids=["no-epochs", "last-epoch-best", "first-epoch-best", "middle-epoch-best"],
+    )
+    def test_checkpoint_holds_the_values_at_the_end_of_the_best_epoch(self, monkeypatch, modes, best):
+        # Validation (the forward passes without a tape) sees the values at
+        # the end of each epoch; the spy keeps them. A "bad" epoch validates
+        # on the complement of its input, whose loss is far above any real
+        # one, so the best epoch is the one chosen here.
+        images, tcfg, bcfg = _desk_setup(max_epochs=len(modes))
+        real_forward = bear.train.forward
+        ends = []
+
+        def spy(x, params, cfg):
+            if bear.tensor._grad_enabled:
+                return real_forward(x, params, cfg)
+            ends.append(params.data.copy())
+            if modes[len(ends) - 1] == "bad":
+                return Tensor(1.0 - x.data)
+            return real_forward(x, params, cfg)
+
+        monkeypatch.setattr(bear.train, "forward", spy)
+        ckpt, records = fit(images, tcfg, bcfg)
+        assert len(ends) == len(records) == len(modes)
+        assert ckpt.metadata["best_epoch"] == str(best)
+        want = ends[best - 1] if best else init_params(bcfg).data
+        assert ckpt.params.data.tobytes() == want.tobytes()
+        assert all(not np.array_equal(a, b) for a, b in zip(ends, ends[1:]))
+
     def test_empty_dataset_rejected(self):
         _, tcfg, bcfg = _desk_setup()
         with pytest.raises(DataError, match="empty"):
@@ -377,7 +430,69 @@ class TestFit:
             fit(images, tcfg, bcfg)
 
 
+# forward_chunk is 4 at n=64, so a batch of 8 runs as two micro-batches
+MICRO_CFG = BearConfig(n=64, d=3, r=4, m=8, f_pfe=2, f_rfe=2, f_bfe=2, f_dec=2, seed=0)
+
+
+class TestMicroBatches:
+    @pytest.mark.parametrize("loss_fn", [bce_loss, mse_loss], ids=["bce", "mse"])
+    def test_accumulated_gradient_matches_the_one_graph_gradient(self, loss_fn):
+        assert MICRO_CFG.forward_chunk == 4
+        images = synthetic_images(8, 64, seed=3)
+        params = init_params(MICRO_CFG)
+        summed = accumulate_gradients(images, params, MICRO_CFG, loss_fn)
+        accumulated = params.grad.copy()
+        params.zero_grads()
+        x = Tensor(np.stack(images))
+        loss = loss_fn(x, forward(x, params, MICRO_CFG))
+        loss.backward()
+        whole = params.grad
+        assert np.abs(whole).max() > 0
+        assert np.abs(accumulated - whole).max() / np.abs(whole).max() <= 1e-5
+        assert summed == pytest.approx(8 * float(loss.data), rel=1e-6)
+
+    def test_non_finite_micro_batch_loss_is_returned_before_its_backward_pass(self):
+        images = synthetic_images(8, 64, seed=3)
+        images[5] = np.full_like(images[5], np.nan)
+        params = init_params(MICRO_CFG)
+        summed = accumulate_gradients(images, params, MICRO_CFG, mse_loss)
+        assert math.isnan(summed)
+        first = params.grad.copy()
+        assert np.isfinite(first).all()
+        params.zero_grads()
+        accumulate_gradients(images[:4], params, MICRO_CFG, mse_loss)
+        # only the first micro-batch's gradient, weighted by its share of 8
+        np.testing.assert_allclose(2 * first, params.grad, rtol=1e-6, atol=0)
+
+    def test_fit_over_micro_batches_is_reproducible(self, tmp_path):
+        tcfg = TrainConfig(batch_size=8, max_epochs=2, val_fraction=0.2, lr0=1e-3, seed=1)
+        images = synthetic_images(10, 64, seed=4)
+        paths = []
+        for tag in ("a", "b"):
+            ckpt, _ = fit(images, tcfg, MICRO_CFG)
+            assert ckpt.metadata["n_train"] == "8"
+            paths.append(tmp_path / f"{tag}.bc1")
+            save_checkpoint(ckpt, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 class TestCheckpointFormat:
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.linspace(-1.0, 1.0, 12).reshape(3, 4),
+            np.arange(48, dtype=np.float32).reshape(4, 12)[:, ::3],
+            np.linspace(-2.0, 2.0, 24).reshape(2, 3, 4).astype(">f4"),
+            np.linspace(-2.0, 2.0, 6).astype(">f8"),
+        ],
+        ids=["float64", "non-contiguous", "big-endian-f4", "big-endian-f8"],
+    )
+    def test_bt1_elements_are_the_little_endian_float32_bytes(self, array):
+        fh = io.BytesIO()
+        write_bt1(fh, array)
+        header = BT1_MAGIC + struct.pack(f"<{1 + array.ndim}I", array.ndim, *array.shape)
+        assert fh.getvalue() == header + np.ascontiguousarray(array, "<f4").tobytes()
+
     def test_roundtrip_is_bit_exact(self, tmp_path):
         bcfg = BearConfig(n=16, d=3, r=4, m=8, f_pfe=2, f_rfe=2, f_bfe=2, f_dec=2, seed=4)
         params = init_params(bcfg)
