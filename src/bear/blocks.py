@@ -1,20 +1,19 @@
 """Neural building blocks: a convolutional LSTM cell scanned over the channel
-axis, the mean of multi-scale convolution branches run as one folded
-convolution, and the recurrent-kernel penalty used to regularize the cells.
-Each scan is one tape node with a hand-written backward pass, and runs in
-channel-major layout with its own window matrices. The fold happens at
-forward time, so callers keep, train and store every branch kernel."""
+axis, and the mean of multi-scale convolution branches run as one folded
+convolution. Each scan is one tape node with a hand-written backward pass,
+and runs in channel-major layout on the window matrices that ``conv2d``
+uses too. The fold happens at forward time, so callers keep, train and
+store every branch kernel."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _records, _stable_sigmoid, add, conv2d, custom_op, scale, sum_squares
+from .tensor import Tensor, _channel_major, _records, _shift_add, _stable_sigmoid, _windows, conv2d, custom_op
 
 
 @dataclass
@@ -56,55 +55,6 @@ class ConvLstmParams:
         return self.input_kernels.shape[0]
 
 
-def _taps(k: int, H: int, W: int) -> Iterator[tuple[int, slice, slice]]:
-    """Each tap (i, j) of a same-padded k x k window over row-major H x W
-    maps, in row-major tap order. Window position p reads flat map position
-    p + offset, with offset = (i - k//2) * W + (j - k//2). Yields the offset,
-    the window positions whose read stays inside the flat map, and the
-    columns whose read wraps into a neighbouring row instead of the zero
-    padding."""
-    s = k // 2
-    for i in range(k):
-        for j in range(k):
-            dx = j - s
-            offset = (i - s) * W + dx
-            start = max(0, -offset)
-            inside = slice(start, max(start, min(H * W, H * W - offset)))
-            yield offset, inside, slice(0, -dx) if dx < 0 else slice(max(0, W - dx), W)
-
-
-def _windows(maps: np.ndarray, k: int, buffer: np.ndarray) -> np.ndarray:
-    """The window matrix of contiguous (C, ..., H, W) maps, written into the
-    leading k*k*C rows of ``buffer``, a contiguous 2-D array with one column
-    per position: row (tap, c) holds the tap's view of map c, zero where the
-    tap falls outside it."""
-    C, (H, W) = maps.shape[0], maps.shape[-2:]
-    out = buffer[: k * k * C]
-    source = maps.reshape(-1, H * W)
-    for tap, (offset, inside, wrapped) in enumerate(_taps(k, H, W)):
-        window = out[tap * C : (tap + 1) * C].reshape(-1, H * W)
-        window[:, inside] = source[:, inside.start + offset : inside.stop + offset]
-        window[:, : inside.start] = 0
-        window[:, inside.stop :] = 0
-        window.reshape(-1, H, W)[..., wrapped] = 0
-    return out
-
-
-def _shift_add(planes: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-    """Adjoint of ``_windows`` (a tap-major col2im): fill contiguous
-    (C, ..., H, W) ``out`` with the sum over taps, in tap order from zero, of
-    each tap's rows of the (k*k*C, positions) matrix ``planes`` moved back
-    onto the maps. Zeroes the wrapped columns of ``planes`` in place."""
-    C, (H, W) = out.shape[0], out.shape[-2:]
-    target = out.reshape(-1, H * W)
-    target[...] = 0
-    for tap, (offset, inside, wrapped) in enumerate(_taps(k, H, W)):
-        plane = planes[tap * C : (tap + 1) * C].reshape(-1, H * W)
-        plane.reshape(-1, H, W)[..., wrapped] = 0
-        target[:, inside.start + offset : inside.stop + offset] += plane[:, inside]
-    return out
-
-
 def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     """Run the cell across the channel axis of an (..., H, W, T) input as a
     sequence of T single-channel steps from zero state, and return the final
@@ -142,7 +92,7 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     def slot(t: int) -> int:  # where step t's gates, cell and hidden map live
         return t if keep else 0
 
-    xmaps = np.ascontiguousarray(np.moveaxis(x.data.reshape(-1, H, W, T), -1, 0))  # (T, N, H, W)
+    xmaps = _channel_major(x.data.reshape(-1, T)).reshape(T, -1, H, W)
     N = xmaps.shape[1]
     R = N * H * W
     dtype = np.result_type(xmaps, ik, rk, bias)
@@ -153,10 +103,10 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     work = np.empty((4 * F, R), dtype)
     for t in range(T):
         pre = gates[slot(t)]
-        np.matmul(ik.T, _windows(xmaps[t : t + 1], k, windows), out=pre)
+        np.matmul(ik.T, _windows(xmaps[t : t + 1], k, k, windows), out=pre)
         pre += bias
         if t:  # the recurrent term of the zero initial state is zero
-            pre += np.matmul(rk.T, _windows(hidden[slot(t - 1)].reshape(F, N, H, W), k, windows), out=work)
+            pre += np.matmul(rk.T, _windows(hidden[slot(t - 1)].reshape(F, N, H, W), k, k, windows), out=work)
         i, f, g, o = pre[:F], pre[F : 2 * F], pre[2 * F : 3 * F], pre[3 * F :]
         _stable_sigmoid(pre[: 2 * F], out=pre[: 2 * F], work=work[: 2 * F])
         np.tanh(g, out=g)
@@ -169,7 +119,7 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     del windows, work
 
     def backward(grad: np.ndarray) -> None:
-        dh = np.ascontiguousarray(grad.reshape(R, F).T)
+        dh = _channel_major(grad.reshape(R, F))
         dc = np.zeros_like(dh)
         # gate gradients run in place over reused scratch: the same formulas as
         # expressions allocate about 15 (F, R) temporaries a step, which raised
@@ -212,12 +162,12 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
             dc *= f
             np.multiply(s1, s2, out=f)
             if p.input_kernels.requires_grad:
-                d_ik += d @ _windows(xmaps[t : t + 1], k, windows).T
+                d_ik += d @ _windows(xmaps[t : t + 1], k, k, windows).T
             if x.requires_grad:
-                _shift_add(np.matmul(ik, d, out=windows[:kk]), k, dx[t : t + 1])
+                _shift_add(np.matmul(ik, d, out=windows[:kk]), k, k, dx[t : t + 1])
             if t:
-                d_rk += d @ _windows(hidden[t - 1].reshape(F, N, H, W), k, windows).T
-                _shift_add(np.matmul(rk, d, out=windows), k, dh.reshape(F, N, H, W))
+                d_rk += d @ _windows(hidden[t - 1].reshape(F, N, H, W), k, k, windows).T
+                _shift_add(np.matmul(rk, d, out=windows), k, k, dh.reshape(F, N, H, W))
         if p.biases.requires_grad:
             p.biases._accumulate(gates.sum(axis=(0, 2)))
         if p.input_kernels.requires_grad:
@@ -276,13 +226,3 @@ def mean_conv(x: Tensor, branches: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
     biases = _centred_mean([bias for _, bias in branches])
     return conv2d(x, kernels, biases)
 
-
-def l2_penalty(tensors: Iterable[Tensor], lam: float) -> Tensor:
-    """lam times the summed squared elements of ``tensors``, as a scalar node."""
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError(f"l2_penalty: coefficient must be nonnegative, got {lam}")
-    ts = list(tensors)
-    if not ts:
-        return Tensor(np.zeros((), dtype=np.float32))
-    return scale(functools.reduce(add, [sum_squares(t) for t in ts]), lam)

@@ -151,45 +151,78 @@ def _records(parents: Sequence[Tensor]) -> bool:
 # primitive operations
 
 
-def _im2col(xp: Array, kh: int, kw: int) -> Array:
-    """One row per window position of a padded (..., Hp, Wp, C) array, holding
-    its kh x kw window in (i, j, c) order; leading axes fold into the rows."""
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(-3, -2))
-    return np.moveaxis(windows, -3, -1).reshape(-1, kh * kw * xp.shape[-1])
-
-
-def _col2im(cols: Array, xp_shape: tuple[int, ...], kh: int, kw: int) -> Array:
-    """Adjoint of ``_im2col``: add every window row back onto a zero array of
-    the padded input's shape."""
-    out_h, out_w = xp_shape[-3] - kh + 1, xp_shape[-2] - kw + 1
-    cols = cols.reshape(*xp_shape[:-3], out_h, out_w, kh, kw, xp_shape[-1])
-    out = np.zeros(xp_shape, dtype=cols.dtype)
+def _taps(kh: int, kw: int, H: int, W: int) -> Iterator[tuple[int, slice, slice]]:
+    """Each tap (i, j) of a same-padded kh x kw window over row-major H x W
+    maps, in row-major tap order. Window position p reads flat map position
+    p + offset, with offset = (i - kh//2) * W + (j - kw//2). Yields the
+    offset, the window positions whose read stays inside the flat map, and
+    the columns whose read wraps into a neighbouring row instead of the zero
+    padding."""
     for i in range(kh):
         for j in range(kw):
-            out[..., i : i + out_h, j : j + out_w, :] += cols[..., i, j, :]
+            dx = j - kw // 2
+            offset = (i - kh // 2) * W + dx
+            start = max(0, -offset)
+            inside = slice(start, max(start, min(H * W, H * W - offset)))
+            yield offset, inside, slice(0, -dx) if dx < 0 else slice(max(0, W - dx), W)
+
+
+def _windows(maps: Array, kh: int, kw: int, buffer: Array) -> Array:
+    """The window matrix of contiguous (C, ..., H, W) maps, written into the
+    leading kh*kw*C rows of ``buffer``, a contiguous 2-D array with one column
+    per position: row (tap, c) holds the tap's view of map c, zero where the
+    tap falls outside it."""
+    C, (H, W) = maps.shape[0], maps.shape[-2:]
+    out = buffer[: kh * kw * C]
+    source = maps.reshape(-1, H * W)
+    for tap, (offset, inside, wrapped) in enumerate(_taps(kh, kw, H, W)):
+        window = out[tap * C : (tap + 1) * C].reshape(-1, H * W)
+        window[:, inside] = source[:, inside.start + offset : inside.stop + offset]
+        window[:, : inside.start] = 0
+        window[:, inside.stop :] = 0
+        window.reshape(-1, H, W)[..., wrapped] = 0
     return out
 
 
-def _pad_hw(a: Array, ph: int, pw: int) -> Array:
-    """Zero-pad the height and width axes of a (..., H, W, C) array by ph and
-    pw on each side."""
-    if not (ph or pw):
-        return a
-    return np.pad(a, ((0, 0),) * (a.ndim - 3) + ((ph, ph), (pw, pw), (0, 0)))
+def _shift_add(planes: Array, kh: int, kw: int, out: Array) -> Array:
+    """Adjoint of ``_windows`` (a tap-major col2im): fill contiguous
+    (C, ..., H, W) ``out`` with the sum over taps, in tap order from zero, of
+    each tap's rows of the (kh*kw*C, positions) matrix ``planes`` moved back
+    onto the maps. Zeroes the wrapped columns of ``planes`` in place."""
+    C, (H, W) = out.shape[0], out.shape[-2:]
+    target = out.reshape(-1, H * W)
+    target[...] = 0
+    for tap, (offset, inside, wrapped) in enumerate(_taps(kh, kw, H, W)):
+        plane = planes[tap * C : (tap + 1) * C].reshape(-1, H * W)
+        plane.reshape(-1, H, W)[..., wrapped] = 0
+        target[:, inside.start + offset : inside.stop + offset] += plane[:, inside]
+    return out
+
+
+def _channel_major(rows: Array) -> Array:
+    """The contiguous (C, positions) transpose of a (positions, C) matrix,
+    copied 8192 elements at a time: numpy's one pass over a transposed
+    matrix larger than the cache rereads it once per channel."""
+    out = np.empty(rows.shape[::-1], rows.dtype)
+    step = max(1, 8192 // rows.shape[1])
+    for i in range(0, rows.shape[0], step):
+        out[:, i : i + step] = rows[i : i + step].T
+    return out
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Same-padding, stride-1 2-D convolution of an (..., H, W, C) input with
     a (kh, kw, C, F) kernel of odd extents, giving an (..., H, W, F) output.
 
-    Leading axes fold into the rows of one GEMM. The GEMM is lowered on the
-    narrower side, so no matrix is wider than kh*kw*min(C, F). When F >= C,
-    each output position's input window is one row (im2col) and the backward
-    pass adds the rows back (col2im). When F < C, one GEMM of the kernel by
-    the padded input gives every tap's contribution at every position, and
-    the output sums the kh*kw shifted tap planes. Its backward pass builds
-    one window matrix of the output gradient, padded by k-1 with its taps
-    reversed, and gets both gradients from it with one GEMM each.
+    Leading axes fold into the positions of one GEMM. Both lowerings use the
+    one window concept of the ConvLSTM scan: ``_windows`` of channel-major
+    (C, positions) maps and its adjoint ``_shift_add``. Each takes the
+    narrower side, so no window matrix has more than kh*kw*min(C, F) rows.
+    When F >= C, the output is kernel.T @ windows(x); the backward pass gets
+    the kernel gradient as windows(x) @ g and the input gradient by
+    shift-adding kernel @ g.T. When F < C, the output shift-adds the tap
+    planes of the tap-reversed kernel @ x.T; the backward pass builds
+    windows(g) once and gets both gradients from it with one GEMM each.
     """
     if x.ndim < 3:
         raise ShapeError(f"conv2d: input must have rank 3 or more (..., H, W, C), got rank {x.ndim}")
@@ -203,45 +236,47 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv2d: bias must have extent {F} along the filter axis, got shape {bias.shape}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d: same padding requires odd kernel extents, got {kh}x{kw}")
-    ph, pw = kh // 2, kw // 2
-    xp = _pad_hw(x.data, ph, pw)
-    Hp, Wp = xp.shape[-3:-1]
-    xmat = xp.reshape(-1, C)  # row (..., p, q)
+    kk = kh * kw
+    xmat = x.data.reshape(-1, C)  # one row per position
+    N, R = math.prod(lead), xmat.shape[0]
     output_side = F < C
     if output_side:
-        ktap = kernel.data.transpose(0, 1, 3, 2).reshape(kh * kw * F, C)  # row (i, j, f)
-        taps = (ktap @ xmat.T).reshape(kh, kw, F, -1, Hp, Wp)
-        out = np.empty(taps.shape[2:4] + (H, W), dtype=taps.dtype)
-        out[...] = bias.data[:, None, None, None]
-        for i in range(kh):
-            for j in range(kw):
-                out += taps[i, j, ..., i : i + H, j : j + W]
-        out = np.moveaxis(out, 0, -1).reshape(*lead, H, W, F)
+        # row (tap, f) holds the kernel at the reversed tap, so shift-adding
+        # its planes gives output position p tap (i, j) of input p + offset
+        krev = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kk * F, C)
+        planes = krev @ xmat.T
+        out = _shift_add(planes, kh, kw, np.empty((F, N, H, W), planes.dtype)).reshape(F, R)
     else:
-        kmat = kernel.data.reshape(kh * kw * C, F)
-        out = (_im2col(xp, kh, kw) @ kmat + bias.data).reshape(*lead, H, W, F)
+        xmaps = _channel_major(xmat).reshape(C, N, H, W)
+        kmat = kernel.data.reshape(kk * C, F)
+        out = kmat.T @ _windows(xmaps, kh, kw, np.empty((kk * C, R), xmaps.dtype))
+    out += bias.data[:, None]
+    out = out.T.reshape(*lead, H, W, F)
 
     def backward(g: Array) -> None:
         gmat = g.reshape(-1, F)
         if bias.requires_grad:
             bias._accumulate(gmat.sum(axis=0))
         if output_side and (kernel.requires_grad or x.requires_grad):
-            # row (i, j, f), column (..., p, q) holds g[..., p - i, q - j, f], zero outside
-            gp = _pad_hw(g.reshape(-1, H, W, F), kh - 1, kw - 1)
-            windows = np.lib.stride_tricks.sliding_window_view(gp, (kh, kw), axis=(1, 2))[..., ::-1, ::-1]
-            gcols = np.ascontiguousarray(windows.transpose(4, 5, 3, 0, 1, 2)).reshape(kh * kw * F, -1)
-        if kernel.requires_grad:
-            if output_side:
-                kernel._accumulate((gcols @ xmat).reshape(kh, kw, F, C).transpose(0, 1, 3, 2))
-            else:
-                # columns are rebuilt here instead of captured to keep graphs lean
-                kernel._accumulate((_im2col(xp, kh, kw).T @ gmat).reshape(kernel.shape))
-        if x.requires_grad:
-            if output_side:
-                gxp = (gcols.T @ ktap).reshape(xp.shape)
-            else:
-                gxp = _col2im(gmat @ kmat.T, xp.shape, kh, kw)
-            x._accumulate(gxp[..., ph : ph + H, pw : pw + W, :])
+            # row (tap, f), column p holds g[f, p + offset]
+            gmaps = _channel_major(gmat).reshape(F, N, H, W)
+            gwin = _windows(gmaps, kh, kw, np.empty((kk * F, R), gmaps.dtype))
+            if kernel.requires_grad:
+                # x channel-major, as in the scan: row-major x drifted 4x
+                # further from a float64 reference at 11 channels
+                dkrev = (gwin @ _channel_major(xmat).T).reshape(kh, kw, F, C)
+                kernel._accumulate(dkrev[::-1, ::-1].transpose(0, 1, 3, 2))
+            if x.requires_grad:
+                x._accumulate((gwin.T @ krev).reshape(x.shape))
+        elif kernel.requires_grad or x.requires_grad:
+            # windows are rebuilt here instead of captured to keep graphs
+            # lean; the input gradient's tap planes reuse their buffer
+            buffer = np.empty((kk * C, R), np.result_type(xmaps, kmat, gmat))
+            if kernel.requires_grad:
+                kernel._accumulate((_windows(xmaps, kh, kw, buffer) @ gmat).reshape(kernel.shape))
+            if x.requires_grad:
+                dx = _shift_add(np.matmul(kmat, gmat.T, out=buffer), kh, kw, np.empty_like(xmaps, buffer.dtype))
+                x._accumulate(np.moveaxis(dx, 0, -1).reshape(x.shape))
 
     return custom_op(out, (x, kernel, bias), backward)
 
@@ -393,21 +428,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
             x._accumulate(g.reshape(x.data.shape))
 
     return custom_op(out, (x,), backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape tensors (no broadcasting)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    out = a.data + b.data
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g)
-
-    return custom_op(out, (a, b), backward)
 
 
 def scale(x: Tensor, c: float) -> Tensor:

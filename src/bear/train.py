@@ -11,7 +11,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blocks import l2_penalty
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import BearConfig, forward, init_params
 from .serialize import Checkpoint, atomic_write
@@ -346,8 +345,9 @@ def fit(
             summed = accumulate_gradients([train_set[i] for i in batch], params, bcfg, loss_fn)
             if not math.isfinite(summed):
                 raise NumericError(f"non-finite training loss in epoch {epoch}")
-            if cfg.l2 > 0:
-                l2_penalty(recurrent, cfg.l2).backward()
+            if cfg.l2 > 0:  # the gradient of l2 * sum(w^2), added in place
+                for t in recurrent:
+                    t.grad += (2.0 * cfg.l2) * t.data
             optimizer.step(lr)
             running += summed
             seen += len(batch)

@@ -1,20 +1,13 @@
-"""ConvLSTM cell, channel-sequence scan, the folded mean of parallel convolutions, L2 penalty."""
+"""ConvLSTM cell, channel-sequence scan, the window matrices, the folded mean of parallel convolutions."""
 
 import numpy as np
 import pytest
 
 from conftest import naive_conv2d, reference_convlstm_step
 
-from bear.blocks import (
-    ConvLstmParams,
-    _shift_add,
-    _windows,
-    convlstm_over_channels,
-    l2_penalty,
-    mean_conv,
-)
+from bear.blocks import ConvLstmParams, convlstm_over_channels, mean_conv
 from bear.errors import ShapeError
-from bear.tensor import ParameterSet, Tensor, conv2d, grad_check, no_grad, sum_squares
+from bear.tensor import ParameterSet, Tensor, _shift_add, _windows, conv2d, grad_check, no_grad, sum_squares
 
 
 def _cell(rng, filters=2, extent=3, scale=0.4, dtype=np.float64):
@@ -218,32 +211,35 @@ class TestConvLstmOverChannels:
 
 
 class TestWindows:
-    """The scan's window matrix and its adjoint, the tap-major shift-add."""
+    """The window matrix shared by conv2d and the scan, and its adjoint, the
+    tap-major shift-add."""
 
-    @pytest.mark.parametrize("extent", [1, 3, 5, 7])
+    EXTENTS = [(1, 1), (3, 3), (5, 5), (7, 7), (3, 5), (5, 1)]
+    EXTENT_IDS = ["1", "3", "5", "7", "3x5", "5x1"]
+
+    @pytest.mark.parametrize("kh,kw", EXTENTS, ids=EXTENT_IDS)
     @pytest.mark.parametrize("H,W", [(7, 5), (1, 3), (2, 2)], ids=["7x5", "1x3", "2x2"])
-    def test_windows_match_zero_padded_slices(self, extent, H, W):
-        rng = np.random.default_rng(40 + extent)
+    def test_windows_match_zero_padded_slices(self, kh, kw, H, W):
+        rng = np.random.default_rng(40 + kh + 100 * abs(kw - kh))
         maps = rng.normal(size=(2, 3, H, W))  # (C, N, H, W)
-        s = extent // 2
-        padded = np.pad(maps, ((0, 0), (0, 0), (s, s), (s, s)))
-        buffer = np.full((extent * extent * 2 + 1, 3 * H * W), np.nan)
-        got = _windows(maps, extent, buffer)
-        assert got.shape == (extent * extent * 2, 3 * H * W)
-        for i in range(extent):
-            for j in range(extent):
-                tap = i * extent + j
+        padded = np.pad(maps, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+        buffer = np.full((kh * kw * 2 + 1, 3 * H * W), np.nan)
+        got = _windows(maps, kh, kw, buffer)
+        assert got.shape == (kh * kw * 2, 3 * H * W)
+        for i in range(kh):
+            for j in range(kw):
+                tap = i * kw + j
                 want = padded[:, :, i : i + H, j : j + W].reshape(2, -1)
                 assert np.array_equal(got[tap * 2 : tap * 2 + 2], want)
 
-    @pytest.mark.parametrize("extent", [1, 3, 5, 7])
+    @pytest.mark.parametrize("kh,kw", EXTENTS, ids=EXTENT_IDS)
     @pytest.mark.parametrize("H,W", [(7, 5), (1, 3), (2, 2)], ids=["7x5", "1x3", "2x2"])
-    def test_shift_add_is_the_adjoint_of_windows(self, extent, H, W):
-        rng = np.random.default_rng(50 + extent)
+    def test_shift_add_is_the_adjoint_of_windows(self, kh, kw, H, W):
+        rng = np.random.default_rng(50 + kh + 100 * abs(kw - kh))
         maps = rng.normal(size=(2, 3, H, W))
-        planes = rng.normal(size=(extent * extent * 2, 3 * H * W))
-        windows = _windows(maps, extent, np.empty_like(planes))
-        back = _shift_add(planes.copy(), extent, np.full_like(maps, np.nan))
+        planes = rng.normal(size=(kh * kw * 2, 3 * H * W))
+        windows = _windows(maps, kh, kw, np.empty_like(planes))
+        back = _shift_add(planes.copy(), kh, kw, np.full_like(maps, np.nan))
         assert np.vdot(windows, planes) == pytest.approx(np.vdot(maps, back), rel=1e-12)
 
 
@@ -307,30 +303,6 @@ class TestParallelConv:
         ]
         with pytest.raises(ShapeError, match="disagree"):
             mean_conv(Tensor(np.zeros((4, 4, 1))), branches)
-
-
-class TestL2Penalty:
-    def test_zero_coefficient(self):
-        w = Tensor(np.array([3.0, -1.0]), requires_grad=True)
-        assert l2_penalty([w], 0.0).item() == 0.0
-
-    def test_single_weight_value(self):
-        w = Tensor(np.array([2.0]), requires_grad=True)
-        assert l2_penalty([w], 0.5).item() == pytest.approx(2.0)
-
-    def test_gradient_is_two_lambda_w(self):
-        params = ParameterSet({"w": np.array([1.5, -0.5, 2.0], dtype=np.float64)})
-        lam = 0.3
-        err = grad_check(lambda p: l2_penalty([p["w"]], lam), params, h=1e-4).error
-        assert err < 1e-9
-        params.zero_grads()
-        loss = l2_penalty([params["w"]], lam)
-        loss.backward()
-        assert np.allclose(params["w"].grad, 2 * lam * params["w"].data)
-
-    def test_negative_coefficient_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            l2_penalty([Tensor(np.ones(1))], -1.0)
 
 
 def test_all_cell_parameters_receive_gradients():

@@ -19,7 +19,6 @@ from bear.serialize import read_bt1, write_bt1
 from bear.tensor import (
     ParameterSet,
     Tensor,
-    add,
     concat_channels,
     conv2d,
     custom_op,
@@ -28,12 +27,19 @@ from bear.tensor import (
     grad_check,
     no_grad,
     reshape,
-    scale,
     sigmoid,
     sum_squares,
     tanh,
     upsample_nearest,
 )
+
+# (H, W, kernel extent, C, F) of maps narrower than the kernel, for both lowerings
+SMALL_MAP_CONVS = {
+    f"{'output' if f < c else 'input'}_side_{e}x{e}_on_{h}x{w}": (h, w, e, c, f)
+    for c, f in ((2, 3), (4, 2))
+    for e in (5, 7)
+    for h, w in ((2, 2), (1, 3))
+}
 
 
 class TestConv2d:
@@ -53,19 +59,22 @@ class TestConv2d:
         assert out.data.reshape(()) == pytest.approx(7.0)
 
     @pytest.mark.parametrize(
-        "size,extent,channels,filters,lead",
-        [(5, 3, 2, 3, ()), (7, 3, 4, 2, ()), (7, 5, 4, 2, ()), (5, 3, 2, 3, (2, 1)), (7, 5, 4, 2, (2, 1))],
-        ids=["input_side", "output_side_3x3", "output_side_5x5", "input_side-batch2x1", "output_side_5x5-batch2x1"],
+        "hw,extent,channels,filters,lead",
+        [((5, 5), 3, 2, 3, ()), ((7, 7), 3, 4, 2, ()), ((7, 7), 5, 4, 2, ()), ((5, 5), 3, 2, 3, (2, 1)),
+         ((7, 7), 5, 4, 2, (2, 1))]
+        + [((h, w), e, c, f, lead) for h, w, e, c, f in SMALL_MAP_CONVS.values() for lead in ((), (2, 1))],
+        ids=["input_side", "output_side_3x3", "output_side_5x5", "input_side-batch2x1", "output_side_5x5-batch2x1"]
+        + [name + suffix for name in SMALL_MAP_CONVS for suffix in ("", "-batch2x1")],
     )
-    def test_matches_loop_oracle(self, size, extent, channels, filters, lead):
+    def test_matches_loop_oracle(self, hw, extent, channels, filters, lead):
         # fewer filters than channels takes the output-side lowering; every
         # leading index is convolved on its own
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(*lead, size, size, channels))
+        x = rng.normal(size=(*lead, *hw, channels))
         k = rng.normal(size=(extent, extent, channels, filters))
         b = rng.normal(size=filters)
         got = conv2d(Tensor(x), Tensor(k), Tensor(b))
-        assert got.shape == (*lead, size, size, filters)
+        assert got.shape == (*lead, *hw, filters)
         for index in np.ndindex(*lead):
             assert np.abs(got.data[index] - naive_conv2d(x[index], k, b)).max() < 1e-6
 
@@ -277,11 +286,11 @@ class TestBackward:
             Tensor(np.zeros(3), requires_grad=True).backward()
 
     def test_fanout_matches_doubled_single_branch(self):
-        x1 = Tensor(np.array([1.5, -0.5, 2.0]), requires_grad=True)
-        sum_squares(add(x1, x1)).backward()
-        x2 = Tensor(np.array([1.5, -0.5, 2.0]), requires_grad=True)
-        sum_squares(scale(x2, 2.0)).backward()
-        assert np.allclose(x1.grad, x2.grad)
+        x1 = Tensor(np.array([1.5, -0.5, 2.0]).reshape(1, 1, 3), requires_grad=True)
+        sum_squares(concat_channels(x1, x1)).backward()
+        x2 = Tensor(np.array([1.5, -0.5, 2.0]).reshape(1, 1, 3), requires_grad=True)
+        sum_squares(x2).backward()
+        assert np.allclose(x1.grad, 2.0 * x2.grad)
 
     def test_reshape_roundtrip_gradient(self):
         x = Tensor(np.full((2, 3), 0.5), requires_grad=True)
@@ -293,9 +302,9 @@ class TestBackward:
             reshape(Tensor(np.zeros(6)), (4,))
 
     def test_no_grad_records_nothing(self):
-        w = Tensor(np.ones(3), requires_grad=True)
+        w = Tensor(np.ones((1, 1, 3)), requires_grad=True)
         with no_grad():
-            out = sum_squares(add(w, w))
+            out = sum_squares(concat_channels(w, w))
         assert out._parents == ()
         assert not out.requires_grad
 
@@ -328,7 +337,7 @@ class TestGradCheck:
 
     CORE_OPS = [
         "conv_same", "conv_narrow", "dense", "sigmoid", "tanh",
-        "downsample", "upsample", "concat", "reshape_dense",
+        "downsample", "upsample", "concat", "reshape_dense", *SMALL_MAP_CONVS,
     ]
 
     @pytest.mark.parametrize(
@@ -349,6 +358,12 @@ class TestGradCheck:
             values["x"] = rng.normal(size=(*lead, 6, 5, 4))
             values["k"] = rng.normal(size=(3, 5, 4, 2))
             values["b"] = rng.normal(size=2)
+            fn = lambda p: sum_squares(conv2d(p["x"], p["k"], p["b"]))
+        elif name in SMALL_MAP_CONVS:
+            h, w, e, c, f = SMALL_MAP_CONVS[name]
+            values["x"] = rng.normal(size=(*lead, h, w, c))
+            values["k"] = rng.normal(size=(e, e, c, f))
+            values["b"] = rng.normal(size=f)
             fn = lambda p: sum_squares(conv2d(p["x"], p["k"], p["b"]))
         elif name == "dense":
             values["x"] = rng.normal(size=(*lead, 5))
@@ -414,8 +429,8 @@ class TestParameterSet:
         assert np.array_equal(params.data, [0, 1, 2, 3, 4, 5, 7, 7, 7, 7])
 
     def test_zero_grads_clears_every_view(self):
-        params = ParameterSet({"a": np.ones(3), "b": np.ones((2, 2))})
-        sum_squares(add(params["a"], params["a"])).backward()
+        params = ParameterSet({"a": np.ones((1, 1, 3)), "b": np.ones((2, 2))})
+        sum_squares(concat_channels(params["a"], params["a"])).backward()
         sum_squares(params["b"]).backward()
         assert params["a"].grad.all() and params["b"].grad.all()
         params.zero_grads()

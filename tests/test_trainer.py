@@ -54,6 +54,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(val_fraction=1.0)
 
+    def test_negative_l2_rejected(self):
+        with pytest.raises(ConfigError, match="l2"):
+            TrainConfig(l2=-1)
+
 
 class TestBceLoss:
     def test_perfect_binary_reconstruction_is_near_zero(self):
@@ -428,6 +432,41 @@ class TestFit:
         images[3] = np.zeros((8, 8, 3), dtype=np.float32)
         with pytest.raises(ShapeError, match="image 3"):
             fit(images, tcfg, bcfg)
+
+
+class _FirstStep(Exception):
+    """Raised by the spy on Adam.step to end fit at its first update."""
+
+
+class TestL2Gradient:
+    @pytest.mark.parametrize("lam", [1e-4, 0.3, 1e-7, 3.3e-5])
+    def test_first_step_sees_the_penalty_gradient_bit_for_bit(self, monkeypatch, lam):
+        # fit adds 2 * l2 * w into each recurrent kernel's gradient in place;
+        # the arena gradient at the first step must hold the bits that the
+        # penalty's tape node, l2 * sum(w^2), adds onto the loss gradient
+        def first_step_gradient(l2):
+            seen = []
+
+            def spy(self, lr):
+                seen.append(self.params.grad.copy())
+                raise _FirstStep
+
+            monkeypatch.setattr(Adam, "step", spy)
+            images, tcfg, bcfg = _desk_setup(max_epochs=1, l2=l2)
+            with pytest.raises(_FirstStep):
+                fit(images, tcfg, bcfg)
+            return seen[0], bcfg
+
+        penalized, bcfg = first_step_gradient(lam)
+        loss_only, _ = first_step_gradient(0.0)
+        params = init_params(bcfg)
+        params.grad[...] = loss_only
+        recurrent = [name for name in params.names() if name.endswith("recurrent-kernels")]
+        assert recurrent
+        for name in recurrent:
+            bear.tensor.scale(bear.tensor.sum_squares(params[name]), lam).backward()
+        assert not np.array_equal(penalized, loss_only)
+        assert penalized.tobytes() == params.grad.tobytes()
 
 
 # forward_chunk is 4 at n=64, so a batch of 8 runs as two micro-batches
