@@ -27,6 +27,10 @@ _ASSIGN_BLOCK = 128
 
 _EPS = float(np.finfo(np.float64).eps)
 
+# Bytes per block of the plain embeddings reader, which extends each block to
+# the end of its last line: bounds its token list, whatever the file's size.
+_READ_BLOCK = 1 << 20
+
 
 @dataclass
 class EmbeddingSet:
@@ -82,23 +86,28 @@ class ElbowCurve:
 
 def _screen_bound(x_norm, y_norm, m: int):
     """A bound B on |screen − exact| for the squared distance of rows x and y
-    of norms ``x_norm`` and ``y_norm`` in m dimensions. The screen is
-    fl(fl(‖x‖² − 2·fl(x·y)) + ‖y‖²) from a GEMM or GEMV; the exact value is
-    fl(Σ fl((x_j − y_j)²)), the formula every label and seed is defined by.
+    in m dimensions. The screen is fl(fl(‖x̃‖² − 2·fl(x̃·ỹ)) + ‖ỹ‖²) from a
+    GEMM or GEMV on the translated rows x̃ = fl(x − r) and ỹ = fl(y − r), for
+    any one reference point r, whose norms are ``x_norm`` and ``y_norm``; the
+    exact value is fl(Σ fl((x_j − y_j)²)) on the rows themselves, the
+    formula every label and seed is defined by.
 
     With u = ε/2 and γ_n = nu/(1 − nu), a dot product of length m has an
     error of at most γ_m·Σ|terms|, whatever the BLAS's summation order or
-    FMA use. So ‖x‖², x·y and ‖y‖² are off by at most γ_m times ‖x‖²,
-    ‖x‖‖y‖ (Cauchy–Schwarz) and ‖y‖², and the two additions add u each
-    times a result below (‖x‖ + ‖y‖)². The exact value's m differences and
-    squares add 3u per term and its sum of m nonnegative terms γ_(m−1).
-    Both are bounded by multiples of (‖x‖ + ‖y‖)², which is at least the
-    true distance ‖x − y‖², and together they give
-    |screen − exact| ≤ (m + 2)·ε·(‖x‖ + ‖y‖)² to first order. B is four
-    times that with m + 8 for m + 2, which covers the second-order terms
+    FMA use. So ‖x̃‖², x̃·ỹ and ‖ỹ‖² are off by at most γ_m times ‖x̃‖²,
+    ‖x̃‖‖ỹ‖ (Cauchy–Schwarz) and ‖ỹ‖², and the two additions add u each
+    times a result below (‖x̃‖ + ‖ỹ‖)². The translation rounds each
+    coordinate by u, which moves x̃ − ỹ from x − y by at most
+    u·(‖x̃‖ + ‖ỹ‖) and its squared norm by at most 2u·(‖x̃‖ + ‖ỹ‖)². The
+    exact value's m differences and squares add 3u per term and its sum of
+    m nonnegative terms γ_(m−1), times ‖x − y‖² ≤ (‖x̃‖ + ‖ỹ‖)². Together
+    |screen − exact| ≤ (m + 3)·ε·(‖x̃‖ + ‖ỹ‖)² to first order. B is four
+    times that with m + 9 for m + 3, which covers the second-order terms
     and the rounding of the norms, of B and of the comparisons made with it.
+    A reference point near the rows keeps B small when their offset from
+    the origin dwarfs their spread.
     """
-    return 4.0 * (m + 8) * _EPS * (x_norm + y_norm) ** 2
+    return 4.0 * (m + 9) * _EPS * (x_norm + y_norm) ** 2
 
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray, rows=None, cols=None) -> np.ndarray:
@@ -124,30 +133,36 @@ def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of each row's nearest centroid by ``((x - c) ** 2).sum()``, the
     lowest on ties.
 
-    A GEMM screen ‖x‖² − 2·x·c + ‖c‖², one block of rows at a time, is within
-    B of that exact value (see _screen_bound). If the exact nearest centroid
-    a is not the screen's nearest b, then screen(a) ≤ exact(a) + B ≤
-    exact(b) + B ≤ screen(b) + 2B. So only the centroids within 2B of a
-    row's screened minimum are candidates: a row with one candidate is
-    settled, and the others compare their candidates with the exact formula.
-    The labels therefore do not depend on the BLAS or the block size.
+    A GEMM screen ‖x̃‖² − 2·x̃·c̃ + ‖c̃‖² on the rows and centroids translated
+    by the centroids' mean, one block of rows at a time, is within B of
+    that exact value (see _screen_bound). If the exact nearest centroid a is
+    not the screen's nearest b, then screen(a) ≤ exact(a) + B ≤ exact(b) + B
+    ≤ screen(b) + 2B. So only the centroids within 2B of a row's screened
+    minimum are candidates: a row with one candidate is settled, and the
+    others compare their candidates on the original rows with the exact
+    formula. The labels therefore do not depend on the BLAS, the block size
+    or the reference point.
     """
     n, m = X.shape
     k = centroids.shape[0]
-    x_sq = np.einsum("ij,ij->i", X, X)
-    c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    slack = 2.0 * _screen_bound(np.sqrt(x_sq), np.sqrt(c_sq.max()), m)
+    ref = centroids.mean(axis=0)
+    shifted = centroids - ref
+    c_sq = np.einsum("ij,ij->i", shifted, shifted)
+    c_norm = np.sqrt(c_sq.max())
     labels = np.empty(n, dtype=np.intp)
+    translated = np.empty((min(n, _ASSIGN_BLOCK), m))
     screen = np.empty((min(n, _ASSIGN_BLOCK), k))
     for start in range(0, n, _ASSIGN_BLOCK):
         stop = min(start + _ASSIGN_BLOCK, n)
-        s = screen[: stop - start]
-        np.matmul(X[start:stop], centroids.T, out=s)
+        x = np.subtract(X[start:stop], ref, out=translated[: stop - start])
+        x_sq = np.einsum("ij,ij->i", x, x)
+        s = np.matmul(x, shifted.T, out=screen[: stop - start])
         s *= -2.0
-        s += x_sq[start:stop, None]
+        s += x_sq[:, None]
         s += c_sq
+        slack = 2.0 * _screen_bound(np.sqrt(x_sq), c_norm, m)
         # a negated > keeps every centroid of a row whose screen overflowed to NaN
-        near = ~(s > (s.min(axis=1) + slack[start:stop])[:, None])
+        near = ~(s > (s.min(axis=1) + slack)[:, None])
         labels[start:stop] = near.argmax(axis=1)
         counts = near.sum(axis=1)
         tied = np.flatnonzero(counts > 1)
@@ -169,27 +184,50 @@ def _canonical_order(X: np.ndarray) -> np.ndarray:
     """Row indices sorted by point value. k-means runs on the rows in this
     order, so every seeding decision and every sum depends on the multiset of
     points rather than their storage order. This is what makes a fixed seed
-    produce row-permutation-equivariant results."""
-    return np.lexsort(X.T[::-1])
+    produce row-permutation-equivariant results.
+
+    The order is np.lexsort(X.T[::-1]): by column 0, ties by column 1 and so
+    on, then by row index. It is built one column at a time, and each column
+    re-sorts only the rows still tied on the columns before it, so rows
+    that differ early cost one pass."""
+    n, m = X.shape
+    order = np.arange(n)
+    tied = np.arange(n)  # positions in `order` whose rows equal a neighbour's so far
+    run = np.zeros(n, dtype=np.intp)  # which run of equal rows each tied position is in
+    for j in range(m):
+        if tied.size == 0:
+            break
+        # stable, and -0.0 == 0.0, as in lexsort: positions stay inside their run
+        values = X[order[tied], j]
+        resort = np.lexsort((values, run))
+        order[tied] = order[tied[resort]]
+        values, run = values[resort], run[resort]
+        starts = np.ones(tied.size, dtype=bool)
+        starts[1:] = (run[1:] != run[:-1]) | (values[1:] != values[:-1])
+        alone = starts & np.append(starts[1:], True)
+        tied, run = tied[~alone], np.cumsum(starts)[~alone]
+    return order
 
 
 def _kmeanspp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Row indices of k k-means++ seeds drawn from X.
 
     Each seed lowers d2, every row's squared distance to its nearest seed. A
-    GEMV screens the new seed's distances; a row whose screened distance
-    minus B (see _screen_bound) is above its d2 cannot come closer, so only
-    the other rows are recomputed with the exact formula. d2, and with it
-    every draw, keeps the bits of an exact pass over all rows.
+    GEMV on the rows translated by their mean screens the new seed's
+    distances; a row whose screened distance minus B (see _screen_bound) is
+    above its d2 cannot come closer, so only the other rows are recomputed
+    with the exact formula on the original rows. d2, and with it every
+    draw, keeps the bits of an exact pass over all rows.
     """
     n, m = X.shape
-    x_sq = np.einsum("ij,ij->i", X, X)
+    shifted = X - X.mean(axis=0)
+    x_sq = np.einsum("ij,ij->i", shifted, shifted)
     x_norm = np.sqrt(x_sq)
     d2 = np.full(n, np.inf)
     chosen = [int(rng.integers(n))]
     while len(chosen) < k:
         pick = chosen[-1]
-        screen = x_sq - 2.0 * (X @ X[pick]) + x_sq[pick]
+        screen = x_sq - 2.0 * (shifted @ shifted[pick]) + x_sq[pick]
         rows = np.flatnonzero(~(screen - _screen_bound(x_norm, x_norm[pick], m) > d2))
         d2[rows] = np.minimum(d2[rows], _sq_dists(X, X[pick], rows))
         total = float(d2.sum())
@@ -438,14 +476,93 @@ def write_embeddings(path: str | Path, e: EmbeddingSet) -> None:
 
 
 def read_embeddings(path: str | Path) -> EmbeddingSet:
+    """The rows and ids of an embeddings CSV written by write_embeddings.
+
+    A plain file is read in blocks of lines and its values converted in bulk
+    (see _read_plain_embeddings). Every other file is parsed from its start by
+    the csv module (_read_embeddings), so both accept the same files, with
+    the same values, and report the same errors."""
     path = Path(path)
     try:
-        return _read_embeddings(path)
+        plain = _read_plain_embeddings(path)
+        return plain if plain is not None else _read_embeddings(path)
     except UnicodeDecodeError:
         raise FormatError(f"{path}: embeddings file is not UTF-8 text") from None
 
 
+def _read_plain_embeddings(path: Path) -> EmbeddingSet | None:
+    """A plain embeddings file read a block of lines at a time into one matrix,
+    or None when the file is not plain: the header is not exactly
+    ``id,z0,...`` with a line feed, the file has no rows, or a block is not
+    plain (see _parse_lines). A block's tokens are dropped once its values
+    are in the matrix, so memory holds one block beside the matrix."""
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        width = header.count(b",")
+        if width < 1 or header != ("id," + ",".join(f"z{i}" for i in range(width)) + "\n").encode():
+            return None
+        count = _count_lines(fh)
+        if count == 0:
+            return None
+        fh.seek(len(header))
+        rows = np.empty((count, width))
+        ids: list[str] = []
+        while block := fh.read(_READ_BLOCK):
+            parsed = _parse_lines(block + fh.readline(), width)
+            # a file that grew since it was counted is left to the general parser
+            if parsed is None or len(ids) + len(parsed[0]) > count:
+                return None
+            rows[len(ids) : len(ids) + len(parsed[0])] = parsed[1]
+            ids += parsed[0]
+    if len(ids) != count:
+        return None
+    return EmbeddingSet(rows=rows, ids=ids)
+
+
+def _count_lines(fh) -> int:
+    """Lines from the position of the binary file ``fh`` to its end, a last line
+    without a line feed included."""
+    lines, last = 0, b"\n"
+    while chunk := fh.read(_READ_BLOCK):
+        # numpy's compare and count takes about half the time of bytes.count
+        lines += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n")))
+        last = chunk[-1:]
+    return lines + (last != b"\n")
+
+
+def _parse_lines(block: bytes, width: int) -> tuple[list[str], np.ndarray] | None:
+    """The ids and the (lines, width) values of a block of whole lines, or None
+    unless the csv module would split each of its lines at every comma and
+    accept it: the block has no quote, carriage return or NUL and is UTF-8,
+    every line has width + 1 fields of at most csv.field_size_limit()
+    characters, and float() accepts every value. np.array converts each str
+    with float()'s own parser, so the values have its bits."""
+    if b'"' in block or b"\r" in block or b"\0" in block:
+        return None
+    try:
+        lines = block.decode("utf-8").removesuffix("\n").split("\n")
+    except UnicodeDecodeError:
+        return None
+    limit = csv.field_size_limit()
+    ids: list[str] = []
+    cells: list[str] = []
+    for line in lines:
+        fields = line.split(",")
+        if len(fields) != width + 1 or (len(line) > limit and max(map(len, fields)) > limit):
+            return None
+        ids.append(fields[0])
+        cells += fields
+    del cells[:: width + 1]
+    try:
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:
+        return None
+    return ids, values.reshape(len(ids), width)
+
+
 def _read_embeddings(path: Path) -> EmbeddingSet:
+    """The general parser: any file the csv module reads, with the line number
+    of the first malformed record."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -307,11 +307,20 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
             if weights.grad is None:
                 weights.grad = np.zeros_like(weights.data)
             # row blocks of x.T @ g, leading axes folded into rows, added in
-            # place: no full-size temporary. One row gives exact outer products.
+            # place: no full-size temporary. One row gives exact outer
+            # products, which np.multiply forms in one reused block with the
+            # bits of the K=1 GEMM and a fraction of its call cost.
             xmat = x.data.reshape(-1, x.shape[-1])
             rows = max(1, CHUNK // gmat.shape[1])
+            outer = None
+            if xmat.shape[0] == 1:
+                outer = np.empty((min(rows, xmat.shape[1]), gmat.shape[1]), dtype=np.result_type(xmat, gmat))
             for i in range(0, xmat.shape[1], rows):
-                weights.grad[i : i + rows] += xmat[:, i : i + rows].T @ gmat
+                if outer is None:
+                    weights.grad[i : i + rows] += xmat[:, i : i + rows].T @ gmat
+                else:
+                    x_i = xmat[0, i : i + rows, None]
+                    weights.grad[i : i + rows] += np.multiply(x_i, gmat[0], out=outer[: len(x_i)])
         if x.requires_grad:
             x._accumulate((g[..., None, :] @ weights.data.T)[..., 0, :])
 

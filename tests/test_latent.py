@@ -1,5 +1,7 @@
 """k-means, elbow selection, principal projection, and the CSVs (with their row norms)."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import exhaustive_kmeans_inertia
 
+from bear import cli, latent
 from bear.errors import DataError, FormatError
 from bear.latent import (
     DEFAULT_ELBOW_RANGE,
@@ -27,7 +30,7 @@ from bear.latent import (
     write_embeddings,
     write_projection,
 )
-from bear.latent import _ASSIGN_BLOCK, _assign, _canonical_order, _kmeanspp
+from bear.latent import _ASSIGN_BLOCK, _assign, _canonical_order, _kmeanspp, _parse_lines, _read_plain_embeddings
 
 
 def _embeddings(rows, prefix="row"):
@@ -176,6 +179,35 @@ class TestKMeans:
         for k in (1, 2, 9):
             got = _kmeanspp(X, k, np.random.default_rng(k))
             assert got.tolist() == _unscreened_kmeanspp(X, k, np.random.default_rng(k)), k
+
+    @pytest.mark.parametrize("case", ["offset-1e3", "offset-1e6"])
+    def test_screen_stays_sharp_when_the_offset_dwarfs_the_spread(self, case, monkeypatch):
+        # screened on the rows themselves, every row of these cases kept all 9
+        # centroids as candidates and every seed rechecked every row
+        X, centroids = _screen_case(case)
+        rechecked = []
+        exact = latent._sq_dists
+        monkeypatch.setattr(
+            latent, "_sq_dists", lambda X, Y, rows=None, cols=None: rechecked.append(len(rows)) or exact(X, Y, rows, cols)
+        )
+        _assign(X, centroids)
+        assert sum(rechecked) <= len(X) // 10
+        rechecked.clear()
+        _kmeanspp(X[_canonical_order(X)], 9, np.random.default_rng(9))
+        # the first seed rechecks every row against d2 = inf
+        assert sum(rechecked) <= 3 * len(X)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda m: st.lists(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0]), min_size=m, max_size=m), max_size=40)
+            .map(lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), m))
+        )
+    )
+    def test_refined_order_is_the_lexsort_order(self, X):
+        # few distinct values make long runs of rows tied on their first
+        # columns, and -0.0 ties with 0.0 as it does in lexsort
+        assert np.array_equal(_canonical_order(X), np.lexsort(X.T[::-1]))
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 2**16))
@@ -412,3 +444,109 @@ class TestCsvInterchange:
             write_clusters(path, ["a", "b"], np.array([1.0, np.nan]))
         assert path.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["clusters.csv"]
+
+
+# Embeddings files at the edges of the CSV format: (name, bytes, whether the
+# plain reader takes the file itself rather than handing it to the csv parser).
+_HEADER = b"id,z0,z1\n"
+_LIMIT = csv.field_size_limit()
+READER_EDGES = [
+    ("plain", _HEADER + b"r0,1.5,-2\nr1,0.25,3e-5\n", True),
+    ("blank line", _HEADER + b"r0,1,2\n\nr1,3,4\n", False),
+    ("trailing blank line", _HEADER + b"r0,1,2\n\n", False),
+    ("underscore digits", _HEADER + b"r0,1_0,2\n", True),
+    ("spaces around a value", _HEADER + b"r0, 1.5 ,2\n", True),
+    ("nan(1)", _HEADER + b"r0,nan(1),2\n", False),
+    ("inf", _HEADER + b"r0,inf,2\n", True),
+    ("non-ASCII digits", _HEADER + "r0,\u0661\u0662,\uff12\n".encode(), True),
+    ("quoted id", _HEADER + b'"r0",1,2\n', False),
+    ("quoted id with a comma", _HEADER + b'"r,0",1,2\n', False),
+    ("quoted value", _HEADER + b'r0,"1.5",2\n', False),
+    ("CRLF", b"id,z0,z1\r\nr0,1,2\r\nr1,3,4\r\n", False),
+    ("CRLF after the header", _HEADER + b"r0,1,2\r\n", False),
+    ("non-UTF-8 bytes after a malformed line", _HEADER + b"r0,1\n\xff,1,2\n", False),
+    ("non-UTF-8 bytes far after a malformed line", _HEADER + b"r0,1\n" + b"r1,1,2\n" * 20000 + b"r\xff,1,2\n", False),
+    ("non-UTF-8 id", _HEADER + b"r0,1,2\nr\xff,1,2\n", False),
+    ("missing final newline", _HEADER + b"r0,1,2\nr1,3,4", True),
+    ("NUL in an id", _HEADER + b"r\x000,1,2\n", False),
+    ("NUL in a value", _HEADER + b"r0,1\x00,2\n", False),
+    ("header only", _HEADER, False),
+    ("header without a line feed", b"id,z0,z1", False),
+    ("empty file", b"", False),
+    ("another header", b"id,a,b\nr0,1,2\n", False),
+    ("byte-order mark", b"\xef\xbb\xbf" + _HEADER + b"r0,1,2\n", False),
+    ("too many fields", _HEADER + b"r0,1,2\nr1,1,2,3\n", False),
+    ("too few fields", _HEADER + b"r0,1,2\nr1,1\n", False),
+    ("non-numeric value", _HEADER + b"r0,1,2\nr1,oops,2\n", False),
+    ("field at the csv field limit", _HEADER + b"r" * _LIMIT + b",1,2\n", True),
+    ("field over the csv field limit", _HEADER + b"r" * (_LIMIT + 1) + b",1,2\n", False),
+]
+
+
+def _outcome(call):
+    """What ``call()`` gives: its result, or the type and message of its error."""
+    try:
+        return call()
+    except Exception as exc:  # the table compares every failure, whatever its type
+        return type(exc), str(exc)
+
+
+def _embedding_bits(e):
+    return e.ids, e.rows.shape, e.rows.tobytes()
+
+
+class TestPlainReader:
+    @pytest.mark.parametrize("block", [latent._READ_BLOCK, 5])
+    @pytest.mark.parametrize("name,content,plain", READER_EDGES, ids=[edge[0] for edge in READER_EDGES])
+    def test_edge_files_read_as_the_csv_parser_reads_them(self, name, content, plain, block, tmp_path, monkeypatch, capsys):
+        # a 5-byte block ends at every line, so blocks of one line meet the checks
+        monkeypatch.setattr(latent, "_READ_BLOCK", block)
+        path = tmp_path / "emb.csv"
+        path.write_bytes(content)
+        taken = _outcome(lambda: _read_plain_embeddings(path))
+        assert (taken is not None) == plain
+        fast = _outcome(lambda: _embedding_bits(read_embeddings(path)))
+        argv = ["project", "--embeddings", str(path), "--out", str(tmp_path / "proj.csv")]
+        fast_cli = _outcome(lambda: (cli.main(argv), capsys.readouterr().err))
+        monkeypatch.setattr(latent, "_read_plain_embeddings", lambda path: None)
+        assert _outcome(lambda: _embedding_bits(read_embeddings(path))) == fast
+        assert _outcome(lambda: (cli.main(argv), capsys.readouterr().err)) == fast_cli
+        if isinstance(fast[0], type) and issubclass(fast[0], (FormatError, DataError)):
+            assert fast_cli[0] == 2
+
+    def test_plain_file_over_many_blocks(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(15)
+        e = _embeddings(rng.normal(size=(300, 7)) * 10.0 ** rng.integers(-300, 300, size=(300, 7)))
+        path = tmp_path / "emb.csv"
+        write_embeddings(path, e)
+        monkeypatch.setattr(latent, "_READ_BLOCK", 1000)
+        back = _read_plain_embeddings(path)
+        assert back.ids == e.ids
+        assert back.rows.tobytes() == e.rows.tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats().map(repr),
+                st.text(alphabet="0123456789_.eE+-naifty() \t\x0b\x0c\x1c\xa0\u2003\u0661\uff12", max_size=10),
+                st.text(
+                    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters=',\n"\r\x00'),
+                    max_size=6,
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_bulk_conversion_is_float_bit_for_bit(self, tokens):
+        # the values of one line; float() is the csv parser's conversion
+        parsed = _parse_lines(("r," + ",".join(tokens) + "\n").encode(), len(tokens))
+        try:
+            want = np.array([float(token) for token in tokens])
+        except ValueError:
+            assert parsed is None
+            return
+        assert parsed is not None
+        assert parsed[0] == ["r"]
+        assert parsed[1].tobytes() == want.tobytes()

@@ -1,5 +1,6 @@
-"""Peak memory of full-scale training set-up and encoding, measured in a
-child process so that nothing else in the test run counts towards it."""
+"""Peak memory of full-scale training set-up, encoding and reading
+embeddings, measured in a child process so that nothing else in the test run
+counts towards it."""
 
 import math
 import os
@@ -7,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bear.latent import EmbeddingSet, write_embeddings
 from bear.model import BearConfig, parameter_shapes
 from bear.ppm import unit_to_image, write_ppm
 from bear.synth import synthetic_images
@@ -21,21 +24,49 @@ from bear.synth import synthetic_images
 # when writing) took the same calls to 103 MiB.
 HEADROOM_MB = 64
 
+# Allowed rise of the peak resident set while reading a 5000 x 256 embeddings
+# CSV, on top of the float64 matrix it returns (9.8 MiB). The plain reader,
+# which holds one block of lines beside the matrix, rose by 20.3 MiB in all
+# on Linux; parsing the whole file into a list of float lists rose by 61.0.
+READ_HEADROOM_MB = 16
+
 # The peak is read as VmHWM, the high-water mark of the child's own address
 # space. Its ru_maxrss would be the same figure, except that Linux carries the
 # peak of the process that started it (here, the whole test run) across exec.
-CHILD = """
-import bear.cli
-
+PEAK_KIB = """
 def peak_kib():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+"""
+
+CHILD = """
+import bear.cli
+""" + PEAK_KIB + """
 
 start = peak_kib()
 assert bear.cli.main(["train", "--data", "data", "--config", "zero.cfg", "--out", "model.bc1"]) == 0
 assert bear.cli.main(["encode", "--ckpt", "model.bc1", "--data", "data", "--out", "emb.csv"]) == 0
 print(start, peak_kib())
 """
+
+READ_CHILD = """
+import bear.latent
+""" + PEAK_KIB + """
+start = peak_kib()
+bear.latent.read_embeddings("emb.csv")
+print(start, peak_kib())
+"""
+
+# one BLAS thread, so the measure does not depend on the core count
+ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def peak_rise_mb(child: str, cwd: Path) -> float:
+    """How far the child's peak resident set rose over its own start, in MiB."""
+    proc = subprocess.run([sys.executable, "-c", child], cwd=cwd, env=ENV, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    start, peak = map(int, proc.stdout.split()[-2:])
+    return (peak - start) / 1024
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux's /proc/self/status")
@@ -45,13 +76,17 @@ def test_full_scale_train_and_encode_peak_stays_within_the_arena_plus_headroom(t
     for i, image in enumerate(synthetic_images(2, cfg.n, seed=0)):
         write_ppm(tmp_path / "data" / f"img{i}.ppm", unit_to_image(image))
     (tmp_path / "zero.cfg").write_text(f"n={cfg.n}\nm={cfg.m}\nmax_epochs=0\n")
-    # one BLAS thread, so the measure does not depend on the core count
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD], cwd=tmp_path, env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    start, peak = map(int, proc.stdout.split()[-2:])
-    rise_mb = (peak - start) / 1024
+    rise_mb = peak_rise_mb(CHILD, tmp_path)
     arena_mb = 4 * sum(math.prod(shape) for shape in parameter_shapes(cfg).values()) / 2**20
     assert rise_mb <= arena_mb + HEADROOM_MB, f"peak rose {rise_mb:.1f} MiB for a {arena_mb:.1f} MiB arena"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux's /proc/self/status")
+def test_reading_embeddings_peak_stays_within_the_matrix_plus_headroom(tmp_path):
+    rng = np.random.default_rng(0)
+    # float32 latent values, as encode writes them
+    rows = rng.standard_normal((5000, 256)).astype(np.float32).astype(np.float64)
+    write_embeddings(tmp_path / "emb.csv", EmbeddingSet(rows=rows, ids=[f"row{i:05d}" for i in range(5000)]))
+    rise_mb = peak_rise_mb(READ_CHILD, tmp_path)
+    matrix_mb = rows.nbytes / 2**20
+    assert rise_mb <= matrix_mb + READ_HEADROOM_MB, f"peak rose {rise_mb:.1f} MiB for a {matrix_mb:.1f} MiB matrix"

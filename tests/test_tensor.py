@@ -17,6 +17,7 @@ from bear.errors import FormatError, ShapeError
 from bear.model import init_params
 from bear.serialize import read_bt1, write_bt1
 from bear.tensor import (
+    CHUNK,
     ParameterSet,
     Tensor,
     concat_channels,
@@ -135,6 +136,23 @@ class TestDense:
         out = dense(Tensor(x), w, Tensor(np.zeros(5000, dtype=np.float32)))
         out._backward(g)
         assert w.grad.tobytes() == (before + np.outer(x, g)).tobytes()
+
+    def test_one_row_weight_gradient_matches_the_block_gemm_bit_for_bit(self):
+        # one row under leading axes of extent 1 takes the np.multiply path;
+        # its blocks must add the bits of the K=1 GEMMs taken for more rows
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(1, 1, 40)).astype(np.float32)
+        w = Tensor(rng.normal(size=(40, 5000)).astype(np.float32), requires_grad=True)
+        w.grad = rng.normal(size=(40, 5000)).astype(np.float32)
+        want = w.grad.copy()
+        g = rng.normal(size=(1, 1, 5000)).astype(np.float32)
+        out = dense(Tensor(x), w, Tensor(np.zeros(5000, dtype=np.float32)))
+        out._backward(g)
+        xmat, gmat = x.reshape(1, 40), g.reshape(1, 5000)
+        rows = CHUNK // 5000
+        for i in range(0, 40, rows):
+            want[i : i + rows] += xmat[:, i : i + rows].T @ gmat
+        assert w.grad.tobytes() == want.tobytes()
 
     def test_rows_do_not_depend_on_their_batch(self):
         # one GEMV per row: a row gives the same bits alone and in a batch,
