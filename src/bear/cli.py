@@ -87,9 +87,9 @@ def _warn_skipped(skipped: list[Path]) -> None:
 
 
 def _cmd_synth(args) -> int:
+    images = synthetic_images(args.count, args.size, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    images = synthetic_images(args.count, args.size, seed=args.seed)
     names = []
     for i, img in enumerate(images):
         name = f"img{i:04d}.ppm"

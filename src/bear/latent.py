@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, FormatError, NumericError
+from .errors import ConfigError, DataError, FormatError, NumericError
 from .serialize import atomic_write
 
 # Scan range used for elbow analysis when none is requested explicitly.
@@ -209,7 +209,15 @@ def _canonical_order(X: np.ndarray) -> np.ndarray:
     return order
 
 
-def _kmeanspp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _translated(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X − mean(X), its rows' squared norms and their norms: what
+    _kmeanspp screens on, built once per ordered matrix."""
+    shifted = X - X.mean(axis=0)
+    x_sq = np.einsum("ij,ij->i", shifted, shifted)
+    return shifted, x_sq, np.sqrt(x_sq)
+
+
+def _kmeanspp(X: np.ndarray, k: int, rng: np.random.Generator, translated=None) -> np.ndarray:
     """Row indices of k k-means++ seeds drawn from X.
 
     Each seed lowers d2, every row's squared distance to its nearest seed. A
@@ -217,12 +225,11 @@ def _kmeanspp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     distances; a row whose screened distance minus B (see _screen_bound) is
     above its d2 cannot come closer, so only the other rows are recomputed
     with the exact formula on the original rows. d2, and with it every
-    draw, keeps the bits of an exact pass over all rows.
+    draw, keeps the bits of an exact pass over all rows. ``translated`` is
+    ``_translated(X)``, built here unless given.
     """
     n, m = X.shape
-    shifted = X - X.mean(axis=0)
-    x_sq = np.einsum("ij,ij->i", shifted, shifted)
-    x_norm = np.sqrt(x_sq)
+    shifted, x_sq, x_norm = _translated(X) if translated is None else translated
     d2 = np.full(n, np.inf)
     chosen = [int(rng.integers(n))]
     while len(chosen) < k:
@@ -255,8 +262,8 @@ def _update_centroids(X: np.ndarray, k: int, centroids: np.ndarray, labels: np.n
     return out
 
 
-def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
-    centroids = X[_kmeanspp(X, k, rng)]
+def _lloyd(X: np.ndarray, translated, k: int, rng: np.random.Generator, max_iter: int):
+    centroids = X[_kmeanspp(X, k, rng, translated)]
     labels = _assign(X, centroids)
     inertia = _sse(X, centroids, labels)
     iterations = 0
@@ -274,9 +281,10 @@ def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int):
     return centroids, labels, inertia, iterations
 
 
-def _best_of_restarts(ordered: np.ndarray, k: int, seed: int, max_iter: int, restarts: int):
+def _best_of_restarts(ordered: np.ndarray, k: int, seed: int, max_iter: int, restarts: int, translated=None):
     """kmeans on rows already in canonical order, so that elbow sorts its
-    embedding set once for all its ks. Labels come back in that order."""
+    embedding set and builds its ``_translated`` rows once for all its ks
+    and restarts. Labels come back in that order."""
     n = ordered.shape[0]
     if k < 1 or k > n:
         raise DataError(f"k must be in [1, {n}], got {k}")
@@ -284,10 +292,13 @@ def _best_of_restarts(ordered: np.ndarray, k: int, seed: int, max_iter: int, res
         raise DataError(f"max_iter must be at least 1, got {max_iter}")
     if restarts < 1:
         raise DataError(f"restarts must be at least 1, got {restarts}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    translated = _translated(ordered) if translated is None else translated
     best = None
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
-        run = _lloyd(ordered, k, rng, max_iter)
+        run = _lloyd(ordered, translated, k, rng, max_iter)
         if best is None or run[2] < best[2]:
             best = run
     return best
@@ -359,7 +370,8 @@ def elbow(
         raise DataError(f"need 1 <= k_min < k_max <= {e.count}, got [{k_min}, {k_max}]")
     ks = list(range(k_min, k_max + 1))
     ordered = e.rows[_canonical_order(e.rows)]
-    inertias = [_best_of_restarts(ordered, k, seed, max_iter, restarts)[2] for k in ks]
+    translated = _translated(ordered)
+    inertias = [_best_of_restarts(ordered, k, seed, max_iter, restarts, translated)[2] for k in ks]
     violations = [
         ks[i]
         for i in range(1, len(ks))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 PATTERNS = ("gradient", "disk", "stripes")
 
 
@@ -21,9 +23,11 @@ def _palette_color(rng: np.random.Generator, depth: int) -> np.ndarray:
 def synthetic_images(count: int, size: int, seed: int = 0, depth: int = 3) -> list[np.ndarray]:
     """Generate ``count`` float32 images of shape (size, size, depth) in [0, 1]."""
     if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+        raise ConfigError(f"count must be positive, got {count}")
     if size < 2:
-        raise ValueError(f"size must be at least 2, got {size}")
+        raise ConfigError(f"size must be at least 2, got {size}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64) / max(size - 1, 1)
     images: list[np.ndarray] = []

@@ -214,15 +214,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Same-padding, stride-1 2-D convolution of an (..., H, W, C) input with
     a (kh, kw, C, F) kernel of odd extents, giving an (..., H, W, F) output.
 
-    Leading axes fold into the positions of one GEMM. Both lowerings use the
-    one window concept of the ConvLSTM scan: ``_windows`` of channel-major
-    (C, positions) maps and its adjoint ``_shift_add``. Each takes the
-    narrower side, so no window matrix has more than kh*kw*min(C, F) rows.
-    When F >= C, the output is kernel.T @ windows(x); the backward pass gets
-    the kernel gradient as windows(x) @ g and the input gradient by
-    shift-adding kernel @ g.T. When F < C, the output shift-adds the tap
-    planes of the tap-reversed kernel @ x.T; the backward pass builds
-    windows(g) once and gets both gradients from it with one GEMM each.
+    Leading axes fold into the positions of one GEMM. It uses the one
+    window concept of the ConvLSTM scan: ``_windows`` of channel-major
+    (C, positions) maps and its adjoint ``_shift_add``. The output
+    shift-adds the tap planes of the tap-reversed kernel @ x.T; the backward
+    pass builds windows(g) once and gets both gradients from it with one
+    GEMM each.
     """
     if x.ndim < 3:
         raise ShapeError(f"conv2d: input must have rank 3 or more (..., H, W, C), got rank {x.ndim}")
@@ -239,17 +236,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     kk = kh * kw
     xmat = x.data.reshape(-1, C)  # one row per position
     N, R = math.prod(lead), xmat.shape[0]
-    output_side = F < C
-    if output_side:
-        # row (tap, f) holds the kernel at the reversed tap, so shift-adding
-        # its planes gives output position p tap (i, j) of input p + offset
-        krev = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kk * F, C)
-        planes = krev @ xmat.T
-        out = _shift_add(planes, kh, kw, np.empty((F, N, H, W), planes.dtype)).reshape(F, R)
-    else:
-        xmaps = _channel_major(xmat).reshape(C, N, H, W)
-        kmat = kernel.data.reshape(kk * C, F)
-        out = kmat.T @ _windows(xmaps, kh, kw, np.empty((kk * C, R), xmaps.dtype))
+    # row (tap, f) holds the kernel at the reversed tap, so shift-adding
+    # its planes gives output position p tap (i, j) of input p + offset
+    krev = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kk * F, C)
+    planes = krev @ xmat.T
+    out = _shift_add(planes, kh, kw, np.empty((F, N, H, W), planes.dtype)).reshape(F, R)
     out += bias.data[:, None]
     out = out.T.reshape(*lead, H, W, F)
 
@@ -257,7 +248,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         gmat = g.reshape(-1, F)
         if bias.requires_grad:
             bias._accumulate(gmat.sum(axis=0))
-        if output_side and (kernel.requires_grad or x.requires_grad):
+        if kernel.requires_grad or x.requires_grad:
             # row (tap, f), column p holds g[f, p + offset]
             gmaps = _channel_major(gmat).reshape(F, N, H, W)
             gwin = _windows(gmaps, kh, kw, np.empty((kk * F, R), gmaps.dtype))
@@ -268,15 +259,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                 kernel._accumulate(dkrev[::-1, ::-1].transpose(0, 1, 3, 2))
             if x.requires_grad:
                 x._accumulate((gwin.T @ krev).reshape(x.shape))
-        elif kernel.requires_grad or x.requires_grad:
-            # windows are rebuilt here instead of captured to keep graphs
-            # lean; the input gradient's tap planes reuse their buffer
-            buffer = np.empty((kk * C, R), np.result_type(xmaps, kmat, gmat))
-            if kernel.requires_grad:
-                kernel._accumulate((_windows(xmaps, kh, kw, buffer) @ gmat).reshape(kernel.shape))
-            if x.requires_grad:
-                dx = _shift_add(np.matmul(kmat, gmat.T, out=buffer), kh, kw, np.empty_like(xmaps, buffer.dtype))
-                x._accumulate(np.moveaxis(dx, 0, -1).reshape(x.shape))
 
     return custom_op(out, (x, kernel, bias), backward)
 

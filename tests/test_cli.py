@@ -200,6 +200,25 @@ class TestFailureModes:
         assert proc.returncode == 1
         assert "one of the arguments --k --elbow is required" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["synth", "--out", "data", "--count", "0"],
+            ["synth", "--out", "data", "--size", "1"],
+            ["synth", "--out", "data", "--seed", "-1"],
+            ["cluster", "--embeddings", "emb.csv", "--k", "1", "--seed", "-1", "--out", "c.csv"],
+            ["cluster", "--embeddings", "emb.csv", "--elbow", "1", "2", "--seed", "-1", "--out", "c.csv"],
+        ],
+        ids=["synth-count-0", "synth-size-1", "synth-seed-negative", "cluster-seed-negative", "elbow-seed-negative"],
+    )
+    def test_invalid_argument_values_are_usage_errors(self, tmp_path, args):
+        (tmp_path / "emb.csv").write_text("id,z0,z1\nrow0,1.0,2.0\nrow1,3.0,2.0\n")
+        proc = run_cli(args, tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "data").exists() and not (tmp_path / "c.csv").exists()
+
     def test_empty_data_dir_is_data_error(self, tmp_path, pipeline):
         (tmp_path / "empty").mkdir()
         proc = run_cli(

@@ -34,7 +34,8 @@ from bear.tensor import (
     upsample_nearest,
 )
 
-# (H, W, kernel extent, C, F) of maps narrower than the kernel, for both lowerings
+# (H, W, kernel extent, C, F) of maps narrower than the kernel, with more
+# filters than channels and fewer
 SMALL_MAP_CONVS = {
     f"{'output' if f < c else 'input'}_side_{e}x{e}_on_{h}x{w}": (h, w, e, c, f)
     for c, f in ((2, 3), (4, 2))
@@ -62,14 +63,15 @@ class TestConv2d:
     @pytest.mark.parametrize(
         "hw,extent,channels,filters,lead",
         [((5, 5), 3, 2, 3, ()), ((7, 7), 3, 4, 2, ()), ((7, 7), 5, 4, 2, ()), ((5, 5), 3, 2, 3, (2, 1)),
-         ((7, 7), 5, 4, 2, (2, 1))]
+         ((7, 7), 5, 4, 2, (2, 1)), ((7, 7), 5, 3, 3, ()), ((7, 7), 5, 3, 3, (2, 1))]
         + [((h, w), e, c, f, lead) for h, w, e, c, f in SMALL_MAP_CONVS.values() for lead in ((), (2, 1))],
-        ids=["input_side", "output_side_3x3", "output_side_5x5", "input_side-batch2x1", "output_side_5x5-batch2x1"]
+        ids=["input_side", "output_side_3x3", "output_side_5x5", "input_side-batch2x1", "output_side_5x5-batch2x1",
+             "equal_sides_5x5", "equal_sides_5x5-batch2x1"]
         + [name + suffix for name in SMALL_MAP_CONVS for suffix in ("", "-batch2x1")],
     )
     def test_matches_loop_oracle(self, hw, extent, channels, filters, lead):
-        # fewer filters than channels takes the output-side lowering; every
-        # leading index is convolved on its own
+        # more filters than channels, fewer, and as many (the decoder's
+        # pd shape); every leading index is convolved on its own
         rng = np.random.default_rng(3)
         x = rng.normal(size=(*lead, *hw, channels))
         k = rng.normal(size=(extent, extent, channels, filters))
@@ -354,7 +356,7 @@ class TestGradCheck:
             grad_check(lambda p: sum_squares(p["w"]), params)
 
     CORE_OPS = [
-        "conv_same", "conv_narrow", "dense", "sigmoid", "tanh",
+        "conv_same", "conv_narrow", "conv_equal", "dense", "sigmoid", "tanh",
         "downsample", "upsample", "concat", "reshape_dense", *SMALL_MAP_CONVS,
     ]
 
@@ -376,6 +378,11 @@ class TestGradCheck:
             values["x"] = rng.normal(size=(*lead, 6, 5, 4))
             values["k"] = rng.normal(size=(3, 5, 4, 2))
             values["b"] = rng.normal(size=2)
+            fn = lambda p: sum_squares(conv2d(p["x"], p["k"], p["b"]))
+        elif name == "conv_equal":
+            values["x"] = rng.normal(size=(*lead, 6, 6, 3))
+            values["k"] = rng.normal(size=(5, 5, 3, 3))
+            values["b"] = rng.normal(size=3)
             fn = lambda p: sum_squares(conv2d(p["x"], p["k"], p["b"]))
         elif name in SMALL_MAP_CONVS:
             h, w, e, c, f = SMALL_MAP_CONVS[name]
