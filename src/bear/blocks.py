@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _channel_major, _records, _shift_add, _stable_sigmoid, _windows, conv2d, custom_op
+from .tensor import Tensor, _channel_major, _records, _shift_add, _windows, conv2d, custom_op
 
 
 @dataclass
@@ -71,12 +71,14 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     and one column per map position (R of them), so each gate is a
     contiguous (F, R) block. A step's pre-activations are two GEMMs,
     kernels.T @ windows, into its (4F, R) slice of the gate buffer, and the
-    gates are computed in place there. Only when the tape records does the
-    scan keep every step's gates, cells and hidden maps; otherwise it keeps
-    the current step's. The backward pass runs the steps in reverse,
-    overwrites each step's gates with their gradients, rebuilds window
-    matrices instead of keeping them, and turns kernels @ gradients, k*k
-    tap planes, back into map gradients by shift-adding them.
+    gates are computed in place there by one tanh pass over the whole block:
+    the kernels and biases the forward pass uses have their i, f and o
+    columns halved, and sig(v) = (1 + tanh(v / 2)) / 2. Only when the tape
+    records does the scan keep every step's gates, cells and hidden maps;
+    otherwise it keeps the current step's. The backward pass runs the steps
+    in reverse, overwrites each step's gates with their gradients, rebuilds
+    window matrices instead of keeping them, and turns kernels @ gradients,
+    k*k tap planes, back into map gradients by shift-adding them.
     """
     if x.ndim < 3:
         raise ShapeError(f"convlstm_over_channels: input must have rank 3 or more, got rank {x.ndim}")
@@ -96,6 +98,11 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     N = xmaps.shape[1]
     R = N * H * W
     dtype = np.result_type(xmaps, ik, rk, bias)
+    # halving is exact, so these copies' GEMMs give exactly v / 2 for the i, f
+    # and o gates; the backward pass takes gradients with respect to v, so it
+    # keeps ik and rk
+    half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), F)  # gates (i, f, g, o)
+    ik_half, rk_half, bias_half = ik * half, rk * half, bias * half[:, None]
     gates = np.empty((slot(T - 1) + 1, 4 * F, R), dtype)  # rows (i, f, g, o), F each
     cells = np.zeros((slot(T) + 1, F, R), dtype)  # cells[0] is the zero initial state
     hidden = np.empty((slot(T - 1) + 1, F, R), dtype)
@@ -103,14 +110,15 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     work = np.empty((4 * F, R), dtype)
     for t in range(T):
         pre = gates[slot(t)]
-        np.matmul(ik.T, _windows(xmaps[t : t + 1], k, k, windows), out=pre)
-        pre += bias
+        np.matmul(ik_half.T, _windows(xmaps[t : t + 1], k, k, windows), out=pre)
+        pre += bias_half
         if t:  # the recurrent term of the zero initial state is zero
-            pre += np.matmul(rk.T, _windows(hidden[slot(t - 1)].reshape(F, N, H, W), k, k, windows), out=work)
+            pre += np.matmul(rk_half.T, _windows(hidden[slot(t - 1)].reshape(F, N, H, W), k, k, windows), out=work)
+        np.tanh(pre, out=pre)
+        for rows in (pre[: 2 * F], pre[3 * F :]):
+            rows *= 0.5
+            rows += 0.5
         i, f, g, o = pre[:F], pre[F : 2 * F], pre[2 * F : 3 * F], pre[3 * F :]
-        _stable_sigmoid(pre[: 2 * F], out=pre[: 2 * F], work=work[: 2 * F])
-        np.tanh(g, out=g)
-        _stable_sigmoid(o, out=o, work=work[:F])
         c = cells[slot(t + 1)]
         np.multiply(f, cells[slot(t)], out=c)
         c += np.multiply(i, g, out=work[:F])

@@ -289,9 +289,9 @@ def _best_of_restarts(ordered: np.ndarray, k: int, seed: int, max_iter: int, res
     if k < 1 or k > n:
         raise DataError(f"k must be in [1, {n}], got {k}")
     if max_iter < 1:
-        raise DataError(f"max_iter must be at least 1, got {max_iter}")
+        raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
     if restarts < 1:
-        raise DataError(f"restarts must be at least 1, got {restarts}")
+        raise ConfigError(f"restarts must be at least 1, got {restarts}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     translated = _translated(ordered) if translated is None else translated

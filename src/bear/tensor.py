@@ -309,22 +309,20 @@ def dense(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
     return custom_op(out, (x, weights, bias), backward)
 
 
-def _stable_sigmoid(v: Array, out: Array | None = None, work: Array | None = None) -> Array:
+def _stable_sigmoid(v: Array) -> Array:
     """1 / (1 + exp(-v)) without overflow or a select: exp never sees a
     positive argument. The numerator is exactly 1 for v >= 0 and exactly
     exp(-|v|) for v < 0, so this gives the bits of the masked form
-    where(v >= 0, 1 / (1 + e), e / (1 + e)) with e = exp(-|v|). Unlike
-    0.5 * (1 + tanh(v / 2)), it does not round to 0 below about -17 in float32.
+    where(v >= 0, 1 / (1 + e), e / (1 + e)) with e = exp(-|v|).
 
-    ``out`` (which may be ``v`` itself) and ``work`` are optional arrays of
-    v's shape that receive the result and the numerator."""
-    out = np.empty_like(v) if out is None else out
-    work = np.empty_like(v) if work is None else work
-    np.minimum(v, 0, out=work)
-    np.exp(work, out=work)
-    np.abs(v, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
+    Unlike 0.5 * (1 + tanh(v / 2)), it keeps relative accuracy in the
+    negative tail instead of rounding to 0 below about -17 in float32. The
+    model's output map needs that: the BCE loss takes its log near the 1e-7
+    clamp. The ConvLSTM gates only scale the cell and hidden state, so there
+    an absolute error near one float32 ulp of 1 is harmless, and the scan
+    uses the cheaper tanh form."""
+    work = np.exp(np.minimum(v, 0))
+    out = np.exp(np.negative(np.abs(v)))
     out += 1.0
     return np.divide(work, out, out=out)
 

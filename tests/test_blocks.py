@@ -200,6 +200,37 @@ class TestConvLstmOverChannels:
         assert not untaped.requires_grad
         assert np.array_equal(taped.data, untaped.data)
 
+    @pytest.mark.parametrize("scale", [0.4, 3.0, 10.0])
+    def test_float32_scan_matches_the_float64_oracle(self, scale):
+        # the gates come from one float32 tanh pass, which errs by about one
+        # ulp of 1; the pre-activation sums round by an amount that grows with
+        # the kernel scale, and at 10 the gates saturate
+        rng = np.random.default_rng(40)
+        p = _cell(rng, scale=scale, dtype=np.float32)
+        x = rng.normal(size=(8, 8, 3)).astype(np.float32)
+        h = convlstm_over_channels(Tensor(x), p)
+        assert h.data.dtype == np.float32
+        exact = ConvLstmParams(*(Tensor(t.data.astype(np.float64)) for t in (p.input_kernels, p.recurrent_kernels, p.biases)))
+        assert np.abs(h.data - _reference_scan(x.astype(np.float64), exact)).max() < 1e-5
+
+    def test_scan_leaves_its_parameters_untouched(self):
+        # the forward pass runs on halved copies of the kernels and biases;
+        # halving the arena views in place would corrupt the weights silently
+        rng = np.random.default_rng(19)
+        params = ParameterSet({
+            "input-kernels": rng.normal(size=(3, 3, 1, 12)).astype(np.float32),
+            "recurrent-kernels": rng.normal(size=(3, 3, 3, 12)).astype(np.float32),
+            "biases": rng.normal(size=12).astype(np.float32),
+        })
+        before = params.data.copy()
+        cell = ConvLstmParams(params["input-kernels"], params["recurrent-kernels"], params["biases"])
+        x = Tensor(rng.normal(size=(2, 6, 5, 4)).astype(np.float32))
+        sum_squares(convlstm_over_channels(x, cell)).backward()
+        assert np.abs(params.grad).max() > 0
+        with no_grad():
+            convlstm_over_channels(x, cell)
+        assert np.array_equal(params.data, before)
+
     def test_scan_is_one_tape_node(self):
         rng = np.random.default_rng(16)
         p = _cell(rng)

@@ -208,8 +208,13 @@ class TestFailureModes:
             ["synth", "--out", "data", "--seed", "-1"],
             ["cluster", "--embeddings", "emb.csv", "--k", "1", "--seed", "-1", "--out", "c.csv"],
             ["cluster", "--embeddings", "emb.csv", "--elbow", "1", "2", "--seed", "-1", "--out", "c.csv"],
+            ["cluster", "--embeddings", "emb.csv", "--k", "1", "--restarts", "0", "--out", "c.csv"],
+            ["cluster", "--embeddings", "emb.csv", "--elbow", "1", "2", "--restarts", "0", "--out", "c.csv"],
         ],
-        ids=["synth-count-0", "synth-size-1", "synth-seed-negative", "cluster-seed-negative", "elbow-seed-negative"],
+        ids=[
+            "synth-count-0", "synth-size-1", "synth-seed-negative", "cluster-seed-negative", "elbow-seed-negative",
+            "cluster-restarts-0", "elbow-restarts-0",
+        ],
     )
     def test_invalid_argument_values_are_usage_errors(self, tmp_path, args):
         (tmp_path / "emb.csv").write_text("id,z0,z1\nrow0,1.0,2.0\nrow1,3.0,2.0\n")
