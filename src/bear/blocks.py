@@ -69,25 +69,24 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
 
     The scan runs channel-major: a step's arrays have one row per channel
     and one column per map position (R of them), so each gate is a
-    contiguous (F, R) block. A step's pre-activations are two GEMMs,
-    kernels.T @ windows, into its (4F, R) slice of the gate buffer, and the
-    gates are computed in place there by one tanh pass over the whole block:
-    the kernels and biases the forward pass uses have their i, f and o
-    columns halved, and sig(v) = (1 + tanh(v / 2)) / 2. Only when the tape
-    records does the scan keep every step's gates, cells and hidden maps;
-    otherwise it keeps the current step's. The backward pass runs the steps
-    in reverse, overwrites each step's gates with their gradients, rebuilds
-    window matrices instead of keeping them, and turns kernels @ gradients,
-    k*k tap planes, back into map gradients by shift-adding them.
+    contiguous (F, R) block. A step's window matrix stacks the windows of h,
+    the windows of x_t and a row of ones, so one GEMM, kernels.T @ windows,
+    gives its whole (4F, R) pre-activation, bias included; the gates are
+    computed in place there by one tanh pass, as the forward kernels have
+    their i, f and o columns halved and sig(v) = (1 + tanh(v / 2)) / 2. Only
+    when the tape records does the scan keep every step's gates, cells and
+    hidden maps; otherwise it keeps the current step's. The backward pass
+    runs the steps in reverse, overwrites each step's gates with their
+    gradients, rebuilds window matrices instead of keeping them, and per
+    step gets all kernel gradients from one GEMM and the k*k tap planes of
+    both map gradients, which it shift-adds back onto the maps, from another.
     """
     if x.ndim < 3:
         raise ShapeError(f"convlstm_over_channels: input must have rank 3 or more, got rank {x.ndim}")
     *lead, H, W, T = x.shape
     F, k = p.filters, p.kernel_extent
     kk = k * k
-    ik = p.input_kernels.data.reshape(kk, 4 * F)
-    rk = p.recurrent_kernels.data.reshape(kk * F, 4 * F)
-    bias = p.biases.data[:, None]
+    tail = kk * F  # the first input-window row; the hidden-map windows come before it
     parents = (x, p.input_kernels, p.recurrent_kernels, p.biases)
     keep = _records(parents)
 
@@ -97,23 +96,26 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     xmaps = _channel_major(x.data.reshape(-1, T)).reshape(T, -1, H, W)
     N = xmaps.shape[1]
     R = N * H * W
-    dtype = np.result_type(xmaps, ik, rk, bias)
-    # halving is exact, so these copies' GEMMs give exactly v / 2 for the i, f
+    # one row per window row: the hidden-map taps, the input taps, the ones row
+    kern = np.vstack([p.recurrent_kernels.data.reshape(tail, -1), p.input_kernels.data.reshape(kk, -1), p.biases.data])
+    dtype = np.result_type(xmaps, kern)
+    # halving is exact, so this copy's GEMM gives exactly v / 2 for the i, f
     # and o gates; the backward pass takes gradients with respect to v, so it
-    # keeps ik and rk
-    half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), F)  # gates (i, f, g, o)
-    ik_half, rk_half, bias_half = ik * half, rk * half, bias * half[:, None]
+    # keeps kern
+    kern_half = kern * np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), F)  # gates (i, f, g, o)
     gates = np.empty((slot(T - 1) + 1, 4 * F, R), dtype)  # rows (i, f, g, o), F each
     cells = np.zeros((slot(T) + 1, F, R), dtype)  # cells[0] is the zero initial state
     hidden = np.empty((slot(T - 1) + 1, F, R), dtype)
-    windows = np.empty((kk * F, R), dtype)
-    work = np.empty((4 * F, R), dtype)
+    windows = np.empty((tail + kk + 1, R), dtype)
+    windows[-1] = 1
+    work = np.empty((F, R), dtype)
     for t in range(T):
         pre = gates[slot(t)]
-        np.matmul(ik_half.T, _windows(xmaps[t : t + 1], k, k, windows), out=pre)
-        pre += bias_half
-        if t:  # the recurrent term of the zero initial state is zero
-            pre += np.matmul(rk_half.T, _windows(hidden[slot(t - 1)].reshape(F, N, H, W), k, k, windows), out=work)
+        first = 0 if t else tail  # the zero initial state has no recurrent term
+        _windows(xmaps[t : t + 1], k, k, windows[tail:])
+        if t:
+            _windows(hidden[slot(t - 1)].reshape(F, N, H, W), k, k, windows)
+        np.matmul(kern_half[first:].T, windows[first:], out=pre)
         np.tanh(pre, out=pre)
         for rows in (pre[: 2 * F], pre[3 * F :]):
             rows *= 0.5
@@ -121,10 +123,10 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
         i, f, g, o = pre[:F], pre[F : 2 * F], pre[2 * F : 3 * F], pre[3 * F :]
         c = cells[slot(t + 1)]
         np.multiply(f, cells[slot(t)], out=c)
-        c += np.multiply(i, g, out=work[:F])
-        np.multiply(o, np.tanh(c, out=work[:F]), out=hidden[slot(t)])
+        c += np.multiply(i, g, out=work)
+        np.multiply(o, np.tanh(c, out=work), out=hidden[slot(t)])
     h = np.moveaxis(hidden[-1].reshape(F, N, H, W), 0, -1)
-    del windows, work
+    del windows, work, kern_half
 
     def backward(grad: np.ndarray) -> None:
         dh = _channel_major(grad.reshape(R, F))
@@ -133,10 +135,11 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
         # expressions allocate about 15 (F, R) temporaries a step, which raised
         # full-scale training's peak RSS by about 11 MB
         s1, s2, s3 = np.empty((3, F, R), dtype)
-        windows = np.empty((kk * F, R), dtype)  # each step's window matrices, then its tap planes
+        windows = np.empty((tail + kk + 1, R), dtype)  # each step's window matrix, then its tap planes
+        windows[-1] = 1  # the planes stop short of the ones row
+        planes_stop = tail + kk if x.requires_grad else tail
         dx = np.empty((T, N, H, W), dtype)
-        d_ik = np.zeros((4 * F, kk), dtype)  # kernel gradients, transposed
-        d_rk = np.zeros((4 * F, kk * F), dtype)
+        d_kern = np.zeros((4 * F, tail + kk + 1), dtype)  # kernel and bias gradients, transposed
         for t in reversed(range(T)):
             d = gates[t]  # this step's gates in, their gradients out
             i, f, g, o = d[:F], d[F : 2 * F], d[2 * F : 3 * F], d[3 * F :]
@@ -169,19 +172,23 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
             np.subtract(1.0, f, out=s2)
             dc *= f
             np.multiply(s1, s2, out=f)
-            if p.input_kernels.requires_grad:
-                d_ik += d @ _windows(xmaps[t : t + 1], k, k, windows).T
-            if x.requires_grad:
-                _shift_add(np.matmul(ik, d, out=windows[:kk]), k, k, dx[t : t + 1])
+            first = 0 if t else tail
+            _windows(xmaps[t : t + 1], k, k, windows[tail:])
             if t:
-                d_rk += d @ _windows(hidden[t - 1].reshape(F, N, H, W), k, k, windows).T
-                _shift_add(np.matmul(rk, d, out=windows), k, k, dh.reshape(F, N, H, W))
-        if p.biases.requires_grad:
-            p.biases._accumulate(gates.sum(axis=(0, 2)))
-        if p.input_kernels.requires_grad:
-            p.input_kernels._accumulate(d_ik.T.reshape(p.input_kernels.shape))
+                _windows(hidden[t - 1].reshape(F, N, H, W), k, k, windows)
+            d_kern[:, first:] += d @ windows[first:].T
+            if first < planes_stop:
+                planes = np.matmul(kern[first:planes_stop], d, out=windows[first:planes_stop])
+                if x.requires_grad:
+                    _shift_add(planes[tail - first :], k, k, dx[t : t + 1])
+                if t:
+                    _shift_add(planes[:tail], k, k, dh.reshape(F, N, H, W))
         if p.recurrent_kernels.requires_grad:
-            p.recurrent_kernels._accumulate(d_rk.T.reshape(p.recurrent_kernels.shape))
+            p.recurrent_kernels._accumulate(d_kern[:, :tail].T.reshape(p.recurrent_kernels.shape))
+        if p.input_kernels.requires_grad:
+            p.input_kernels._accumulate(d_kern[:, tail:-1].T.reshape(p.input_kernels.shape))
+        if p.biases.requires_grad:
+            p.biases._accumulate(d_kern[:, -1])
         if x.requires_grad:
             x._accumulate(np.moveaxis(dx, 0, -1).reshape(x.shape))
 

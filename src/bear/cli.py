@@ -20,7 +20,7 @@ from . import latent as lat
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import encode, forward, param_count
 from .ppm import image_to_unit, read_ppm, resize_unit, unit_to_image, write_ppm
-from .serialize import atomic_write, config_hash, load_checkpoint, load_run_config, save_checkpoint
+from .serialize import Checkpoint, atomic_write, config_hash, load_checkpoint, load_run_config, save_checkpoint
 from .synth import synthetic_images
 from .tensor import Tensor, no_grad
 from .train import fit, write_epoch_log
@@ -75,6 +75,13 @@ def _read_image_dir(data_dir: Path, n: int, skipped: list[Path]) -> Iterator[tup
             skipped.append(path)
             continue
         yield path.name, resize_unit(image_to_unit(pixels), n)
+
+
+def _load_image_checkpoint(path: str) -> Checkpoint:
+    ckpt = load_checkpoint(path)
+    if ckpt.config.d != 3:
+        raise DataError(f"{path}: PPM images have 3 channels, but the checkpoint has d={ckpt.config.d}")
+    return ckpt
 
 
 def _warn_skipped(skipped: list[Path]) -> None:
@@ -134,7 +141,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = _load_image_checkpoint(args.ckpt)
     # read, encode and release one chunk of images at a time
     skipped: list[Path] = []
     images = _read_image_dir(Path(args.data), ckpt.config.n, skipped)
@@ -160,11 +167,13 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = _load_image_checkpoint(args.ckpt)
     pixels = read_ppm(args.input)
     x = resize_unit(image_to_unit(pixels), ckpt.config.n)
     with no_grad():
         xhat = forward(Tensor(x[None]), ckpt.params, ckpt.config)
+    if not np.isfinite(xhat.data).all():
+        raise NumericError(f"non-finite reconstruction of {args.input}")
     out = Path(args.out)
     write_ppm(out, unit_to_image(xhat.data[0]))
     _write_manifest(out, "reconstruct", None, None, [str(args.ckpt), str(args.input)], [str(out)], config_hash(ckpt.config))

@@ -10,6 +10,7 @@ parameters as float64 when running finite-difference checks.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from contextlib import contextmanager
@@ -151,20 +152,23 @@ def _records(parents: Sequence[Tensor]) -> bool:
 # primitive operations
 
 
-def _taps(kh: int, kw: int, H: int, W: int) -> Iterator[tuple[int, slice, slice]]:
+@functools.lru_cache(maxsize=64)
+def _taps(kh: int, kw: int, H: int, W: int) -> tuple[tuple[int, slice, slice], ...]:
     """Each tap (i, j) of a same-padded kh x kw window over row-major H x W
-    maps, in row-major tap order. Window position p reads flat map position
-    p + offset, with offset = (i - kh//2) * W + (j - kw//2). Yields the
-    offset, the window positions whose read stays inside the flat map, and
-    the columns whose read wraps into a neighbouring row instead of the zero
-    padding."""
+    maps, in row-major tap order, memoized per shape. Window position p
+    reads flat map position p + offset, with offset = (i - kh//2) * W +
+    (j - kw//2). Gives the offset, the window positions whose read stays
+    inside the flat map, and the columns whose read wraps into a
+    neighbouring row instead of the zero padding."""
+    taps = []
     for i in range(kh):
         for j in range(kw):
             dx = j - kw // 2
             offset = (i - kh // 2) * W + dx
             start = max(0, -offset)
             inside = slice(start, max(start, min(H * W, H * W - offset)))
-            yield offset, inside, slice(0, -dx) if dx < 0 else slice(max(0, W - dx), W)
+            taps.append((offset, inside, slice(0, -dx) if dx < 0 else slice(max(0, W - dx), W)))
+    return tuple(taps)
 
 
 def _windows(maps: Array, kh: int, kw: int, buffer: Array) -> Array:

@@ -139,12 +139,16 @@ class TestConvLstmOverChannels:
         assert out.shape == (32, 32, 16)
 
     @pytest.mark.parametrize(
-        "extent,lead", [(1, ()), (3, ()), (1, (2,)), (3, (2,))], ids=["1", "3", "1-batch2", "3-batch2"]
+        "extent,lead,steps",
+        [(1, (), 4), (3, (), 4), (1, (2,), 4), (3, (2,), 4), (3, (), 1), (3, (2,), 1)],
+        # one step multiplies only the input and ones rows of the folded
+        # kernel matrix, so the recurrent kernels' gradient is zero
+        ids=["1", "3", "1-batch2", "3-batch2", "3-one-step", "3-one-step-batch2"],
     )
-    def test_gradients_match_finite_differences(self, extent, lead):
+    def test_gradients_match_finite_differences(self, extent, lead, steps):
         rng = np.random.default_rng(14 + extent)
         params = ParameterSet({
-            "x": rng.normal(size=(*lead, 5, 4, 4)),
+            "x": rng.normal(size=(*lead, 5, 4, steps)),
             "input-kernels": rng.normal(size=(extent, extent, 1, 8)) * 0.5,
             "recurrent-kernels": rng.normal(size=(extent, extent, 2, 8)) * 0.5,
             "biases": rng.normal(size=8) * 0.5,
@@ -185,6 +189,33 @@ class TestConvLstmOverChannels:
 
         check = grad_check(loss, params, h=1e-5)
         assert check.error < 1e-6 and check.scaled_error < 1e-6
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize(
+        "frozen",
+        [("x",), ("input-kernels",), ("input-kernels", "recurrent-kernels", "biases")],
+        ids=["x", "input-kernels", "all-kernels"],
+    )
+    def test_frozen_parents_get_no_gradient(self, frozen, steps):
+        # pfe's first cell scans the image, which needs no gradient
+        rng = np.random.default_rng(61)
+        values = {
+            "x": rng.normal(size=(2, 5, 4, steps)),
+            "input-kernels": rng.normal(size=(3, 3, 1, 8)) * 0.5,
+            "recurrent-kernels": rng.normal(size=(3, 3, 2, 8)) * 0.5,
+            "biases": rng.normal(size=8) * 0.5,
+        }
+        fixed = {name: Tensor(values.pop(name)) for name in frozen}
+        params = ParameterSet(values)
+
+        def loss(p):
+            get = {**fixed, **dict(p.items())}
+            cell = ConvLstmParams(get["input-kernels"], get["recurrent-kernels"], get["biases"])
+            return sum_squares(convlstm_over_channels(get["x"], cell))
+
+        check = grad_check(loss, params, h=1e-5)
+        assert check.error < 1e-6 and check.scaled_error < 1e-6
+        assert all(t.grad is None for t in fixed.values())
 
     def test_forward_without_a_tape_matches_the_taped_forward_bit_for_bit(self):
         # without a tape the scan keeps one step of state instead of all of them

@@ -329,6 +329,39 @@ class TestFailureModes:
         assert not (tmp_path / "emb.csv").exists()
         assert not (tmp_path / "emb.csv.manifest").exists()
 
+    def test_non_finite_reconstruction_is_numeric_error_and_writes_nothing(self, tmp_path):
+        cfg = BearConfig(n=32, d=3, r=4, m=32, f_pfe=8, f_rfe=8, f_bfe=8, f_dec=8)
+        params = init_params(cfg)
+        params.data[:] = np.nan
+        save_checkpoint(Checkpoint(cfg, params, {}), tmp_path / "model.bc1")
+        proc = run_cli(["synth", "--out", "data", "--count", "1", "--size", "32", "--seed", "0"], tmp_path)
+        assert proc.returncode == 0
+        proc = run_cli(["reconstruct", "--ckpt", "model.bc1", "--in", "data/img0000.ppm", "--out", "out.ppm"], tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: non-finite reconstruction of data/img0000.ppm\n"
+        assert not (tmp_path / "out.ppm").exists()
+        assert not (tmp_path / "out.ppm.manifest").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["encode", "--ckpt", "model.bc1", "--data", "data", "--out", "out.csv"],
+            ["reconstruct", "--ckpt", "model.bc1", "--in", "data/img0000.ppm", "--out", "out.ppm"],
+        ],
+        ids=["encode", "reconstruct"],
+    )
+    def test_checkpoint_without_three_channels_is_data_error(self, tmp_path, args):
+        # PPM images have 3 channels; a d=1 model cannot read them
+        cfg = BearConfig(n=32, d=1, r=4, m=32, f_pfe=8, f_rfe=8, f_bfe=8, f_dec=8)
+        save_checkpoint(Checkpoint(cfg, init_params(cfg), {}), tmp_path / "model.bc1")
+        proc = run_cli(["synth", "--out", "data", "--count", "2", "--size", "32", "--seed", "0"], tmp_path)
+        assert proc.returncode == 0
+        proc = run_cli(args, tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "d=1" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "model.bc1"]
+
     def test_missing_checkpoint_is_data_error(self, tmp_path):
         proc = run_cli(["info", "--ckpt", "missing.bc1"], tmp_path)
         assert proc.returncode == 2
