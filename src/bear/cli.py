@@ -94,7 +94,10 @@ def _warn_skipped(skipped: list[Path]) -> None:
 
 
 def _cmd_synth(args) -> int:
-    images = synthetic_images(args.count, args.size, seed=args.seed)
+    try:
+        images = synthetic_images(args.count, args.size, seed=args.seed)
+    except MemoryError:
+        raise ConfigError(f"{args.count} synthetic images of size {args.size} do not fit in memory") from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []

@@ -391,17 +391,15 @@ class Projection:
     mean: np.ndarray  # (m,)
 
 
-def principal_components(
-    X: np.ndarray,
-    rank: int,
-    tol: float = 1e-9,
-    max_iter: int = 1000,
-) -> Projection:
-    """Top-``rank`` principal directions by power iteration with deflation.
+def principal_components(X: np.ndarray, rank: int) -> Projection:
+    """Top-``rank`` principal directions: the eigenvectors of the sample
+    covariance for its ``rank`` largest eigenvalues, largest first, from one
+    symmetric eigendecomposition.
 
-    Iterates on the sample covariance, deflating each found component, and
-    re-orthogonalizing against earlier components every step. Rows of ``X``
-    are centered; scores are the centered rows projected on the components.
+    Each component is signed so that its largest-magnitude coordinate is
+    positive (the first such coordinate on ties), so the result does not
+    depend on the sign LAPACK happens to return. Rows of ``X`` are centered;
+    scores are the centered rows projected on the components.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -409,51 +407,19 @@ def principal_components(
     m = X.shape[1]
     if not 1 <= rank <= m:
         raise DataError(f"rank must be in [1, {m}], got {rank}")
-    mean = X.mean(axis=0)
-    centered = X - mean
-    cov = centered.T @ centered / (X.shape[0] - 1)
+    # rows too large to square overflow here; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        centered = X - mean
+        cov = centered.T @ centered / (X.shape[0] - 1)
+    if not np.isfinite(cov).all():
+        raise NumericError("projection failed: the sample covariance of the rows is not finite (it overflows)")
     if not cov.any():
         raise DataError("projection rejected: data has zero variance in every direction")
-    rng = np.random.default_rng(20)
-    components: list[np.ndarray] = []
-    deflated = cov.copy()
-    for _ in range(rank):
-        v = rng.standard_normal(m)
-        for u in components:
-            v -= (v @ u) * u
-        norm_v = np.linalg.norm(v)
-        v = v / norm_v if norm_v > 0 else _orthogonal_unit(components, m)
-        for _ in range(max_iter):
-            w = deflated @ v
-            for u in components:
-                w -= (w @ u) * u
-            norm_w = np.linalg.norm(w)
-            if norm_w == 0.0:
-                # remaining variance is zero: any orthogonal unit vector works
-                v = _orthogonal_unit(components, m)
-                break
-            w /= norm_w
-            if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < tol:
-                v = w
-                break
-            v = w
-        components.append(v)
-        lam = float(v @ cov @ v)
-        deflated -= lam * np.outer(v, v)
-    basis = np.stack(components, axis=1)
+    # eigh sorts the eigenvalues ascending
+    vectors = np.linalg.eigh(cov)[1][:, ::-1][:, :rank]
+    basis = vectors * np.sign(vectors[np.abs(vectors).argmax(axis=0), np.arange(rank)])
     return Projection(scores=centered @ basis, components=basis, mean=mean)
-
-
-def _orthogonal_unit(components: list[np.ndarray], m: int) -> np.ndarray:
-    for i in range(m):
-        v = np.zeros(m)
-        v[i] = 1.0
-        for u in components:
-            v -= (v @ u) * u
-        norm_v = np.linalg.norm(v)
-        if norm_v > 1e-12:
-            return v / norm_v
-    raise NumericError("could not build an orthogonal direction")
 
 
 def project2d(e: EmbeddingSet) -> Projection:

@@ -518,21 +518,6 @@ class ParameterSet:
     def total_size(self) -> int:
         return self.data.size
 
-    def load_values(self, values: Mapping[str, Array]) -> None:
-        """Overwrite every parameter from ``values``; names must match exactly."""
-        missing = [n for n in self._params if n not in values]
-        if missing:
-            raise ValueError(f"missing parameter values for {missing[0]!r}")
-        unknown = [n for n in values if n not in self._params]
-        if unknown:
-            raise ValueError(f"unknown parameter {unknown[0]!r}")
-        for name, t in self._params.items():
-            arr = np.asarray(values[name])
-            if arr.shape != t.data.shape:
-                raise ShapeError(f"parameter {name!r}: shape {arr.shape} does not match {t.data.shape}")
-        for name, t in self._params.items():
-            t.data[...] = values[name]
-
 
 class GradCheck(NamedTuple):
     """Mismatch between tape gradients and central differences.

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, exit codes, and file contracts."""
 
+import os
 import struct
 import subprocess
 import sys
@@ -223,6 +224,40 @@ class TestFailureModes:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "data").exists() and not (tmp_path / "c.csv").exists()
+
+    def test_synth_too_large_for_memory_is_usage_error(self, tmp_path):
+        # one 300000 x 300000 image needs terabytes; the command runs in a
+        # child capped at 3 GB of address space, so its allocation fails there
+        # whatever the machine overcommits
+        script = (
+            "import resource, sys\n"
+            "from bear.cli import main\n"
+            "cap = 3 * 2**30\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "raise SystemExit(main(sys.argv[1:]))\n"
+        )
+        args = ["synth", "--out", "data", "--count", "1", "--size", "300000"]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args], cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "memory" in proc.stderr
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize(
+        "args", [["project"], ["cluster", "--k", "1", "--pca-rank", "2"]], ids=["project", "cluster-pca"]
+    )
+    def test_overflowing_covariance_is_numeric_error_and_writes_nothing(self, tmp_path, args):
+        # finite rows whose squares overflow, so their sample covariance does too
+        (tmp_path / "emb.csv").write_text("id,z0,z1\nrow0,1e200,-1e200\nrow1,-1e200,1e200\nrow2,0.0,3e200\n")
+        proc = run_cli([*args, "--embeddings", "emb.csv", "--out", "out.csv"], tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "covariance" in proc.stderr and "not finite" in proc.stderr
+        assert not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "out.csv.manifest").exists()
 
     def test_empty_data_dir_is_data_error(self, tmp_path, pipeline):
         (tmp_path / "empty").mkdir()

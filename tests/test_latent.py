@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import exhaustive_kmeans_inertia
 
 from bear import cli, latent
-from bear.errors import DataError, FormatError
+from bear.errors import DataError, FormatError, NumericError
 from bear.latent import (
     DEFAULT_ELBOW_RANGE,
     ElbowCurve,
@@ -328,6 +328,18 @@ class TestNorms:
             assert row_id == f"row{i}"
 
 
+def _svd_components(X, rank):
+    """The top-``rank`` right singular vectors of the centered rows: principal
+    directions found without forming the covariance."""
+    return np.linalg.svd(X - X.mean(axis=0), full_matrices=False)[2][:rank].T
+
+
+def _sign_free_error(got, want):
+    """The largest coordinate error of ``got``'s columns against ``want``'s,
+    each column compared with the closer of ±its oracle."""
+    return max(min(np.abs(g - w).max(), np.abs(g + w).max()) for g, w in zip(got.T, want.T))
+
+
 class TestProjection:
     def test_recovers_data_in_a_coordinate_plane(self):
         rng = np.random.default_rng(9)
@@ -357,10 +369,71 @@ class TestProjection:
                 overlap = abs(float(proj.components[:, j] @ top2[:, j]))
                 assert overlap == pytest.approx(1.0, abs=1e-6), (m, j)
 
+    @pytest.mark.parametrize("m, rank", [(3, 1), (6, 3), (10, 10)])
+    def test_matches_svd_oracle(self, m, rank):
+        rng = np.random.default_rng(30 + m)
+        X = rng.normal(size=(80, m)) * np.geomspace(4.0, 0.5, m) + rng.normal(size=m)
+        proj = principal_components(X, rank)
+        assert _sign_free_error(proj.components, _svd_components(X, rank)) < 1e-10
+        # the sign rule: each component's largest-magnitude coordinate is positive
+        assert (proj.components[np.abs(proj.components).argmax(axis=0), np.arange(rank)] > 0).all()
+
+    def test_near_degenerate_spectrum_matches_svd_oracle(self):
+        # covariance eigenvalues 0.995**i: adjacent ones differ by 0.5%, so
+        # an iteration that stops on a step tolerance stops short of them
+        rng = np.random.default_rng(31)
+        n, m = 200, 8
+        # unit columns orthogonal to each other and to the ones vector
+        q = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, m))]))[0][:, 1:]
+        directions = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        X = q * np.sqrt((n - 1) * 0.995 ** np.arange(m)) @ directions.T + rng.normal(size=m)
+        proj = principal_components(X, rank=4)
+        assert _sign_free_error(proj.components, _svd_components(X, 4)) < 1e-10
+
+    def test_sign_does_not_depend_on_the_eigensolver(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(40, 5))
+        want = principal_components(X, rank=3)
+        eigh = np.linalg.eigh
+
+        def flipped(a):
+            w, v = eigh(a)
+            return w, v * np.where(np.arange(len(w)) % 2 == 0, -1.0, 1.0)
+
+        monkeypatch.setattr(np.linalg, "eigh", flipped)
+        got = principal_components(X, rank=3)
+        assert np.array_equal(got.components, want.components)
+        assert np.array_equal(got.scores, want.scores)
+
+    def test_sign_ties_go_to_the_first_coordinate(self, monkeypatch):
+        # the top eigenvector (-h, h, 0) has two largest-magnitude coordinates
+        h = 0.5**0.5
+        vectors = np.array([[0.0, h, -h], [0.0, h, h], [1.0, 0.0, 0.0]])
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([0.5, 1.0, 2.0]), vectors))
+        proj = principal_components(np.random.default_rng(34).normal(size=(10, 3)), rank=2)
+        assert proj.components[:, 0].tolist() == [h, -h, 0.0]
+        assert proj.components[:, 1].tolist() == [h, h, 0.0]
+
+    def test_rank_beyond_the_span_of_the_rows(self):
+        # 4 centered rows span 3 dimensions of 6, so components 3 and 4 carry no variance
+        rng = np.random.default_rng(35)
+        X = rng.normal(size=(4, 6))
+        proj = principal_components(X, rank=5)
+        assert np.abs(proj.components.T @ proj.components - np.eye(5)).max() < 1e-12
+        assert np.abs(proj.scores[:, 3:]).max() < 1e-12
+        assert _sign_free_error(proj.components[:, :3], _svd_components(X, 3)) < 1e-10
+        assert np.abs(proj.scores @ proj.components.T + proj.mean - X).max() < 1e-12
+
     def test_zero_variance_rejected(self):
         X = np.ones((5, 3))
         with pytest.raises(DataError, match="variance"):
             principal_components(X, rank=2)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308], ids=["squares-overflow", "sum-overflows"])
+    def test_overflowing_covariance_is_numeric_error(self, scale):
+        X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]]) * scale
+        with pytest.raises(NumericError, match="covariance"):
+            principal_components(X, rank=1)
 
     def test_single_row_rejected(self):
         with pytest.raises(DataError):

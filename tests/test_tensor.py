@@ -445,14 +445,6 @@ class TestParameterSet:
         assert params.data.dtype == params.grad.dtype == np.float32
         assert not params.grad.any()
 
-    def test_load_values_copies_into_the_arena(self):
-        params = ParameterSet({"a": np.zeros((2, 3)), "b": np.zeros(4)})
-        views = [t.data for t in params.tensors()]
-        params.load_values({"a": np.arange(6.0).reshape(2, 3), "b": np.full(4, 7.0)})
-        assert_in_arena(params)
-        assert all(t.data is view for t, view in zip(params.tensors(), views))
-        assert np.array_equal(params.data, [0, 1, 2, 3, 4, 5, 7, 7, 7, 7])
-
     def test_zero_grads_clears_every_view(self):
         params = ParameterSet({"a": np.ones((1, 1, 3)), "b": np.ones((2, 2))})
         sum_squares(concat_channels(params["a"], params["a"])).backward()
@@ -469,15 +461,6 @@ class TestParameterSet:
     def test_name_at_maps_flat_indices_to_parameters(self):
         params = ParameterSet({"a": np.zeros((2, 3)), "b": np.zeros(1), "c": np.zeros(4)})
         assert [params.name_at(i) for i in range(11)] == ["a"] * 6 + ["b"] + ["c"] * 4
-
-    def test_load_values_checks_names_and_shapes(self):
-        params = ParameterSet({"a": np.zeros(2)})
-        with pytest.raises(ValueError, match="missing"):
-            params.load_values({})
-        with pytest.raises(ValueError, match="unknown"):
-            params.load_values({"a": np.zeros(2), "b": np.zeros(1)})
-        with pytest.raises(ShapeError):
-            params.load_values({"a": np.zeros(3)})
 
 
 class TestBt1Format:
