@@ -17,7 +17,7 @@ from .model import (
     param_count,
     parameter_shapes,
 )
-from .latent import EmbeddingSet, elbow, inertia, kmeans, project2d
+from .latent import EmbeddingSet, elbow, kmeans, project2d
 from .serialize import Checkpoint, load_checkpoint, save_checkpoint
 from .tensor import ParameterSet, Tensor, grad_check, no_grad
 from .train import Adam, EpochRecord, TrainConfig, bce_loss, early_stop, fit, mse_loss, plateau_decay
@@ -47,7 +47,6 @@ __all__ = [
     "fit",
     "forward",
     "grad_check",
-    "inertia",
     "init_params",
     "kmeans",
     "load_checkpoint",

@@ -94,10 +94,7 @@ def _warn_skipped(skipped: list[Path]) -> None:
 
 
 def _cmd_synth(args) -> int:
-    try:
-        images = synthetic_images(args.count, args.size, seed=args.seed)
-    except MemoryError:
-        raise ConfigError(f"{args.count} synthetic images of size {args.size} do not fit in memory") from None
+    images = synthetic_images(args.count, args.size, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []
@@ -303,6 +300,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; a bare MemoryError names nothing
+        print(f"error: the input does not fit in memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

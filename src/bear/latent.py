@@ -15,10 +15,10 @@ import numpy as np
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .serialize import atomic_write
 
-# Scan range used for elbow analysis when none is requested explicitly.
-DEFAULT_ELBOW_RANGE = (10, 20)
-
 _MONOTONE_SLACK = 1e-9
+
+# Lloyd iterations per k-means restart at most.
+_MAX_ITER = 100
 
 # Rows per block of the k-means distance passes: bounds their scratch at
 # _ASSIGN_BLOCK x k screened distances and _ASSIGN_BLOCK x m differences,
@@ -67,7 +67,6 @@ class KMeansResult:
     assignments: np.ndarray  # (N,)
     inertia: float
     iterations: int
-    seed: int
 
 
 @dataclass
@@ -217,7 +216,7 @@ def _translated(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return shifted, x_sq, np.sqrt(x_sq)
 
 
-def _kmeanspp(X: np.ndarray, k: int, rng: np.random.Generator, translated=None) -> np.ndarray:
+def _kmeanspp(X: np.ndarray, k: int, rng: np.random.Generator, translated) -> np.ndarray:
     """Row indices of k k-means++ seeds drawn from X.
 
     Each seed lowers d2, every row's squared distance to its nearest seed. A
@@ -226,10 +225,10 @@ def _kmeanspp(X: np.ndarray, k: int, rng: np.random.Generator, translated=None) 
     above its d2 cannot come closer, so only the other rows are recomputed
     with the exact formula on the original rows. d2, and with it every
     draw, keeps the bits of an exact pass over all rows. ``translated`` is
-    ``_translated(X)``, built here unless given.
+    ``_translated(X)``.
     """
     n, m = X.shape
-    shifted, x_sq, x_norm = _translated(X) if translated is None else translated
+    shifted, x_sq, x_norm = translated
     d2 = np.full(n, np.inf)
     chosen = [int(rng.integers(n))]
     while len(chosen) < k:
@@ -262,12 +261,12 @@ def _update_centroids(X: np.ndarray, k: int, centroids: np.ndarray, labels: np.n
     return out
 
 
-def _lloyd(X: np.ndarray, translated, k: int, rng: np.random.Generator, max_iter: int):
+def _lloyd(X: np.ndarray, translated, k: int, rng: np.random.Generator):
     centroids = X[_kmeanspp(X, k, rng, translated)]
     labels = _assign(X, centroids)
     inertia = _sse(X, centroids, labels)
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         centroids = _update_centroids(X, k, centroids, labels)
         new_labels = _assign(X, centroids)
         new_inertia = _sse(X, centroids, new_labels)
@@ -281,30 +280,24 @@ def _lloyd(X: np.ndarray, translated, k: int, rng: np.random.Generator, max_iter
     return centroids, labels, inertia, iterations
 
 
-def _best_of_restarts(ordered: np.ndarray, k: int, seed: int, max_iter: int, restarts: int, translated=None):
-    """kmeans on rows already in canonical order, so that elbow sorts its
-    embedding set and builds its ``_translated`` rows once for all its ks
-    and restarts. Labels come back in that order."""
-    n = ordered.shape[0]
-    if k < 1 or k > n:
-        raise DataError(f"k must be in [1, {n}], got {k}")
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be at least 1, got {max_iter}")
+def _best_of_restarts(ordered: np.ndarray, translated, k: int, seed: int, restarts: int):
+    """kmeans on rows already in canonical order and their ``_translated``
+    rows, so that elbow sorts its embedding set and translates it once for
+    all its ks and restarts. Labels come back in that order."""
     if restarts < 1:
         raise ConfigError(f"restarts must be at least 1, got {restarts}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    translated = _translated(ordered) if translated is None else translated
     best = None
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
-        run = _lloyd(ordered, translated, k, rng, max_iter)
+        run = _lloyd(ordered, translated, k, rng)
         if best is None or run[2] < best[2]:
             best = run
     return best
 
 
-def kmeans(e: EmbeddingSet, k: int, seed: int = 0, max_iter: int = 100, restarts: int = 5) -> KMeansResult:
+def kmeans(e: EmbeddingSet, k: int, seed: int = 0, restarts: int = 5) -> KMeansResult:
     """Best-of-restarts Lloyd iterations from k-means++ seeding.
 
     Assignments use Euclidean distance with ties broken toward the lowest
@@ -312,8 +305,11 @@ def kmeans(e: EmbeddingSet, k: int, seed: int = 0, max_iter: int = 100, restarts
     Seeding draws in canonical point order, so for a fixed seed the result is
     equivariant under row permutations (assignments permute with the rows).
     """
+    if k < 1 or k > e.count:
+        raise DataError(f"k must be in [1, {e.count}], got {k}")
     canon = _canonical_order(e.rows)
-    centroids, labels, sse, iterations = _best_of_restarts(e.rows[canon], k, seed, max_iter, restarts)
+    ordered = e.rows[canon]
+    centroids, labels, sse, iterations = _best_of_restarts(ordered, _translated(ordered), k, seed, restarts)
     assignments = np.empty(e.count, dtype=np.int64)
     assignments[canon] = labels
     return KMeansResult(
@@ -321,17 +317,7 @@ def kmeans(e: EmbeddingSet, k: int, seed: int = 0, max_iter: int = 100, restarts
         assignments=assignments,
         inertia=sse,
         iterations=iterations,
-        seed=seed,
     )
-
-
-def inertia(e: EmbeddingSet, result: KMeansResult) -> float:
-    """Recompute the within-cluster sum of squared distances for ``result``."""
-    if result.assignments.shape[0] != e.count:
-        raise DataError(f"result covers {result.assignments.shape[0]} rows, embeddings have {e.count}")
-    if result.assignments.min() < 0 or result.assignments.max() >= result.centroids.shape[0]:
-        raise DataError("assignments index a missing centroid")
-    return _sse(e.rows, result.centroids, result.assignments)
 
 
 def select_elbow(ks: Sequence[int], inertias: Sequence[float]) -> int | None:
@@ -359,10 +345,9 @@ def select_elbow(ks: Sequence[int], inertias: Sequence[float]) -> int | None:
 
 def elbow(
     e: EmbeddingSet,
-    k_min: int = DEFAULT_ELBOW_RANGE[0],
-    k_max: int = DEFAULT_ELBOW_RANGE[1],
+    k_min: int,
+    k_max: int,
     seed: int = 0,
-    max_iter: int = 100,
     restarts: int = 5,
 ) -> ElbowCurve:
     """Run kmeans for every k in [k_min, k_max] under one seeding protocol."""
@@ -371,7 +356,7 @@ def elbow(
     ks = list(range(k_min, k_max + 1))
     ordered = e.rows[_canonical_order(e.rows)]
     translated = _translated(ordered)
-    inertias = [_best_of_restarts(ordered, k, seed, max_iter, restarts, translated)[2] for k in ks]
+    inertias = [_best_of_restarts(ordered, translated, k, seed, restarts)[2] for k in ks]
     violations = [
         ks[i]
         for i in range(1, len(ks))

@@ -234,8 +234,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             write_bt1(fh, tensor.data)
 
 
-def load_checkpoint(path: str | Path, expect_config: BearConfig | None = None) -> Checkpoint:
-    """Read a BC1 file; optionally require its config to match ``expect_config``."""
+def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a BC1 file."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = _read_exact(fh, len(BC1_MAGIC), "checkpoint magic")
@@ -250,8 +250,11 @@ def load_checkpoint(path: str | Path, expect_config: BearConfig | None = None) -
         if stray:
             raise FormatError(f"{path}: unexpected header key {stray[0]!r}")
         cfg = config_from_mapping(cfg_map, label=f"{path} header")
+        shapes = parameter_shapes(cfg)
+        # a header that declares more weights than the file holds fails before the arena is allocated
+        _check_left(fh, 4 * sum(math.prod(shape) for shape in shapes.values()), "tensor elements")
         # the arena is the one copy of the weights: each BT1 block is read into its view
-        params = ParameterSet.zeros(parameter_shapes(cfg))
+        params = ParameterSet.zeros(shapes)
         for expected_name, t in params.items():
             offset = fh.tell()
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "parameter name length"))
@@ -270,9 +273,4 @@ def load_checkpoint(path: str | Path, expect_config: BearConfig | None = None) -
                 t.data.byteswap(inplace=True)
         if fh.read(1):
             raise FormatError(f"trailing bytes after parameters at byte offset {fh.tell() - 1}")
-    if expect_config is not None and cfg != expect_config:
-        raise ConfigError(
-            f"checkpoint config hash {config_hash(cfg)[:12]} does not match "
-            f"expected {config_hash(expect_config)[:12]}"
-        )
     return Checkpoint(config=cfg, params=params, metadata=meta)

@@ -15,13 +15,13 @@ from .errors import ConfigError
 PATTERNS = ("gradient", "disk", "stripes")
 
 
-def _palette_color(rng: np.random.Generator, depth: int) -> np.ndarray:
-    base = np.where(rng.integers(2, size=depth) == 1, 0.8, 0.2)
-    return base + rng.uniform(-0.12, 0.12, size=depth)
+def _palette_color(rng: np.random.Generator) -> np.ndarray:
+    base = np.where(rng.integers(2, size=3) == 1, 0.8, 0.2)
+    return base + rng.uniform(-0.12, 0.12, size=3)
 
 
-def synthetic_images(count: int, size: int, seed: int = 0, depth: int = 3) -> list[np.ndarray]:
-    """Generate ``count`` float32 images of shape (size, size, depth) in [0, 1]."""
+def synthetic_images(count: int, size: int, seed: int = 0) -> list[np.ndarray]:
+    """Generate ``count`` float32 RGB images of shape (size, size, 3) in [0, 1]."""
     if count < 1:
         raise ConfigError(f"count must be positive, got {count}")
     if size < 2:
@@ -33,8 +33,8 @@ def synthetic_images(count: int, size: int, seed: int = 0, depth: int = 3) -> li
     images: list[np.ndarray] = []
     for _ in range(count):
         kind = PATTERNS[int(rng.integers(len(PATTERNS)))]
-        c0 = _palette_color(rng, depth)
-        c1 = _palette_color(rng, depth)
+        c0 = _palette_color(rng)
+        c1 = _palette_color(rng)
         if kind == "gradient":
             direction = int(rng.integers(3))
             t = xx if direction == 0 else yy if direction == 1 else (xx + yy) / 2.0

@@ -60,11 +60,10 @@ class Tensor:
         self,
         data,
         requires_grad: bool = False,
-        dtype=None,
         _parents: tuple["Tensor", ...] = (),
         _backward: BackwardFn | None = None,
     ) -> None:
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         # ascontiguousarray would promote 0-d scalars to rank 1
@@ -85,10 +84,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.data.dtype
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -490,23 +485,11 @@ class ParameterSet:
         except KeyError:
             raise KeyError(f"unknown parameter {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._params.items())
-
-    def tensors(self) -> Iterator[Tensor]:
-        return iter(self._params.values())
 
     def name_at(self, index: int) -> str:
         """The parameter that holds flat arena element ``index``."""
@@ -514,9 +497,6 @@ class ParameterSet:
 
     def zero_grads(self) -> None:
         self.grad.fill(0)
-
-    def total_size(self) -> int:
-        return self.data.size
 
 
 class GradCheck(NamedTuple):
@@ -553,7 +533,7 @@ def grad_check(
     f(params).backward()
     analytic = {name: t.grad.copy() for name, t in params.items()}
     rng = np.random.default_rng(seed)
-    total = params.total_size()
+    total = params.data.size
     error = scaled_error = 0.0
     count = 0
     for name, t in params.items():

@@ -191,7 +191,7 @@ class Adam:
 # schedule state machines
 
 
-def _improvement_flags(history: Sequence[float], threshold: float = IMPROVE_EPS) -> list[bool]:
+def _improvement_flags(history: Sequence[float]) -> list[bool]:
     """Per-epoch flags: did this epoch beat the best of all prior epochs?
 
     The first epoch establishes the baseline and counts as not improving, so
@@ -200,7 +200,7 @@ def _improvement_flags(history: Sequence[float], threshold: float = IMPROVE_EPS)
     flags: list[bool] = []
     best = math.inf
     for i, value in enumerate(history):
-        flags.append(i > 0 and value < best - threshold)
+        flags.append(i > 0 and value < best - IMPROVE_EPS)
         best = min(best, value)
     return flags
 

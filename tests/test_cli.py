@@ -42,6 +42,22 @@ def run_cli(args, cwd):
     )
 
 
+def run_cli_capped(args, cwd):
+    """run_cli in a child capped at 3 GB of address space, so that an
+    allocation beyond it fails there whatever the machine overcommits."""
+    script = (
+        "import resource, sys\n"
+        "from bear.cli import main\n"
+        "cap = 3 * 2**30\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=cwd, capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One trained pipeline shared by the read-only CLI tests."""
@@ -245,6 +261,28 @@ class TestFailureModes:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert "memory" in proc.stderr
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command", [["info"], ["encode", "--data", "data", "--out", "e.csv"]], ids=["info", "encode"])
+    def test_checkpoint_header_larger_than_its_file_is_data_error(self, tmp_path, command):
+        # a header-only BC1 file whose n=65536 model needs terabytes of weights
+        header = b"cfg.n=65536\n"
+        (tmp_path / "model.bc1").write_bytes(b"BEARC1" + struct.pack("<I", len(header)) + header)
+        (tmp_path / "data").mkdir()
+        proc = run_cli_capped([command[0], "--ckpt", "model.bc1", *command[1:]], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "truncated tensor elements" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "model.bc1"]
+
+    def test_train_too_large_for_memory_is_usage_error(self, tmp_path):
+        # resizing one image to n=65536 needs 48 GiB
+        (tmp_path / "run.cfg").write_text(CONFIG.replace("n=16\n", "n=65536\n"))
+        assert run_cli(["synth", "--out", "data", "--count", "2", "--size", "16"], tmp_path).returncode == 0
+        proc = run_cli_capped(["train", "--data", "data", "--config", "run.cfg", "--out", "model.bc1"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "does not fit in memory" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run.cfg"]
 
     @pytest.mark.parametrize(
         "args", [["project"], ["cluster", "--k", "1", "--pca-rank", "2"]], ids=["project", "cluster-pca"]

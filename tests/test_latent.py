@@ -12,13 +12,10 @@ from conftest import exhaustive_kmeans_inertia
 from bear import cli, latent
 from bear.errors import DataError, FormatError, NumericError
 from bear.latent import (
-    DEFAULT_ELBOW_RANGE,
     ElbowCurve,
     EmbeddingSet,
-    KMeansResult,
     Projection,
     elbow,
-    inertia,
     kmeans,
     principal_components,
     project2d,
@@ -30,7 +27,15 @@ from bear.latent import (
     write_embeddings,
     write_projection,
 )
-from bear.latent import _ASSIGN_BLOCK, _assign, _canonical_order, _kmeanspp, _parse_lines, _read_plain_embeddings
+from bear.latent import (
+    _ASSIGN_BLOCK,
+    _assign,
+    _canonical_order,
+    _kmeanspp,
+    _parse_lines,
+    _read_plain_embeddings,
+    _translated,
+)
 
 
 def _embeddings(rows, prefix="row"):
@@ -120,6 +125,9 @@ class TestKMeans:
             kmeans(e, 0)
         with pytest.raises(DataError):
             kmeans(e, 5)
+        # checked before the rows are translated, whose mean an empty set lacks
+        with pytest.raises(DataError):
+            kmeans(_embeddings(np.zeros((0, 2))), 1)
 
     def test_matches_exhaustive_optimum_on_small_instances(self):
         rng = np.random.default_rng(1)
@@ -135,7 +143,7 @@ class TestKMeans:
         rng = np.random.default_rng(2)
         e = _embeddings(rng.normal(size=(40, 4)))
         result = kmeans(e, 5, seed=3)
-        assert abs(inertia(e, result) - result.inertia) < 1e-6
+        assert abs(((e.rows - result.centroids[result.assignments]) ** 2).sum() - result.inertia) < 1e-6
 
     def test_every_point_nearest_its_own_centroid(self):
         rng = np.random.default_rng(3)
@@ -177,7 +185,7 @@ class TestKMeans:
         X, _ = _screen_case(case)
         X = X[_canonical_order(X)]
         for k in (1, 2, 9):
-            got = _kmeanspp(X, k, np.random.default_rng(k))
+            got = _kmeanspp(X, k, np.random.default_rng(k), _translated(X))
             assert got.tolist() == _unscreened_kmeanspp(X, k, np.random.default_rng(k)), k
 
     @pytest.mark.parametrize("case", ["offset-1e3", "offset-1e6"])
@@ -193,7 +201,8 @@ class TestKMeans:
         _assign(X, centroids)
         assert sum(rechecked) <= len(X) // 10
         rechecked.clear()
-        _kmeanspp(X[_canonical_order(X)], 9, np.random.default_rng(9))
+        X = X[_canonical_order(X)]
+        _kmeanspp(X, 9, np.random.default_rng(9), _translated(X))
         # the first seed rechecks every row against d2 = inf
         assert sum(rechecked) <= 3 * len(X)
 
@@ -231,26 +240,14 @@ class TestKMeans:
 
 class TestInertia:
     def test_single_point_at_centroid(self):
-        e = _embeddings([[2.0, 3.0]])
-        result = KMeansResult(
-            centroids=np.array([[2.0, 3.0]]),
-            assignments=np.array([0]),
-            inertia=0.0,
-            iterations=0,
-            seed=0,
-        )
-        assert inertia(e, result) == 0.0
+        result = kmeans(_embeddings([[2.0, 3.0]]), 1)
+        assert result.centroids.tolist() == [[2.0, 3.0]]
+        assert result.inertia == 0.0
 
     def test_hand_arithmetic(self):
-        e = _embeddings([[0.0], [2.0]])
-        result = KMeansResult(
-            centroids=np.array([[1.0]]),
-            assignments=np.array([0, 0]),
-            inertia=2.0,
-            iterations=0,
-            seed=0,
-        )
-        assert inertia(e, result) == pytest.approx(2.0)
+        result = kmeans(_embeddings([[0.0], [2.0]]), 1)
+        assert result.centroids.tolist() == [[1.0]]
+        assert result.inertia == pytest.approx(2.0)
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(5)
@@ -262,7 +259,7 @@ class TestInertia:
             c = result.centroids[result.assignments[i]]
             for j in range(3):
                 total += (X[i, j] - c[j]) ** 2
-        assert inertia(e, result) == pytest.approx(total, abs=1e-6)
+        assert result.inertia == pytest.approx(total, abs=1e-6)
 
 
 class TestElbow:
@@ -272,13 +269,6 @@ class TestElbow:
         curve = elbow(e, 1, 8, seed=0)
         assert curve.selected_k == 3
         assert curve.violations == []
-
-    def test_default_scan_range(self):
-        assert DEFAULT_ELBOW_RANGE == (10, 20)
-        rng = np.random.default_rng(7)
-        e = _embeddings(rng.normal(size=(40, 3)))
-        curve = elbow(e, seed=0, restarts=2, max_iter=30)
-        assert [k for k, _ in curve.points] == list(range(10, 21))
 
     def test_inertias_are_the_kmeans_inertias(self):
         rng = np.random.default_rng(14)

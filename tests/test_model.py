@@ -371,7 +371,7 @@ class TestParamCount:
         params = init_params(desk_config)
         stages, total = param_count(params)
         assert total == sum(stages.values())
-        assert total == params.total_size()
+        assert total == params.data.size
 
     def test_documented_full_scale_total_under_10m(self):
         cfg = BearConfig()  # the documented full-scale configuration
