@@ -2,7 +2,8 @@
 project, and info, with a reproducibility manifest written beside every
 output.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure, 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERRUPTED = 130  # the shell's code for a SIGINT death
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,8 +79,8 @@ def _read_image_dir(data_dir: Path, n: int, skipped: list[Path]) -> Iterator[tup
         yield path.name, resize_unit(image_to_unit(pixels), n)
 
 
-def _load_image_checkpoint(path: str) -> Checkpoint:
-    ckpt = load_checkpoint(path)
+def _load_image_checkpoint(path: str, encoder_only: bool = False) -> Checkpoint:
+    ckpt = load_checkpoint(path, encoder_only=encoder_only)
     if ckpt.config.d != 3:
         raise DataError(f"{path}: PPM images have 3 channels, but the checkpoint has d={ckpt.config.d}")
     return ckpt
@@ -141,7 +143,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    ckpt = _load_image_checkpoint(args.ckpt)
+    # the decoder's 89% of the weights is checked but not read
+    ckpt = _load_image_checkpoint(args.ckpt, encoder_only=True)
     # read, encode and release one chunk of images at a time
     skipped: list[Path] = []
     images = _read_image_dir(Path(args.data), ckpt.config.n, skipped)
@@ -304,6 +307,10 @@ def main(argv=None) -> int:
         # numpy names the allocation it could not make; a bare MemoryError names nothing
         print(f"error: the input does not fit in memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        # each output is written through atomic_write, which has removed its temporary file
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -103,8 +103,9 @@ class BearConfig:
         return max(1, 16384 // (self.n * self.n))
 
 
-def parameter_shapes(cfg: BearConfig) -> dict[str, tuple[int, ...]]:
-    """Canonical parameter names and shapes, in checkpoint order."""
+def encoder_shapes(cfg: BearConfig) -> dict[str, tuple[int, ...]]:
+    """The encoder's parameter names and shapes (pfe, rfe1, rfe2, bfe): the
+    leading block of ``parameter_shapes``, in checkpoint order."""
     k = cfg.kernel_size
     shapes: dict[str, tuple[int, ...]] = {}
 
@@ -122,6 +123,13 @@ def parameter_shapes(cfg: BearConfig) -> dict[str, tuple[int, ...]]:
     s8 = cfg.n // 8
     shapes["bfe/dense/weights"] = (s8 * s8 * cfg.f_bfe, cfg.m)
     shapes["bfe/dense/bias"] = (cfg.m,)
+    return shapes
+
+
+def parameter_shapes(cfg: BearConfig) -> dict[str, tuple[int, ...]]:
+    """Canonical parameter names and shapes, in checkpoint order: the
+    encoder's, then the decoder's (dd, pd1, pd2, pf)."""
+    shapes = encoder_shapes(cfg)
     s4 = cfg.n // 4
     shapes["dd/dense/weights"] = (cfg.m, s4 * s4 * cfg.f_dec)
     shapes["dd/dense/bias"] = (s4 * s4 * cfg.f_dec,)

@@ -1,9 +1,10 @@
 """Binary PPM (P6, maxval 255) reading and writing, plus deterministic
 resizing between image sizes.
 
-Shrinking uses exact box averaging (plain average pooling when the extents
-divide); enlarging replicates nearest source pixels. Non-square sources are
-squashed per axis.
+Shrinking uses exact box averaging; where a factor divides an extent, that
+is ``tensor.box_mean``, the same box mean as the model's average pools.
+Enlarging replicates nearest source pixels. Non-square sources are squashed
+per axis.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeError
 from .serialize import atomic_write
+from .tensor import box_mean
 
 _WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
 _COMMENT = 0x23  # '#'
@@ -97,23 +99,22 @@ def _resize_axis(x: np.ndarray, target: int, axis: int) -> np.ndarray:
     src = x.shape[axis]
     if src == target:
         return x
+    if src % target == 0:
+        r = src // target
+        return box_mean(x, r, 1) if axis == 0 else box_mean(x, 1, r)
     if src > target:
         moved = np.moveaxis(x, axis, 0)
-        if src % target == 0:
-            r = src // target
-            out = moved.reshape(target, r, *moved.shape[1:]).mean(axis=1)
-        else:
-            weights = np.zeros((target, src), dtype=np.float64)
-            span = src / target
-            for i in range(target):
-                lo = i * span
-                hi = (i + 1) * span
-                j = int(np.floor(lo))
-                while j < src and j < hi:
-                    weights[i, j] = min(hi, j + 1) - max(lo, j)
-                    j += 1
-                weights[i] /= span
-            out = np.tensordot(weights, moved, axes=(1, 0))
+        weights = np.zeros((target, src), dtype=np.float64)
+        span = src / target
+        for i in range(target):
+            lo = i * span
+            hi = (i + 1) * span
+            j = int(np.floor(lo))
+            while j < src and j < hi:
+                weights[i, j] = min(hi, j + 1) - max(lo, j)
+                j += 1
+            weights[i] /= span
+        out = np.tensordot(weights, moved, axes=(1, 0))
         return np.moveaxis(out, 0, axis).astype(x.dtype)
     idx = (np.arange(target) * src) // target
     return np.take(x, idx, axis=axis)
@@ -127,8 +128,6 @@ def resize_unit(x: np.ndarray, n: int) -> np.ndarray:
     if h == n and w == n:
         return x
     if h % n == 0 and w % n == 0:
-        # same blocked mean as the tensor-level average pool
-        rh, rw = h // n, w // n
-        return x.reshape(n, rh, n, rw, x.shape[2]).mean(axis=(1, 3)).astype(x.dtype)
+        return box_mean(x, h // n, w // n)
     out = _resize_axis(x, n, axis=0)
     return _resize_axis(out, n, axis=1)

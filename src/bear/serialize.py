@@ -23,7 +23,7 @@ from typing import IO, BinaryIO, Iterator, Mapping
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .model import BearConfig, parameter_shapes
+from .model import BearConfig, encoder_shapes, parameter_shapes
 from .tensor import ParameterSet
 
 BT1_MAGIC = b"BEART1"
@@ -234,8 +234,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             write_bt1(fh, tensor.data)
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a BC1 file."""
+def load_checkpoint(path: str | Path, encoder_only: bool = False) -> Checkpoint:
+    """Read a BC1 file. With ``encoder_only`` the returned parameters are the
+    encoder's alone (``encoder_shapes``): every decoder tensor's name, header
+    and shape is still read and checked, but its elements are skipped."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = _read_exact(fh, len(BC1_MAGIC), "checkpoint magic")
@@ -254,8 +256,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         # a header that declares more weights than the file holds fails before the arena is allocated
         _check_left(fh, 4 * sum(math.prod(shape) for shape in shapes.values()), "tensor elements")
         # the arena is the one copy of the weights: each BT1 block is read into its view
-        params = ParameterSet.zeros(shapes)
-        for expected_name, t in params.items():
+        params = ParameterSet.zeros(encoder_shapes(cfg) if encoder_only else shapes)
+        arena = dict(params.items())
+        for expected_name, expected_shape in shapes.items():
             offset = fh.tell()
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "parameter name length"))
             name = _decode_utf8(_read_exact(fh, name_len, "parameter name"), "parameter name", offset + 4)
@@ -264,13 +267,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                     f"unknown parameter name {name!r} at byte offset {offset} (expected {expected_name!r})"
                 )
             shape = _read_bt1_header(fh)
-            if shape != t.shape:
+            if shape != expected_shape:
                 raise FormatError(
-                    f"parameter {name!r}: stored shape {shape} does not match configured {t.shape}"
+                    f"parameter {name!r}: stored shape {shape} does not match configured {expected_shape}"
                 )
-            fh.readinto(t.data)
+            if name not in arena:
+                fh.seek(4 * math.prod(shape), os.SEEK_CUR)
+                continue
+            fh.readinto(arena[name].data)
             if not np.little_endian:
-                t.data.byteswap(inplace=True)
+                arena[name].data.byteswap(inplace=True)
         if fh.read(1):
             raise FormatError(f"trailing bytes after parameters at byte offset {fh.tell() - 1}")
     return Checkpoint(config=cfg, params=params, metadata=meta)

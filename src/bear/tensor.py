@@ -13,7 +13,9 @@ import bisect
 import functools
 import itertools
 import math
-from contextlib import contextmanager
+import mmap
+import os
+from contextlib import contextmanager, suppress
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -346,6 +348,25 @@ def tanh(x: Tensor) -> Tensor:
     return custom_op(y, (x,), backward)
 
 
+def box_mean(x: Array, rh: int, rw: int) -> Array:
+    """Mean over non-overlapping rh x rw spatial blocks of a float (..., H, W, C)
+    array whose H and W the factors divide, in the input's dtype.
+
+    Each block is summed in row-major order by in-place adds of whole
+    strided planes, ((x00 + x01) + ...) + x10 ..., then divided once by
+    rh * rw. The order is fixed here rather than left to ``.mean``, whose
+    order depends on the layout: it is the same for C >= 2 and differs in
+    the last bits for C = 1."""
+    *lead, H, W, C = x.shape
+    blocks = x.reshape(*lead, H // rh, rh, W // rw, rw, C)
+    out = blocks[..., 0, :, 0, :].copy()
+    for i, j in itertools.product(range(rh), range(rw)):
+        if i or j:
+            out += blocks[..., i, :, j, :]
+    out /= rh * rw
+    return out
+
+
 def downsample_avg(x: Tensor, r: int) -> Tensor:
     """Mean over non-overlapping r x r spatial blocks of an (..., H, W, C)
     input, depth unchanged."""
@@ -353,12 +374,12 @@ def downsample_avg(x: Tensor, r: int) -> Tensor:
         raise ShapeError(f"downsample_avg: input must have rank 3 or more, got rank {x.ndim}")
     if r < 1:
         raise ShapeError(f"downsample_avg: factor must be positive, got {r}")
-    *lead, H, W, C = x.shape
+    H, W = x.shape[-3:-1]
     if H % r:
         raise ShapeError(f"downsample_avg: height extent {H} is not divisible by {r}")
     if W % r:
         raise ShapeError(f"downsample_avg: width extent {W} is not divisible by {r}")
-    out = x.data.reshape(*lead, H // r, r, W // r, r, C).mean(axis=(-4, -2))
+    out = box_mean(x.data, r, r)
 
     def backward(g: Array) -> None:
         if x.requires_grad:
@@ -445,6 +466,29 @@ def sum_squares(x: Tensor) -> Tensor:
 # parameters and gradient checking
 
 
+# A block of 4 MiB or more asks for transparent huge pages, as numpy does for
+# its own arrays unless NUMPY_MADVISE_HUGEPAGE=0: without them, the first
+# writes to a full-scale arena take about twice as long.
+_HUGE_PAGES = hasattr(mmap, "MADV_HUGEPAGE") and int(os.environ.get("NUMPY_MADVISE_HUGEPAGE", "1")) != 0
+
+
+def _zero_block(count: int, dtype: np.dtype) -> Array:
+    """``count`` zeros in an anonymous mapping of their own. Its pages are
+    mapped on first write, so a block that is never written (the gradients
+    of a load that only runs inference) costs no memory, and the whole block
+    goes back to the system when freed. A block from the allocator's heap
+    can stay resident after it is freed."""
+    nbytes = count * dtype.itemsize
+    try:
+        block = mmap.mmap(-1, max(1, nbytes), flags=mmap.MAP_PRIVATE)
+    except OSError:  # an anonymous mapping fails only for want of memory
+        raise MemoryError(f"Unable to map {nbytes / 2**30:.1f} GiB for a parameter arena") from None
+    if _HUGE_PAGES and nbytes >= 1 << 22:
+        with suppress(OSError):  # advice only: a kernel without huge pages refuses it
+            block.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(block, dtype, count)
+
+
 class ParameterSet:
     """Insertion-ordered mapping of unique names to trainable tensors, held in
     one flat arena.
@@ -461,23 +505,27 @@ class ParameterSet:
         if len(dtypes) > 1 or not dtypes <= set(_FLOAT_DTYPES):
             raise ValueError(f"parameters must share one float dtype, got {sorted(map(str, dtypes))}")
         (dtype,) = dtypes
-        self._starts = [0, *itertools.accumulate(a.size for a in arrays.values())]
-        self.data = np.empty(self._starts[-1], dtype)
-        # np.zeros, not zeros_like: its pages stay unmapped until a backward pass writes them
-        self.grad = np.zeros(self.data.size, dtype)
-        self._params: dict[str, Tensor] = {}
-        for (name, a), start in zip(arrays.items(), self._starts):
-            t = Tensor(self.data[start : start + a.size].reshape(a.shape), requires_grad=True)
+        self._allocate({name: a.shape for name, a in arrays.items()}, dtype)
+        for t, a in zip(self._params.values(), arrays.values()):
             t.data[...] = a
-            t.grad = self.grad[start : start + a.size].reshape(a.shape)
-            self._params[name] = t
 
     @classmethod
     def zeros(cls, shapes: Mapping[str, tuple[int, ...]], dtype=np.float32) -> "ParameterSet":
-        """Zero tensors of the given shapes. Zero-stride placeholders stand in
-        for the values, so the arena is the one allocation."""
-        zero = np.zeros((), dtype)
-        return cls({name: np.broadcast_to(zero, shape) for name, shape in shapes.items()})
+        """Zero tensors of the given shapes. A fresh arena already holds
+        zeros, so nothing is written and no page is touched."""
+        params = cls.__new__(cls)
+        params._allocate(shapes, np.dtype(dtype))
+        return params
+
+    def _allocate(self, shapes: Mapping[str, tuple[int, ...]], dtype: np.dtype) -> None:
+        self._starts = [0, *itertools.accumulate(math.prod(shape) for shape in shapes.values())]
+        self.data = _zero_block(self._starts[-1], dtype)
+        self.grad = _zero_block(self._starts[-1], dtype)
+        self._params: dict[str, Tensor] = {}
+        for (name, shape), start, stop in zip(shapes.items(), self._starts, self._starts[1:]):
+            t = Tensor(self.data[start:stop].reshape(shape), requires_grad=True)
+            t.grad = self.grad[start:stop].reshape(shape)
+            self._params[name] = t
 
     def __getitem__(self, name: str) -> Tensor:
         try:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from bear.model import BearConfig, init_params
-from bear.ppm import image_to_unit, read_ppm, resize_unit
-from bear.serialize import BT1_MAGIC, Checkpoint, save_checkpoint
+from bear.ppm import image_to_unit, read_ppm, resize_unit, unit_to_image, write_ppm
+from bear.serialize import BT1_MAGIC, Checkpoint, load_checkpoint, save_checkpoint
+from bear.synth import synthetic_images
 
 CONFIG = """\
 n=16
@@ -284,6 +285,16 @@ class TestFailureModes:
         assert "does not fit in memory" in proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run.cfg"]
 
+    def test_parameter_arena_too_large_for_memory_is_usage_error(self, tmp_path):
+        # m = 2**24 latent units make dd's weights alone 4 GiB
+        (tmp_path / "run.cfg").write_text(CONFIG.replace("m=16\n", "m=16777216\n"))
+        assert run_cli(["synth", "--out", "data", "--count", "2", "--size", "16"], tmp_path).returncode == 0
+        proc = run_cli_capped(["train", "--data", "data", "--config", "run.cfg", "--out", "model.bc1"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "does not fit in memory" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run.cfg"]
+
     @pytest.mark.parametrize(
         "args", [["project"], ["cluster", "--k", "1", "--pca-rank", "2"]], ids=["project", "cluster-pca"]
     )
@@ -527,3 +538,93 @@ class TestFailureModes:
             assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "a.bc1").read_bytes() != (tmp_path / "b.bc1").read_bytes()
         assert "seed=11" in (tmp_path / "a.bc1.manifest").read_text()
+
+
+@pytest.fixture
+def encoder_workdir(tmp_path, monkeypatch):
+    """A small checkpoint and four images at twice its extent, so encoding
+    resizes them; the working directory is set to hold them."""
+    cfg = BearConfig(n=16, d=3, r=4, m=8, f_pfe=2, f_rfe=2, f_bfe=2, f_dec=2, seed=6)
+    save_checkpoint(Checkpoint(cfg, init_params(cfg), {}), tmp_path / "model.bc1")
+    (tmp_path / "data").mkdir()
+    for i, image in enumerate(synthetic_images(4, 32, seed=2)):
+        write_ppm(tmp_path / "data" / f"img{i}.ppm", unit_to_image(image))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def _transpose_dd_weights_shape(data: bytes) -> bytes:
+    """An encoder_workdir checkpoint with dd's (8, 32) weights stored as
+    (32, 8): the same size, another shape."""
+    at = data.index(b"dd/dense/weights") + len(b"dd/dense/weights") + len(BT1_MAGIC)
+    assert data[at : at + 12] == struct.pack("<3I", 2, 8, 32)
+    return data[:at] + struct.pack("<3I", 2, 32, 8) + data[at + 12 :]
+
+
+class TestEncoderOnlyLoad:
+    ENCODE = ["encode", "--ckpt", "model.bc1", "--data", "data", "--out", "emb.csv"]
+
+    def test_encode_is_byte_identical_to_a_whole_load(self, encoder_workdir, monkeypatch):
+        import bear.cli as cli
+
+        assert cli.main(self.ENCODE) == 0
+        partial = {name: (encoder_workdir / name).read_bytes() for name in ("emb.csv", "emb.csv.manifest")}
+        loaded = []
+
+        def whole(path, encoder_only=False):
+            loaded.append(load_checkpoint(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_checkpoint", whole)
+        assert cli.main(self.ENCODE) == 0
+        assert "dd/dense/weights" in loaded[0].params.names()
+        assert {name: (encoder_workdir / name).read_bytes() for name in partial} == partial
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: data.replace(b"dd/dense/bias", b"dd/dense/biaz", 1),
+            _transpose_dd_weights_shape,
+            lambda data: data[:-6],
+            lambda data: data + b"\x00",
+        ],
+        ids=["decoder-name", "decoder-shape", "truncated-elements", "trailing-bytes"],
+    )
+    def test_corrupt_decoder_fails_encode_as_a_whole_load_does(self, encoder_workdir, capsys, corrupt):
+        import bear.cli as cli
+
+        path = encoder_workdir / "model.bc1"
+        path.write_bytes(corrupt(path.read_bytes()))
+        assert cli.main(["info", "--ckpt", "model.bc1"]) == 2
+        whole = capsys.readouterr().err
+        assert cli.main(self.ENCODE) == 2
+        encoder = capsys.readouterr().err
+        assert encoder == whole
+        assert encoder.startswith("error: ") and encoder.count("\n") == 1, encoder
+        assert not (encoder_workdir / "emb.csv").exists()
+
+
+class TestInterrupt:
+    def test_interrupted_command_exits_130_with_one_line(self, encoder_workdir, monkeypatch, capsys):
+        import bear.cli as cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_info", interrupted)
+        assert cli.main(["info", "--ckpt", "model.bc1"]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+
+    def test_interrupt_while_writing_leaves_no_output(self, encoder_workdir, monkeypatch, capsys):
+        import bear.cli as cli
+        from bear.serialize import atomic_write
+
+        def write_half(path, embeddings):
+            with atomic_write(path) as fh:
+                fh.write("id,z0\n")
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.lat, "write_embeddings", write_half)
+        assert cli.main(["encode", "--ckpt", "model.bc1", "--data", "data", "--out", "emb.csv"]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert sorted(p.name for p in encoder_workdir.iterdir()) == ["data", "model.bc1"]

@@ -1,6 +1,6 @@
 """Peak memory of full-scale training set-up, encoding and reading
-embeddings, measured in a child process so that nothing else in the test run
-counts towards it."""
+embeddings, and the resident cost of a parameter arena, measured in a child
+process so that nothing else in the test run counts towards it."""
 
 import math
 import os
@@ -57,6 +57,28 @@ bear.latent.read_embeddings("emb.csv")
 print(start, peak_kib())
 """
 
+# A zero arena touches no page, and a freed one leaves none resident, even
+# after a freed 16 MiB block has raised glibc's mmap threshold above the
+# arena's 4 MiB, so that a heap allocation would serve it and keep it.
+ARENA_CHILD = """
+import numpy as np
+from bear.tensor import ParameterSet
+
+def rss_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+
+block = np.ones(4 * 2**20, dtype=np.float32)
+del block
+start = rss_kib()
+params = ParameterSet.zeros({"w": (2**20,)})
+untouched = rss_kib()
+params.data[...] = 1.0
+written = rss_kib()
+del params
+print(start, untouched, written, rss_kib())
+"""
+
 # one BLAS thread, so the measure does not depend on the core count
 ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -90,3 +112,13 @@ def test_reading_embeddings_peak_stays_within_the_matrix_plus_headroom(tmp_path)
     rise_mb = peak_rise_mb(READ_CHILD, tmp_path)
     matrix_mb = rows.nbytes / 2**20
     assert rise_mb <= matrix_mb + READ_HEADROOM_MB, f"peak rose {rise_mb:.1f} MiB for a {matrix_mb:.1f} MiB matrix"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux's /proc/self/status")
+def test_arena_is_resident_only_while_written_and_held(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", ARENA_CHILD], cwd=tmp_path, env=ENV, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    start, untouched, written, freed = (int(v) / 1024 for v in proc.stdout.split())
+    assert written - start >= 3.5, "writing the 4 MiB arena should make it resident"
+    assert untouched - start < 1.0, f"a zero arena made {untouched - start:.1f} MiB resident"
+    assert freed - start < 1.0, f"a freed arena left {freed - start:.1f} MiB resident"

@@ -1,6 +1,7 @@
 """Tensor engine: forward semantics, gradients, and the BT1 file format."""
 
 import io
+import itertools
 import os
 import struct
 import subprocess
@@ -20,6 +21,7 @@ from bear.tensor import (
     CHUNK,
     ParameterSet,
     Tensor,
+    box_mean,
     concat_channels,
     conv2d,
     custom_op,
@@ -254,6 +256,45 @@ class TestResampling:
         x = rng.normal(size=(6, 6, 3)).astype(np.float32)
         back = downsample_avg(upsample_nearest(Tensor(x), 2), 2)
         assert np.array_equal(back.data, x)
+
+
+def _box_mean_oracle(x, rh, rw):
+    """Each rh x rw block summed one element at a time in row-major order,
+    in the input's dtype, then divided once."""
+    *lead, H, W, C = x.shape
+    out = np.empty((*lead, H // rh, W // rw, C), x.dtype)
+    for index in np.ndindex(out.shape):
+        *batch, i, j, c = index
+        total = x[(*batch, i * rh, j * rw, c)]
+        for a, b in itertools.product(range(rh), range(rw)):
+            if a or b:
+                total = total + x[(*batch, i * rh + a, j * rw + b, c)]
+        out[index] = total / x.dtype.type(rh * rw)
+    return out
+
+
+class TestBoxMean:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rh=st.integers(1, 8),
+        rw=st.integers(1, 8),
+        blocks=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        channels=st.integers(1, 4),
+        lead=st.lists(st.integers(1, 2), max_size=2),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_row_major_sum_bit_for_bit(self, rh, rw, blocks, channels, lead, dtype, seed):
+        shape = (*lead, blocks[0] * rh, blocks[1] * rw, channels)
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape).astype(dtype)
+        got = box_mean(x, rh, rw)
+        assert got.dtype == dtype
+        assert got.tobytes() == _box_mean_oracle(x, rh, rw).tobytes()
+        if channels >= 2:
+            # numpy's mean adds in the same order here (every PPM image and
+            # every pool of a d = 3 model); at C = 1 it drifts in the last bits
+            blocked = x.reshape(*lead, blocks[0], rh, blocks[1], rw, channels)
+            assert got.tobytes() == blocked.mean(axis=(-4, -2)).tobytes()
 
 
 class TestConcatSlice:

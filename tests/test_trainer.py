@@ -14,7 +14,7 @@ from conftest import assert_in_arena, reference_adam_steps, scalar_adam_trace, s
 import bear.tensor
 import bear.train
 from bear.errors import ConfigError, DataError, FormatError, NumericError, ShapeError
-from bear.model import BearConfig, forward, init_params
+from bear.model import BearConfig, encoder_shapes, forward, init_params
 from bear.serialize import BT1_MAGIC, Checkpoint, load_checkpoint, save_checkpoint, write_bt1
 from bear.synth import synthetic_images
 from bear.tensor import CHUNK, ParameterSet, Tensor, grad_check
@@ -551,6 +551,21 @@ class TestCheckpointFormat:
         back = load_checkpoint(path).params
         assert_in_arena(back)
         assert back.data.tobytes() == init_params(bcfg).data.tobytes()
+
+    def test_encoder_only_load_holds_the_encoder_alone(self, tmp_path):
+        bcfg = BearConfig(n=16, d=3, r=4, m=8, f_pfe=2, f_rfe=2, f_bfe=2, f_dec=2, seed=4)
+        path = tmp_path / "model.bc1"
+        save_checkpoint(Checkpoint(bcfg, init_params(bcfg), {"epochs_run": "0"}), path)
+        whole = load_checkpoint(path)
+        encoder = load_checkpoint(path, encoder_only=True)
+        assert encoder.config == whole.config and encoder.metadata == whole.metadata
+        assert encoder.params.names() == list(encoder_shapes(bcfg))
+        assert encoder.params.names() == whole.params.names()[: len(encoder_shapes(bcfg))]
+        assert_in_arena(encoder.params)
+        for name, t in encoder.params.items():
+            assert t.data.tobytes() == whole.params[name].data.tobytes(), name
+        with pytest.raises(KeyError, match="dd/dense/weights"):
+            encoder.params["dd/dense/weights"]
 
     def test_corrupted_magic_names_offset_zero(self, tmp_path):
         bcfg = BearConfig(n=16, d=3, r=4, m=8, f_pfe=1, f_rfe=1, f_bfe=1, f_dec=1)
