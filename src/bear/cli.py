@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
@@ -40,7 +41,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_manifest(
+@contextmanager
+def _manifest_last(
     primary: Path,
     command: str,
     config: str | None,
@@ -48,7 +50,14 @@ def _write_manifest(
     inputs: list[str],
     outputs: list[str],
     cfg_hash: str | None,
-) -> None:
+) -> Iterator[None]:
+    """Remove the previous manifest of ``primary``, run the block's writes, and
+    write the new manifest last, so that a manifest stands only beside the
+    complete set of outputs it names: a failed or interrupted write leaves
+    none."""
+    manifest = primary.with_name(primary.name + ".manifest")
+    manifest.unlink(missing_ok=True)
+    yield
     lines = [
         f"command={command}",
         f"config={config if config is not None else '-'}",
@@ -57,7 +66,7 @@ def _write_manifest(
     lines += [f"input={p}" for p in inputs]
     lines += [f"output={p}" for p in outputs]
     lines.append(f"config_hash={cfg_hash if cfg_hash is not None else '-'}")
-    with atomic_write(primary.with_name(primary.name + ".manifest")) as fh:
+    with atomic_write(manifest) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -99,20 +108,9 @@ def _cmd_synth(args) -> int:
     images = synthetic_images(args.count, args.size, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, img in enumerate(images):
-        name = f"img{i:04d}.ppm"
-        write_ppm(out_dir / name, unit_to_image(img))
-        names.append(name)
-    _write_manifest(
-        out_dir / "synth",
-        "synth",
-        None,
-        args.seed,
-        [],
-        [f"{out_dir} ({len(names)} images)"],
-        None,
-    )
+    with _manifest_last(out_dir / "synth", "synth", None, args.seed, [], [f"{out_dir} ({len(images)} images)"], None):
+        for i, img in enumerate(images):
+            write_ppm(out_dir / f"img{i:04d}.ppm", unit_to_image(img))
     print(f"wrote {len(images)} images to {out_dir}")
     return EXIT_OK
 
@@ -131,12 +129,11 @@ def _cmd_train(args) -> int:
         raise DataError(f"need at least 2 usable images in {args.data}, found {len(images)}")
     ckpt, records = fit(images, tcfg, bcfg)
     out = Path(args.out)
-    save_checkpoint(ckpt, out)
-    outputs = [str(out)]
-    if args.log:
-        write_epoch_log(args.log, records)
-        outputs.append(str(args.log))
-    _write_manifest(out, "train", str(args.config), tcfg.seed, [str(args.data)], outputs, config_hash(bcfg))
+    outputs = [str(out)] + ([str(args.log)] if args.log else [])
+    with _manifest_last(out, "train", str(args.config), tcfg.seed, [str(args.data)], outputs, config_hash(bcfg)):
+        save_checkpoint(ckpt, out)
+        if args.log:
+            write_epoch_log(args.log, records)
     best = ckpt.metadata.get("best_val_loss", "-")
     print(f"trained {len(records)} epochs on {len(images)} images; best validation loss {best}")
     return EXIT_OK
@@ -163,8 +160,9 @@ def _cmd_encode(args) -> int:
     if not finite.all():
         raise NumericError(f"non-finite embedding for {ids[int(np.argmin(finite))]!r}")
     out = Path(args.out)
-    lat.write_embeddings(out, lat.EmbeddingSet(rows=rows, ids=ids))
-    _write_manifest(out, "encode", None, None, [str(args.ckpt), str(args.data)], [str(out)], config_hash(ckpt.config))
+    inputs = [str(args.ckpt), str(args.data)]
+    with _manifest_last(out, "encode", None, None, inputs, [str(out)], config_hash(ckpt.config)):
+        lat.write_embeddings(out, lat.EmbeddingSet(rows=rows, ids=ids))
     print(f"encoded {len(rows)} images to {out}")
     return EXIT_OK
 
@@ -178,8 +176,9 @@ def _cmd_reconstruct(args) -> int:
     if not np.isfinite(xhat.data).all():
         raise NumericError(f"non-finite reconstruction of {args.input}")
     out = Path(args.out)
-    write_ppm(out, unit_to_image(xhat.data[0]))
-    _write_manifest(out, "reconstruct", None, None, [str(args.ckpt), str(args.input)], [str(out)], config_hash(ckpt.config))
+    inputs = [str(args.ckpt), str(args.input)]
+    with _manifest_last(out, "reconstruct", None, None, inputs, [str(out)], config_hash(ckpt.config)):
+        write_ppm(out, unit_to_image(xhat.data[0]))
     print(f"reconstructed {args.input} to {out}")
     return EXIT_OK
 
@@ -189,21 +188,24 @@ def _cmd_cluster(args) -> int:
     if args.pca_rank is not None:
         embeddings = lat.reduce_embeddings(embeddings, args.pca_rank)
     out = Path(args.out)
+    # entered only around the write, once the result is computed
+    manifest_last = _manifest_last(out, "cluster", None, args.seed, [str(args.embeddings)], [str(out)], None)
     if args.k is not None:
         result = lat.kmeans(embeddings, args.k, seed=args.seed, restarts=args.restarts)
-        lat.write_clusters(out, embeddings.ids, result.assignments)
+        with manifest_last:
+            lat.write_clusters(out, embeddings.ids, result.assignments)
         print(f"k={args.k}: inertia {result.inertia!r} after {result.iterations} iterations")
     else:
         k_min, k_max = args.elbow
         curve = lat.elbow(embeddings, k_min, k_max, seed=args.seed, restarts=args.restarts)
-        lat.write_elbow(out, curve)
+        with manifest_last:
+            lat.write_elbow(out, curve)
         if curve.selected_k is None:
             print("no elbow: the inertia curve is a straight line")
         else:
             print(f"selected_k={curve.selected_k}")
         if curve.violations:
             print(f"warning: inertia rose at k={curve.violations} (restart failures)", file=sys.stderr)
-    _write_manifest(out, "cluster", None, args.seed, [str(args.embeddings)], [str(out)], None)
     return EXIT_OK
 
 
@@ -211,8 +213,8 @@ def _cmd_project(args) -> int:
     embeddings = lat.read_embeddings(args.embeddings)
     proj = lat.project2d(embeddings)
     out = Path(args.out)
-    lat.write_projection(out, embeddings, proj)
-    _write_manifest(out, "project", None, None, [str(args.embeddings)], [str(out)], None)
+    with _manifest_last(out, "project", None, None, [str(args.embeddings)], [str(out)], None):
+        lat.write_projection(out, embeddings, proj)
     print(f"projected {embeddings.count} rows to {out}")
     return EXIT_OK
 
@@ -308,7 +310,8 @@ def main(argv=None) -> int:
         print(f"error: the input does not fit in memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:
-        # each output is written through atomic_write, which has removed its temporary file
+        # each output is written through atomic_write, which has removed its
+        # temporary file, and no manifest is left beside an unfinished set
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
 

@@ -8,7 +8,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -523,11 +523,21 @@ def _parse_lines(block: bytes, width: int) -> tuple[list[str], np.ndarray] | Non
     return ids, values.reshape(len(ids), width)
 
 
+def _csv_records(fh, path: Path) -> Iterator[list[str]]:
+    """The csv module's records of ``fh``; a record it rejects (a field longer
+    than csv.field_size_limit(), say) is a FormatError naming its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num} is not valid CSV: {exc}") from None
+
+
 def _read_embeddings(path: Path) -> EmbeddingSet:
     """The general parser: any file the csv module reads, with the line number
     of the first malformed record."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(fh, path)
         try:
             header = next(reader)
         except StopIteration:

@@ -197,12 +197,9 @@ def config_from_mapping(mapping: Mapping[str, str], label: str = "checkpoint hea
     kwargs: dict = {}
     for key, value in mapping.items():
         if key not in _BEAR_FIELDS:
-            raise FormatError(f"{label}: unknown config key {key!r}")
+            raise ConfigError(f"{label}: unknown config key {key!r}")
         kwargs[key] = _convert(key, value, _BEAR_FIELDS[key], label)
-    try:
-        return BearConfig(**kwargs)
-    except ConfigError as exc:
-        raise FormatError(f"{label}: {exc}") from None
+    return BearConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +242,17 @@ def load_checkpoint(path: str | Path, encoder_only: bool = False) -> Checkpoint:
             raise FormatError(f"bad checkpoint magic {magic!r} at byte offset 0 (expected {BC1_MAGIC!r})")
         (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
         header = _decode_utf8(_read_exact(fh, header_len, "checkpoint header"), "checkpoint header", len(BC1_MAGIC) + 4)
-        raw = parse_kv_text(header, label=f"{path} header")
-        cfg_map = {k[4:]: v for k, v in raw.items() if k.startswith("cfg.")}
-        meta = {k[5:]: v for k, v in raw.items() if k.startswith("meta.")}
-        stray = [k for k in raw if not (k.startswith("cfg.") or k.startswith("meta."))]
-        if stray:
-            raise FormatError(f"{path}: unexpected header key {stray[0]!r}")
-        cfg = config_from_mapping(cfg_map, label=f"{path} header")
+        try:
+            raw = parse_kv_text(header, label="checkpoint header")
+            cfg_map = {k[4:]: v for k, v in raw.items() if k.startswith("cfg.")}
+            meta = {k[5:]: v for k, v in raw.items() if k.startswith("meta.")}
+            stray = [k for k in raw if not (k.startswith("cfg.") or k.startswith("meta."))]
+            if stray:
+                raise FormatError(f"{path}: unexpected header key {stray[0]!r}")
+            cfg = config_from_mapping(cfg_map)
+        except ConfigError as exc:
+            # a malformed header is a fault of the file, not of the command line
+            raise FormatError(f"{path}: {exc}") from None
         shapes = parameter_shapes(cfg)
         # a header that declares more weights than the file holds fails before the arena is allocated
         _check_left(fh, 4 * sum(math.prod(shape) for shape in shapes.values()), "tensor elements")

@@ -188,58 +188,37 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# schedule state machines
+# schedules
 
 
-def _improvement_flags(history: Sequence[float]) -> list[bool]:
-    """Per-epoch flags: did this epoch beat the best of all prior epochs?
+def _stalled(history: Sequence[float]) -> int:
+    """Epochs since the validation loss last beat the best of all prior
+    epochs by more than ``IMPROVE_EPS``.
 
-    The first epoch establishes the baseline and counts as not improving, so
-    a flat run of length p is a p-epoch plateau.
+    The first epoch establishes the baseline and counts as stalled, so a
+    flat run of length p is a p-epoch plateau.
     """
-    flags: list[bool] = []
+    stalled = 0
     best = math.inf
     for i, value in enumerate(history):
-        flags.append(i > 0 and value < best - IMPROVE_EPS)
+        stalled = 0 if i > 0 and value < best - IMPROVE_EPS else stalled + 1
         best = min(best, value)
-    return flags
+    return stalled
 
 
 def plateau_decay(history: Sequence[float], lr: float, cfg: TrainConfig) -> float:
-    """Return the learning rate after this epoch: decayed when the best
-    validation loss has stalled for ``plateau_patience`` consecutive epochs.
-
-    The stall counter resets both on improvement and after each decay, so a
-    continuing plateau decays again only after another full patience window.
-    """
+    """Return the learning rate after this epoch: decayed at every
+    ``plateau_patience``-th consecutive stalled epoch, so a continuing
+    plateau decays again only after another full patience window."""
     if not history:
         raise ValueError("plateau_decay: history must be nonempty")
-    counter = 0
-    fired_last = False
-    for i, improved in enumerate(_improvement_flags(history)):
-        if improved:
-            counter = 0
-            fired = False
-        else:
-            counter += 1
-            fired = counter >= cfg.plateau_patience
-            if fired:
-                counter = 0
-        if i == len(history) - 1:
-            fired_last = fired
-    return lr * cfg.decay_factor if fired_last else lr
+    stalled = _stalled(history)
+    return lr * cfg.decay_factor if stalled > 0 and stalled % cfg.plateau_patience == 0 else lr
 
 
 def early_stop(history: Sequence[float], cfg: TrainConfig) -> bool:
-    """True when the trailing run of non-improving epochs reaches
-    ``stop_patience``."""
-    flags = _improvement_flags(history)
-    run = 0
-    for improved in reversed(flags):
-        if improved:
-            break
-        run += 1
-    return run >= cfg.stop_patience
+    """True when the trailing run of stalled epochs reaches ``stop_patience``."""
+    return _stalled(history) >= cfg.stop_patience
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +308,15 @@ def fit(
     # the initial values are never copied, and a run whose last epoch is its
     # best never restores.
     best_values: np.ndarray | None = None
-    holds_best = True
 
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()
-        if holds_best and epoch > 1:
+        if epoch > 1 and best_epoch == epoch - 1:
             if best_values is None:
                 best_values = np.empty_like(params.data)
             best_values[...] = params.data
-        holds_best = False
         epoch_order = rng.permutation(len(train_set))
         running = 0.0
-        seen = 0
         for batch in _chunks(epoch_order, cfg.batch_size):
             summed = accumulate_gradients([train_set[i] for i in batch], params, bcfg, loss_fn)
             if not math.isfinite(summed):
@@ -350,8 +326,7 @@ def fit(
                     t.grad += (2.0 * cfg.l2) * t.data
             optimizer.step(lr)
             running += summed
-            seen += len(batch)
-        train_loss = running / seen
+        train_loss = running / len(train_set)
         val_loss = validation_loss()
         if not math.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss in epoch {epoch}")
@@ -360,12 +335,11 @@ def fit(
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            holds_best = True
         lr = plateau_decay(history, lr, cfg)
         if early_stop(history, cfg):
             break
 
-    if not holds_best:
+    if best_epoch != len(records):
         params.data[...] = best_values
     metadata = {
         "epochs_run": str(len(records)),

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, exit codes, and file contracts."""
 
+import csv
 import os
 import struct
 import subprocess
@@ -275,6 +276,38 @@ class TestFailureModes:
         assert "truncated tensor elements" in proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "model.bc1"]
 
+    @pytest.mark.parametrize("command", [["info"], ["encode", "--data", "data", "--out", "e.csv"]], ids=["info", "encode"])
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"cfg.n=abc\n", "checkpoint header: key 'n' has invalid int value 'abc'"),
+            (b"cfg.n=16\ncfg.m\n", "checkpoint header line 2: expected key=value, got 'cfg.m'"),
+            (b"=16\n", "checkpoint header line 1: empty key"),
+            (b"cfg.n=16\ncfg.n=32\n", "checkpoint header line 2: duplicate key 'cfg.n'"),
+        ],
+        ids=["invalid-int", "no-equals-sign", "empty-key", "duplicate-key"],
+    )
+    def test_malformed_checkpoint_header_is_data_error(
+        self, tmp_path, monkeypatch, capsys, command, header, message
+    ):
+        import bear.cli as cli
+
+        (tmp_path / "model.bc1").write_bytes(b"BEARC1" + struct.pack("<I", len(header)) + header)
+        (tmp_path / "data").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command[0], "--ckpt", "model.bc1", *command[1:]]) == 2
+        assert capsys.readouterr().err == f"error: model.bc1: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "model.bc1"]
+
+    def test_malformed_run_config_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        import bear.cli as cli
+
+        (tmp_path / "run.cfg").write_text(CONFIG.replace("n=16\n", "n=abc\n"))
+        (tmp_path / "data").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["train", "--data", "data", "--config", "run.cfg", "--out", "m.bc1"]) == 1
+        assert capsys.readouterr().err == "error: run.cfg: key 'n' has invalid int value 'abc'\n"
+
     def test_train_too_large_for_memory_is_usage_error(self, tmp_path):
         # resizing one image to n=65536 needs 48 GiB
         (tmp_path / "run.cfg").write_text(CONFIG.replace("n=16\n", "n=65536\n"))
@@ -390,6 +423,15 @@ class TestFailureModes:
         proc = run_cli(["cluster", "--embeddings", "emb.csv", "--k", "1", "--out", "c.csv"], tmp_path)
         assert proc.returncode == 2
         assert "line 3" in proc.stderr
+
+    @pytest.mark.parametrize("args", [["project"], ["cluster", "--k", "1"]], ids=["project", "cluster"])
+    def test_embeddings_field_over_the_csv_limit_is_data_error(self, tmp_path, args):
+        (tmp_path / "emb.csv").write_bytes(b"id,z0,z1\n" + b"r" * (csv.field_size_limit() + 1) + b",1,2\n")
+        proc = run_cli([*args, "--embeddings", "emb.csv", "--out", "out.csv"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: emb.csv: line 2 is not valid CSV: field larger than field limit")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.csv"]
 
     def test_corrupt_ppm_reconstruct_is_data_error(self, tmp_path, pipeline):
         (tmp_path / "bad.ppm").write_bytes(b"Px garbage")
@@ -628,3 +670,64 @@ class TestInterrupt:
         assert cli.main(["encode", "--ckpt", "model.bc1", "--data", "data", "--out", "emb.csv"]) == 130
         assert capsys.readouterr().err == "error: interrupted\n"
         assert sorted(p.name for p in encoder_workdir.iterdir()) == ["data", "model.bc1"]
+
+
+class TestManifestLast:
+    """Each command removes its previous manifest before its first write and
+    writes the new one after its last, so an interrupted rerun leaves no
+    manifest beside outputs it did not finish."""
+
+    # (argv with a {seed} slot where the command takes one, the first output
+    # written, the manifest)
+    COMMANDS = {
+        "synth": (
+            ["synth", "--out", "out", "--count", "2", "--size", "16", "--seed", "{seed}"],
+            "img0000.ppm",
+            "out/synth.manifest",
+        ),
+        "train": (
+            ["train", "--data", "data", "--config", "run.cfg", "--out", "t.bc1", "--log", "t.csv", "--seed", "{seed}"],
+            "t.bc1",
+            "t.bc1.manifest",
+        ),
+        "encode": (["encode", "--ckpt", "model.bc1", "--data", "data", "--out", "e.csv"], "e.csv", "e.csv.manifest"),
+        "reconstruct": (
+            ["reconstruct", "--ckpt", "model.bc1", "--in", "data/img0.ppm", "--out", "r.ppm"],
+            "r.ppm",
+            "r.ppm.manifest",
+        ),
+        "cluster": (
+            ["cluster", "--embeddings", "emb.csv", "--k", "2", "--seed", "{seed}", "--out", "c.csv"],
+            "c.csv",
+            "c.csv.manifest",
+        ),
+        "project": (["project", "--embeddings", "emb.csv", "--out", "p.csv"], "p.csv", "p.csv.manifest"),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_interrupt_after_the_first_output_leaves_no_manifest(self, encoder_workdir, monkeypatch, capsys, command):
+        import bear.cli as cli
+
+        (encoder_workdir / "run.cfg").write_text(CONFIG.replace("max_epochs=40", "max_epochs=1"))
+        assert cli.main(["encode", "--ckpt", "model.bc1", "--data", "data", "--out", "emb.csv"]) == 0
+        argv, first, manifest = self.COMMANDS[command]
+        assert cli.main([arg.format(seed=1) for arg in argv]) == 0
+        assert (encoder_workdir / manifest).is_file()
+
+        replaced = []
+        real_replace = os.replace
+
+        def replace_once(src, dst):
+            # the first output is renamed into place; the next write is interrupted
+            if replaced:
+                raise KeyboardInterrupt
+            real_replace(src, dst)
+            replaced.append(os.path.basename(dst))
+
+        monkeypatch.setattr(os, "replace", replace_once)
+        capsys.readouterr()
+        assert cli.main([arg.format(seed=2) for arg in argv]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert replaced == [first]
+        assert not (encoder_workdir / manifest).exists()
+        assert not list(encoder_workdir.rglob("*.tmp"))

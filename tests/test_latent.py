@@ -574,7 +574,8 @@ class TestPlainReader:
         monkeypatch.setattr(latent, "_read_plain_embeddings", lambda path: None)
         assert _outcome(lambda: _embedding_bits(read_embeddings(path))) == fast
         assert _outcome(lambda: (cli.main(argv), capsys.readouterr().err)) == fast_cli
-        if isinstance(fast[0], type) and issubclass(fast[0], (FormatError, DataError)):
+        if isinstance(fast[0], type):  # every rejected file is a data error
+            assert issubclass(fast[0], (FormatError, DataError)), fast
             assert fast_cli[0] == 2
 
     def test_plain_file_over_many_blocks(self, tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Losses, Adam, the decay and stopping state machines, fit, checkpoints."""
+"""Losses, Adam, the decay and stopping schedules, fit, checkpoints."""
 
 import io
 import math
@@ -327,6 +327,63 @@ class TestEarlyStop:
         assert early_stop(history, self.CFG) is False
         history.append(1.4)
         assert early_stop(history, self.CFG) is True
+
+
+def _reference_improvement_flags(history):
+    """Per-epoch flags: did this epoch beat the best of all prior epochs by
+    more than IMPROVE_EPS? The first epoch counts as not improving."""
+    flags = []
+    best = math.inf
+    for i, value in enumerate(history):
+        flags.append(i > 0 and value < best - bear.train.IMPROVE_EPS)
+        best = min(best, value)
+    return flags
+
+
+def _reference_schedule(history, plateau_patience, stop_patience):
+    """(decays after the last epoch, stops after the last epoch), from a stall
+    counter that resets on improvement and after each decay, and from the
+    trailing run of non-improving epochs."""
+    flags = _reference_improvement_flags(history)
+    counter = 0
+    fired = False
+    for improved in flags:
+        if improved:
+            counter = 0
+            fired = False
+        else:
+            counter += 1
+            fired = counter >= plateau_patience
+            if fired:
+                counter = 0
+    run = 0
+    for improved in reversed(flags):
+        if improved:
+            break
+        run += 1
+    return fired, run >= stop_patience
+
+
+class TestScheduleOracle:
+    # values near 1 with offsets around IMPROVE_EPS, so ties, near-ties and
+    # improvements just beyond the threshold all occur
+    VALUES = st.sampled_from([1.0, 0.5, 0.25]).flatmap(
+        lambda base: st.sampled_from([0.0, 0.4e-6, 0.9e-6, 1e-6, 1.1e-6, 2e-6, 0.1]).map(lambda d: base - d)
+    )
+
+    @settings(deadline=None, max_examples=500)
+    @given(
+        st.lists(VALUES, min_size=1, max_size=30),
+        st.integers(1, 6),
+        st.integers(0, 6),
+    )
+    def test_schedules_match_the_stall_counter_state_machine(self, history, plateau, extra):
+        cfg = TrainConfig(plateau_patience=plateau, stop_patience=plateau + extra, decay_factor=0.5)
+        for end in range(1, len(history) + 1):
+            prefix = history[:end]
+            decays, stops = _reference_schedule(prefix, cfg.plateau_patience, cfg.stop_patience)
+            assert plateau_decay(prefix, 1.0, cfg) == (0.5 if decays else 1.0), prefix
+            assert early_stop(prefix, cfg) is stops, prefix
 
 
 def _desk_setup(count=12, max_epochs=2, **overrides):
