@@ -1,9 +1,9 @@
 """Neural building blocks: a convolutional LSTM cell scanned over the channel
 axis, and the mean of multi-scale convolution branches run as one folded
 convolution. Each scan is one tape node with a hand-written backward pass,
-and runs in channel-major layout on the window matrices that ``conv2d``
-uses too. The fold happens at forward time, so callers keep, train and
-store every branch kernel."""
+and runs channel-major on the zero-gutter grids and window matrices that
+``conv2d`` uses too. The fold happens at forward time, so callers keep,
+train and store every branch kernel."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _channel_major, _records, _shift_add, _windows, conv2d, custom_op
+from .tensor import Tensor, _channel_major, _grid, _records, _shift_add, _windows, conv2d, custom_op
 
 
 @dataclass
@@ -67,19 +67,21 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     c = f * c_prev + i * g,  h = o * tanh(c).
     Channel order matters: slices are consumed in storage order.
 
-    The scan runs channel-major: a step's arrays have one row per channel
-    and one column per map position (R of them), so each gate is a
-    contiguous (F, R) block. A step's window matrix stacks the windows of h,
-    the windows of x_t and a row of ones, so one GEMM, kernels.T @ windows,
-    gives its whole (4F, R) pre-activation, bias included; the gates are
-    computed in place there by one tanh pass, as the forward kernels have
-    their i, f and o columns halved and sig(v) = (1 + tanh(v / 2)) / 2. Only
-    when the tape records does the scan keep every step's gates, cells and
-    hidden maps; otherwise it keeps the current step's. The backward pass
-    runs the steps in reverse, overwrites each step's gates with their
-    gradients, rebuilds window matrices instead of keeping them, and per
-    step gets all kernel gradients from one GEMM and the k*k tap planes of
-    both map gradients, which it shift-adds back onto the maps, from another.
+    The scan runs channel-major on zero-gutter grids (``tensor._Grid``): a
+    step's arrays have one row per channel and one column per window column,
+    so each gate is a contiguous (F, P) block, and a step zeroes its hidden
+    map's gutters once. A step's window matrix stacks the windows of h, the
+    windows of x_t and a row of ones, so one GEMM, kernels.T @ windows, gives
+    its whole (4F, P) pre-activation, bias included; one tanh pass computes
+    the gates in place there, as the forward kernels have their i, f and o
+    columns halved and sig(v) = (1 + tanh(v / 2)) / 2. Only when the tape
+    records does the scan keep every step's gates, cells and hidden maps;
+    otherwise it keeps the current step's. The backward pass runs the steps
+    in reverse, overwrites each step's gates with their gradients, rebuilds
+    window matrices, and per step gets all kernel gradients from one GEMM,
+    windows @ gates.T, and the k*k tap planes of both map gradients from
+    another, which it shift-adds back onto their grids; the hidden-map
+    gradient's gutters are zeroed after each shift-add.
     """
     if x.ndim < 3:
         raise ShapeError(f"convlstm_over_channels: input must have rank 3 or more, got rank {x.ndim}")
@@ -93,28 +95,28 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     def slot(t: int) -> int:  # where step t's gates, cell and hidden map live
         return t if keep else 0
 
-    xmaps = _channel_major(x.data.reshape(-1, T)).reshape(T, -1, H, W)
-    N = xmaps.shape[1]
-    R = N * H * W
+    grid = _grid(k, k, x.size // (H * W * T), H, W)
+    P, in_grid = grid.cols, slice(grid.lead, grid.lead + grid.cols)  # window columns, and their place in a grid array
+    xgrid = _channel_major(x.data.reshape(-1, T), grid)
     # one row per window row: the hidden-map taps, the input taps, the ones row
     kern = np.vstack([p.recurrent_kernels.data.reshape(tail, -1), p.input_kernels.data.reshape(kk, -1), p.biases.data])
-    dtype = np.result_type(xmaps, kern)
+    dtype = np.result_type(xgrid, kern)
     # halving is exact, so this copy's GEMM gives exactly v / 2 for the i, f
     # and o gates; the backward pass takes gradients with respect to v, so it
     # keeps kern
     kern_half = kern * np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), F)  # gates (i, f, g, o)
-    gates = np.empty((slot(T - 1) + 1, 4 * F, R), dtype)  # rows (i, f, g, o), F each
-    cells = np.zeros((slot(T) + 1, F, R), dtype)  # cells[0] is the zero initial state
-    hidden = np.empty((slot(T - 1) + 1, F, R), dtype)
-    windows = np.empty((tail + kk + 1, R), dtype)
+    gates = np.empty((slot(T - 1) + 1, 4 * F, P), dtype)  # rows (i, f, g, o), F each
+    cells = np.zeros((slot(T) + 1, F, P), dtype)  # cells[0] is the zero initial state
+    hidden = np.zeros((slot(T - 1) + 1, F, grid.length), dtype)  # grid arrays, margins zero
+    windows = np.empty((tail + kk + 1, P), dtype)
     windows[-1] = 1
-    work = np.empty((F, R), dtype)
+    work = np.empty((F, P), dtype)
     for t in range(T):
         pre = gates[slot(t)]
         first = 0 if t else tail  # the zero initial state has no recurrent term
-        _windows(xmaps[t : t + 1], k, k, windows[tail:])
+        _windows(xgrid[t : t + 1], grid, windows[tail:])
         if t:
-            _windows(hidden[slot(t - 1)].reshape(F, N, H, W), k, k, windows)
+            _windows(hidden[slot(t - 1)], grid, windows)
         np.matmul(kern_half[first:].T, windows[first:], out=pre)
         np.tanh(pre, out=pre)
         for rows in (pre[: 2 * F], pre[3 * F :]):
@@ -124,22 +126,25 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
         c = cells[slot(t + 1)]
         np.multiply(f, cells[slot(t)], out=c)
         c += np.multiply(i, g, out=work)
-        np.multiply(o, np.tanh(c, out=work), out=hidden[slot(t)])
-    h = np.moveaxis(hidden[-1].reshape(F, N, H, W), 0, -1)
+        h = np.multiply(o, np.tanh(c, out=work), out=hidden[slot(t), :, in_grid])
+        grid.zero_gutters(h)  # the GEMM computed the gutter columns too
+    h = np.moveaxis(grid.maps(hidden[-1]), 0, -1)
     del windows, work, kern_half
 
     def backward(grad: np.ndarray) -> None:
-        dh = _channel_major(grad.reshape(R, F))
-        dc = np.zeros_like(dh)
+        nonlocal gates, cells, hidden  # one pass consumes them: it overwrites the gates
+        dh = _channel_major(grad.reshape(-1, F), grid)  # a grid array: the planes shift-add onto it
+        dhc = dh[:, in_grid]  # zero in the gutter columns, like dc and so every gate gradient
+        dc = np.zeros((F, P), dtype)
         # gate gradients run in place over reused scratch: the same formulas as
-        # expressions allocate about 15 (F, R) temporaries a step, which raised
+        # expressions allocate about 15 (F, P) temporaries a step, which raised
         # full-scale training's peak RSS by about 11 MB
-        s1, s2, s3 = np.empty((3, F, R), dtype)
-        windows = np.empty((tail + kk + 1, R), dtype)  # each step's window matrix, then its tap planes
+        s1, s2, s3 = np.empty((3, F, P), dtype)
+        windows = np.empty((tail + kk + 1, P), dtype)  # each step's window matrix, then its tap planes
         windows[-1] = 1  # the planes stop short of the ones row
         planes_stop = tail + kk if x.requires_grad else tail
-        dx = np.empty((T, N, H, W), dtype)
-        d_kern = np.zeros((4 * F, tail + kk + 1), dtype)  # kernel and bias gradients, transposed
+        dx = np.empty((T, grid.length), dtype)
+        d_kern = np.zeros((tail + kk + 1, 4 * F), dtype)  # kernel and bias gradients, kern's layout
         for t in reversed(range(T)):
             d = gates[t]  # this step's gates in, their gradients out
             i, f, g, o = d[:F], d[F : 2 * F], d[2 * F : 3 * F], d[3 * F :]
@@ -147,11 +152,11 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
             # dc += dh * o * (1 - tc^2)
             np.multiply(tc, tc, out=s2)
             np.subtract(1.0, s2, out=s2)
-            np.multiply(dh, o, out=s3)
+            np.multiply(dhc, o, out=s3)
             s3 *= s2
             dc += s3
             # d_o = dh * tc * o * (1 - o)
-            np.multiply(dh, tc, out=s2)
+            np.multiply(dhc, tc, out=s2)
             s2 *= o
             np.subtract(1.0, o, out=s3)
             np.multiply(s2, s3, out=o)
@@ -173,24 +178,26 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
             dc *= f
             np.multiply(s1, s2, out=f)
             first = 0 if t else tail
-            _windows(xmaps[t : t + 1], k, k, windows[tail:])
+            _windows(xgrid[t : t + 1], grid, windows[tail:])
             if t:
-                _windows(hidden[t - 1].reshape(F, N, H, W), k, k, windows)
-            d_kern[:, first:] += d @ windows[first:].T
+                _windows(hidden[t - 1], grid, windows)
+            d_kern[first:] += windows[first:] @ d.T
             if first < planes_stop:
                 planes = np.matmul(kern[first:planes_stop], d, out=windows[first:planes_stop])
                 if x.requires_grad:
-                    _shift_add(planes[tail - first :], k, k, dx[t : t + 1])
+                    _shift_add(planes[tail - first :], grid, dx[t : t + 1])
                 if t:
-                    _shift_add(planes[:tail], k, k, dh.reshape(F, N, H, W))
+                    _shift_add(planes[:tail], grid, dh)
+                    grid.zero_gutters(dhc)
+        del gates, cells, hidden  # so the next node's backward pass runs without them
         if p.recurrent_kernels.requires_grad:
-            p.recurrent_kernels._accumulate(d_kern[:, :tail].T.reshape(p.recurrent_kernels.shape))
+            p.recurrent_kernels._accumulate(d_kern[:tail].reshape(p.recurrent_kernels.shape))
         if p.input_kernels.requires_grad:
-            p.input_kernels._accumulate(d_kern[:, tail:-1].T.reshape(p.input_kernels.shape))
+            p.input_kernels._accumulate(d_kern[tail:-1].reshape(p.input_kernels.shape))
         if p.biases.requires_grad:
-            p.biases._accumulate(d_kern[:, -1])
+            p.biases._accumulate(d_kern[-1])
         if x.requires_grad:
-            x._accumulate(np.moveaxis(dx, 0, -1).reshape(x.shape))
+            x._accumulate(np.moveaxis(grid.maps(dx), 0, -1).reshape(x.shape))
 
     return custom_op(h.reshape(*lead, H, W, F), parents, backward)
 

@@ -111,6 +111,9 @@ def _cmd_synth(args) -> int:
     with _manifest_last(out_dir / "synth", "synth", None, args.seed, [], [f"{out_dir} ({len(images)} images)"], None):
         for i, img in enumerate(images):
             write_ppm(out_dir / f"img{i:04d}.ppm", unit_to_image(img))
+        for stale in out_dir.glob("img[0-9][0-9][0-9][0-9]*.ppm"):  # an earlier, larger run's images
+            if stale.stem[3:].isdecimal() and int(stale.stem[3:]) >= len(images):
+                stale.unlink()
     print(f"wrote {len(images)} images to {out_dir}")
     return EXIT_OK
 

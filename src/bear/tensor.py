@@ -149,65 +149,79 @@ def _records(parents: Sequence[Tensor]) -> bool:
 # primitive operations
 
 
+class _Grid(NamedTuple):
+    """The zero-gutter grid of N row-major H x W maps for kh x kw windows: each
+    map row is followed by kw//2 zero columns, each map by kh//2 zero rows,
+    and ``lead`` zeros come before and after the whole. A grid array of C maps
+    is (C, length); its ``cols`` columns from ``lead`` on are the columns of a
+    window matrix. Window column p of tap (i, j) reads grid column p + start,
+    start = lead + (i - kh//2) * (W + kw//2) + j - kw//2, a gutter or margin
+    wherever the tap leaves its map, so each tap is one plain slice. Gutter
+    columns of a window read map elements, so a grid array computed from
+    windows needs its gutters zeroed before its windows are taken."""
+
+    shape: tuple[int, int, int, int, int]  # N, H, W, H + kh//2, W + kw//2
+    lead: int
+    cols: int
+    length: int
+    starts: tuple[int, ...]  # per tap (i, j), row-major
+
+    def maps(self, a: Array) -> Array:
+        """The (..., N, H, W) map elements of a grid array or of window columns."""
+        N, H, W, rows, row = self.shape
+        a = a if a.shape[-1] == self.cols else a[..., self.lead : self.lead + self.cols]
+        return a.reshape(*a.shape[:-1], N, rows, row)[..., :H, :W]
+
+    def zero_gutters(self, a: Array) -> None:
+        """Zero the gutters of window columns (..., cols) in place."""
+        N, H, W, rows, row = self.shape
+        cells = a.reshape(*a.shape[:-1], N, rows, row)
+        cells[..., H:, :] = cells[..., W:] = 0
+
+
 @functools.lru_cache(maxsize=64)
-def _taps(kh: int, kw: int, H: int, W: int) -> tuple[tuple[int, slice, slice], ...]:
-    """Each tap (i, j) of a same-padded kh x kw window over row-major H x W
-    maps, in row-major tap order, memoized per shape. Window position p
-    reads flat map position p + offset, with offset = (i - kh//2) * W +
-    (j - kw//2). Gives the offset, the window positions whose read stays
-    inside the flat map, and the columns whose read wraps into a
-    neighbouring row instead of the zero padding."""
-    taps = []
-    for i in range(kh):
-        for j in range(kw):
-            dx = j - kw // 2
-            offset = (i - kh // 2) * W + dx
-            start = max(0, -offset)
-            inside = slice(start, max(start, min(H * W, H * W - offset)))
-            taps.append((offset, inside, slice(0, -dx) if dx < 0 else slice(max(0, W - dx), W)))
-    return tuple(taps)
+def _grid(kh: int, kw: int, N: int, H: int, W: int) -> _Grid:
+    row, rows = W + kw // 2, H + kh // 2
+    lead, cols = kh // 2 * row + kw // 2, N * rows * row
+    starts = tuple(lead + (i - kh // 2) * row + j - kw // 2 for i in range(kh) for j in range(kw))
+    return _Grid((N, H, W, rows, row), lead, cols, cols + 2 * lead, starts)
 
 
-def _windows(maps: Array, kh: int, kw: int, buffer: Array) -> Array:
-    """The window matrix of contiguous (C, ..., H, W) maps, written into the
-    leading kh*kw*C rows of ``buffer``, a contiguous 2-D array with one column
-    per position: row (tap, c) holds the tap's view of map c, zero where the
-    tap falls outside it."""
-    C, (H, W) = maps.shape[0], maps.shape[-2:]
-    out = buffer[: kh * kw * C]
-    source = maps.reshape(-1, H * W)
-    for tap, (offset, inside, wrapped) in enumerate(_taps(kh, kw, H, W)):
-        window = out[tap * C : (tap + 1) * C].reshape(-1, H * W)
-        window[:, inside] = source[:, inside.start + offset : inside.stop + offset]
-        window[:, : inside.start] = 0
-        window[:, inside.stop :] = 0
-        window.reshape(-1, H, W)[..., wrapped] = 0
+def _channel_major(rows: Array, grid: _Grid) -> Array:
+    """A fresh grid array (C, length) of the (positions, C) matrix ``rows``,
+    transposed in blocks of ``CHUNK`` elements or fewer: numpy's one pass over
+    a transposed matrix larger than the cache rereads it once per channel."""
+    N, H, W = grid.shape[:3]
+    out = np.zeros((rows.shape[1], grid.length), rows.dtype)
+    maps, source = grid.maps(out), rows.reshape(N, H, W, -1)
+    step = max(1, CHUNK // rows[:W].size)  # map rows per block
+    per = max(1, step // H)  # maps per block: whole ones, where a map fits
+    for n, y in itertools.product(range(0, N, per), range(0, H, step)):
+        maps[:, n : n + per, y : y + step] = np.moveaxis(source[n : n + per, y : y + step], -1, 0)
     return out
 
 
-def _shift_add(planes: Array, kh: int, kw: int, out: Array) -> Array:
-    """Adjoint of ``_windows`` (a tap-major col2im): fill contiguous
-    (C, ..., H, W) ``out`` with the sum over taps, in tap order from zero, of
-    each tap's rows of the (kh*kw*C, positions) matrix ``planes`` moved back
-    onto the maps. Zeroes the wrapped columns of ``planes`` in place."""
-    C, (H, W) = out.shape[0], out.shape[-2:]
-    target = out.reshape(-1, H * W)
-    target[...] = 0
-    for tap, (offset, inside, wrapped) in enumerate(_taps(kh, kw, H, W)):
-        plane = planes[tap * C : (tap + 1) * C].reshape(-1, H * W)
-        plane.reshape(-1, H, W)[..., wrapped] = 0
-        target[:, inside.start + offset : inside.stop + offset] += plane[:, inside]
+def _windows(source: Array, grid: _Grid, buffer: Array) -> Array:
+    """The window matrix of the (C, length) grid array ``source``, written
+    into the leading taps*C rows of ``buffer`` (rows, cols): row (tap, c)
+    holds the tap's slice of map c."""
+    C = source.shape[0]
+    out = buffer[: len(grid.starts) * C]
+    for tap, start in enumerate(grid.starts):
+        out[tap * C : (tap + 1) * C] = source[:, start : start + grid.cols]
     return out
 
 
-def _channel_major(rows: Array) -> Array:
-    """The contiguous (C, positions) transpose of a (positions, C) matrix,
-    copied 8192 elements at a time: numpy's one pass over a transposed
-    matrix larger than the cache rereads it once per channel."""
-    out = np.empty(rows.shape[::-1], rows.dtype)
-    step = max(1, 8192 // rows.shape[1])
-    for i in range(0, rows.shape[0], step):
-        out[:, i : i + step] = rows[i : i + step].T
+def _shift_add(planes: Array, grid: _Grid, out: Array) -> Array:
+    """Adjoint of ``_windows`` (a tap-major col2im): fill the (C, length) grid
+    array ``out`` with the sum over taps, in tap order from zero, of each
+    tap's C rows of ``planes`` (taps*C, cols) moved back onto the grid. On the
+    map elements this is the adjoint wherever the planes' gutter columns are
+    zero; the gutters and margins of ``out`` hold no map element."""
+    C = out.shape[0]
+    out[...] = 0
+    for tap, start in enumerate(grid.starts):
+        out[:, start : start + grid.cols] += planes[tap * C : (tap + 1) * C]
     return out
 
 
@@ -215,12 +229,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Same-padding, stride-1 2-D convolution of an (..., H, W, C) input with
     a (kh, kw, C, F) kernel of odd extents, giving an (..., H, W, F) output.
 
-    Leading axes fold into the positions of one GEMM. It uses the one
-    window concept of the ConvLSTM scan: ``_windows`` of channel-major
-    (C, positions) maps and its adjoint ``_shift_add``. The output
-    shift-adds the tap planes of the tap-reversed kernel @ x.T; the backward
-    pass builds windows(g) once and gets both gradients from it with one
-    GEMM each.
+    Leading axes fold into the maps of one zero-gutter grid (``_Grid``), the
+    window concept of the ConvLSTM scan. The output shift-adds the tap planes
+    of the tap-reversed kernel @ the input's grid; the backward pass builds
+    the window matrix of the output gradient's grid once and gets both
+    gradients from it with one GEMM each.
     """
     if x.ndim < 3:
         raise ShapeError(f"conv2d: input must have rank 3 or more (..., H, W, C), got rank {x.ndim}")
@@ -234,16 +247,17 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv2d: bias must have extent {F} along the filter axis, got shape {bias.shape}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d: same padding requires odd kernel extents, got {kh}x{kw}")
-    kk = kh * kw
     xmat = x.data.reshape(-1, C)  # one row per position
-    N, R = math.prod(lead), xmat.shape[0]
+    grid = _grid(kh, kw, xmat.shape[0] // (H * W), H, W)
+    xgrid = np.zeros((grid.length, C), xmat.dtype)  # position-major: x copies in without a transpose
+    grid.maps(xgrid.T)[...] = np.moveaxis(xmat.reshape(-1, H, W, C), -1, 0)
     # row (tap, f) holds the kernel at the reversed tap, so shift-adding
     # its planes gives output position p tap (i, j) of input p + offset
-    krev = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kk * F, C)
-    planes = krev @ xmat.T
-    out = _shift_add(planes, kh, kw, np.empty((F, N, H, W), planes.dtype)).reshape(F, R)
-    out += bias.data[:, None]
-    out = out.T.reshape(*lead, H, W, F)
+    krev = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * F, C)
+    planes = krev @ xgrid[grid.lead : grid.lead + grid.cols].T
+    out = grid.maps(_shift_add(planes, grid, np.empty((F, grid.length), planes.dtype)))
+    out += bias.data[:, None, None, None]
+    out = np.moveaxis(out, 0, -1).reshape(*lead, H, W, F)
 
     def backward(g: Array) -> None:
         gmat = g.reshape(-1, F)
@@ -251,15 +265,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             bias._accumulate(gmat.sum(axis=0))
         if kernel.requires_grad or x.requires_grad:
             # row (tap, f), column p holds g[f, p + offset]
-            gmaps = _channel_major(gmat).reshape(F, N, H, W)
-            gwin = _windows(gmaps, kh, kw, np.empty((kk * F, R), gmaps.dtype))
+            gwin = _windows(_channel_major(gmat, grid), grid, np.empty((kh * kw * F, grid.cols), gmat.dtype))
             if kernel.requires_grad:
                 # x channel-major, as in the scan: row-major x drifted 4x
                 # further from a float64 reference at 11 channels
-                dkrev = (gwin @ _channel_major(xmat).T).reshape(kh, kw, F, C)
+                xcols = _channel_major(xmat, grid)[:, grid.lead : grid.lead + grid.cols]
+                dkrev = (gwin @ xcols.T).reshape(kh, kw, F, C)
                 kernel._accumulate(dkrev[::-1, ::-1].transpose(0, 1, 3, 2))
             if x.requires_grad:
-                x._accumulate((gwin.T @ krev).reshape(x.shape))
+                dx = grid.maps((gwin.T @ krev).T)
+                x._accumulate(np.moveaxis(dx, 0, -1).reshape(x.shape))
 
     return custom_op(out, (x, kernel, bias), backward)
 

@@ -172,13 +172,16 @@ class Adam:
             g, m, v, p = grad[block], self.m[block], self.v[block], self.params.data[block]
             a, b = (s[: g.size] for s in self._scratch)
             # the operation order of p -= lr * (m / c1) / (sqrt(v / c2) + eps), which
-            # keeps the bits; folding lr / c1 into one scalar would change them
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=a)
-            v *= self.beta2
+            # keeps the bits; folding lr / c1 into one scalar would change them. Step 1
+            # writes the zero moments unread (0 * beta + x is x): a fresh page read
+            # before its first write maps the zero page, which the write copies
+            if self.t > 1:
+                m *= self.beta1
+                v *= self.beta2
+            np.add(m if self.t > 1 else 0.0, np.multiply(g, 1.0 - self.beta1, out=a), out=m)
             np.multiply(g, g, out=a)
             a *= 1.0 - self.beta2
-            v += a
+            np.add(v if self.t > 1 else 0.0, a, out=v)
             np.divide(m, correction1, out=a)
             a *= lr
             np.sqrt(np.divide(v, correction2, out=b), out=b)
@@ -318,6 +321,8 @@ def fit(
         epoch_order = rng.permutation(len(train_set))
         running = 0.0
         for batch in _chunks(epoch_order, cfg.batch_size):
+            if optimizer.t == 0:  # write the fresh gradient arena before a backward pass reads it
+                params.zero_grads()
             summed = accumulate_gradients([train_set[i] for i in batch], params, bcfg, loss_fn)
             if not math.isfinite(summed):
                 raise NumericError(f"non-finite training loss in epoch {epoch}")

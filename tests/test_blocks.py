@@ -1,4 +1,5 @@
-"""ConvLSTM cell, channel-sequence scan, the window matrices, the folded mean of parallel convolutions."""
+"""ConvLSTM cell, channel-sequence scan, the zero-gutter grids and their window matrices, the folded mean of
+parallel convolutions."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,19 @@ from conftest import naive_conv2d, reference_convlstm_step
 
 from bear.blocks import ConvLstmParams, convlstm_over_channels, mean_conv
 from bear.errors import ShapeError
-from bear.tensor import ParameterSet, Tensor, _shift_add, _windows, conv2d, grad_check, no_grad, sum_squares
+from bear.tensor import (
+    ParameterSet,
+    Tensor,
+    _channel_major,
+    _grid,
+    _shift_add,
+    _windows,
+    conv2d,
+    custom_op,
+    grad_check,
+    no_grad,
+    sum_squares,
+)
 
 
 def _cell(rng, filters=2, extent=3, scale=0.4, dtype=np.float64):
@@ -273,36 +286,245 @@ class TestConvLstmOverChannels:
 
 
 class TestWindows:
-    """The window matrix shared by conv2d and the scan, and its adjoint, the
-    tap-major shift-add."""
+    """The zero-gutter grid shared by conv2d and the scan: its window matrix
+    and the adjoint, the tap-major shift-add."""
 
     EXTENTS = [(1, 1), (3, 3), (5, 5), (7, 7), (3, 5), (5, 1)]
     EXTENT_IDS = ["1", "3", "5", "7", "3x5", "5x1"]
+    MAPS = [(3, 7, 5), (3, 1, 3), (3, 2, 2), (3, 1, 1), (1, 7, 5), (1, 1, 1)]  # N, H, W
+    MAP_IDS = ["7x5", "1x3", "2x2", "1x1", "7x5-one-map", "1x1-one-map"]
+
+    @staticmethod
+    def _grid_of(maps, kh, kw):
+        """The grid and the (C, length) grid array of (C, N, H, W) maps."""
+        C, N, H, W = maps.shape
+        grid = _grid(kh, kw, N, H, W)
+        return grid, _channel_major(np.moveaxis(maps, 0, -1).reshape(-1, C), grid)
 
     @pytest.mark.parametrize("kh,kw", EXTENTS, ids=EXTENT_IDS)
-    @pytest.mark.parametrize("H,W", [(7, 5), (1, 3), (2, 2)], ids=["7x5", "1x3", "2x2"])
-    def test_windows_match_zero_padded_slices(self, kh, kw, H, W):
+    @pytest.mark.parametrize("N,H,W", MAPS, ids=MAP_IDS)
+    def test_windows_match_zero_padded_slices(self, kh, kw, N, H, W):
         rng = np.random.default_rng(40 + kh + 100 * abs(kw - kh))
-        maps = rng.normal(size=(2, 3, H, W))  # (C, N, H, W)
+        maps = rng.normal(size=(2, N, H, W))  # (C, N, H, W)
         padded = np.pad(maps, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-        buffer = np.full((kh * kw * 2 + 1, 3 * H * W), np.nan)
-        got = _windows(maps, kh, kw, buffer)
-        assert got.shape == (kh * kw * 2, 3 * H * W)
+        grid, source = self._grid_of(maps, kh, kw)
+        assert np.array_equal(grid.maps(source), maps)
+        assert np.count_nonzero(source) == maps.size  # gutters and margins hold zeros
+        buffer = np.full((kh * kw * 2 + 1, grid.cols), np.nan)
+        got = _windows(source, grid, buffer)
+        assert got.shape == (kh * kw * 2, grid.cols)
+        assert np.isnan(buffer[-1]).all()
         for i in range(kh):
             for j in range(kw):
                 tap = i * kw + j
-                want = padded[:, :, i : i + H, j : j + W].reshape(2, -1)
-                assert np.array_equal(got[tap * 2 : tap * 2 + 2], want)
+                want = padded[:, :, i : i + H, j : j + W]
+                assert np.array_equal(grid.maps(got[tap * 2 : tap * 2 + 2]), want)
 
     @pytest.mark.parametrize("kh,kw", EXTENTS, ids=EXTENT_IDS)
-    @pytest.mark.parametrize("H,W", [(7, 5), (1, 3), (2, 2)], ids=["7x5", "1x3", "2x2"])
-    def test_shift_add_is_the_adjoint_of_windows(self, kh, kw, H, W):
+    @pytest.mark.parametrize("N,H,W", MAPS, ids=MAP_IDS)
+    def test_shift_add_is_the_adjoint_of_windows(self, kh, kw, N, H, W):
         rng = np.random.default_rng(50 + kh + 100 * abs(kw - kh))
-        maps = rng.normal(size=(2, 3, H, W))
-        planes = rng.normal(size=(kh * kw * 2, 3 * H * W))
-        windows = _windows(maps, kh, kw, np.empty_like(planes))
-        back = _shift_add(planes.copy(), kh, kw, np.full_like(maps, np.nan))
-        assert np.vdot(windows, planes) == pytest.approx(np.vdot(maps, back), rel=1e-12)
+        maps = rng.normal(size=(2, N, H, W))
+        grid, source = self._grid_of(maps, kh, kw)
+        planes = rng.normal(size=(kh * kw * 2, grid.cols))
+        grid.zero_gutters(planes)  # the adjoint of the windows' map columns
+        windows = _windows(source, grid, np.empty_like(planes))
+        back = _shift_add(planes.copy(), grid, np.full((2, grid.length), np.nan))
+        assert np.vdot(windows, planes) == pytest.approx(np.vdot(maps, grid.maps(back)), rel=1e-12)
+        # and tap by tap against the same np.pad oracle
+        padded = np.zeros((2, N, H + kh - 1, W + kw - 1))
+        for i in range(kh):
+            for j in range(kw):
+                tap = i * kw + j
+                padded[:, :, i : i + H, j : j + W] += grid.maps(planes[tap * 2 : tap * 2 + 2])
+        want = padded[:, :, kh // 2 : kh // 2 + H, kw // 2 : kw // 2 + W]
+        assert np.abs(grid.maps(back) - want).max() < 1e-12
+
+    def test_zero_gutters_keeps_exactly_the_map_elements(self):
+        grid = _grid(5, 3, 2, 3, 4)
+        cols = np.arange(1.0, 3 * grid.cols + 1).reshape(3, grid.cols)
+        kept = grid.maps(cols).copy()
+        grid.zero_gutters(cols)
+        assert np.array_equal(grid.maps(cols), kept)
+        assert np.count_nonzero(cols) == kept.size
+# ---------------------------------------------------------------------------
+# the clipped-window lowering that the zero-gutter grids replaced, kept as a
+# reference: window matrices over the unpadded maps, one column per map
+# position, whose taps are clipped to the flat map and zero their columns
+# that wrap into a neighbouring row one tap at a time
+
+
+def _clipped_taps(kh, kw, H, W):
+    """Per tap: the flat offset, the positions whose read stays inside the
+    flat map, and the columns whose read wraps into a neighbouring row."""
+    taps = []
+    for i in range(kh):
+        for j in range(kw):
+            dx = j - kw // 2
+            offset = (i - kh // 2) * W + dx
+            start = max(0, -offset)
+            inside = slice(start, max(start, min(H * W, H * W - offset)))
+            taps.append((offset, inside, slice(0, -dx) if dx < 0 else slice(max(0, W - dx), W)))
+    return taps
+
+
+def _clipped_windows(maps, kh, kw, buffer):
+    C, (H, W) = maps.shape[0], maps.shape[-2:]
+    out = buffer[: kh * kw * C]
+    source = maps.reshape(-1, H * W)
+    for tap, (offset, inside, wrapped) in enumerate(_clipped_taps(kh, kw, H, W)):
+        window = out[tap * C : (tap + 1) * C].reshape(-1, H * W)
+        window[:, inside] = source[:, inside.start + offset : inside.stop + offset]
+        window[:, : inside.start] = 0
+        window[:, inside.stop :] = 0
+        window.reshape(-1, H, W)[..., wrapped] = 0
+    return out
+
+
+def _clipped_shift_add(planes, kh, kw, out):
+    C, (H, W) = out.shape[0], out.shape[-2:]
+    target = out.reshape(-1, H * W)
+    target[...] = 0
+    for tap, (offset, inside, wrapped) in enumerate(_clipped_taps(kh, kw, H, W)):
+        plane = planes[tap * C : (tap + 1) * C].reshape(-1, H * W)
+        plane.reshape(-1, H, W)[..., wrapped] = 0
+        target[:, inside.start + offset : inside.stop + offset] += plane[:, inside]
+    return out
+
+
+def _clipped_conv2d(x, kernel, bias, g):
+    """Output of the clipped-window conv2d of (N, H, W, C) x, and its
+    gradients (x, kernel, bias) for the output gradient g."""
+    N, H, W, C = x.shape
+    kh, kw, _, F = kernel.shape
+    xmat = x.reshape(-1, C)
+    krev = kernel[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * F, C)
+    out = _clipped_shift_add(krev @ xmat.T, kh, kw, np.empty((F, N, H, W), x.dtype)).reshape(F, -1)
+    out += bias[:, None]
+    gmat = g.reshape(-1, F)
+    gmaps = np.ascontiguousarray(gmat.T).reshape(F, N, H, W)
+    gwin = _clipped_windows(gmaps, kh, kw, np.empty((kh * kw * F, xmat.shape[0]), x.dtype))
+    dkrev = (gwin @ np.ascontiguousarray(xmat.T).T).reshape(kh, kw, F, C)
+    dx = (gwin.T @ krev).reshape(x.shape)
+    return out.T.reshape(N, H, W, F), dx, dkrev[::-1, ::-1].transpose(0, 1, 3, 2), gmat.sum(axis=0)
+
+
+def _clipped_scan(x, input_kernels, recurrent_kernels, biases, grad):
+    """Final hidden map of the clipped-window scan of (N, H, W, T) x, and its
+    gradients (x, input kernels, recurrent kernels, biases) for the output
+    gradient ``grad``."""
+    N, H, W, T = x.shape
+    k, F = input_kernels.shape[0], recurrent_kernels.shape[2]
+    kk, R = k * k, N * H * W
+    tail = kk * F
+    dtype = x.dtype
+    xmaps = np.ascontiguousarray(x.reshape(-1, T).T).reshape(T, N, H, W)
+    kern = np.vstack([recurrent_kernels.reshape(tail, -1), input_kernels.reshape(kk, -1), biases])
+    kern_half = kern * np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), F)
+    gates = np.empty((T, 4 * F, R), dtype)
+    cells = np.zeros((T + 1, F, R), dtype)
+    hidden = np.empty((T, F, R), dtype)
+    windows = np.empty((tail + kk + 1, R), dtype)
+    windows[-1] = 1
+    for t in range(T):
+        pre = gates[t]
+        first = 0 if t else tail
+        _clipped_windows(xmaps[t : t + 1], k, k, windows[tail:])
+        if t:
+            _clipped_windows(hidden[t - 1].reshape(F, N, H, W), k, k, windows)
+        np.matmul(kern_half[first:].T, windows[first:], out=pre)
+        np.tanh(pre, out=pre)
+        for rows in (pre[: 2 * F], pre[3 * F :]):
+            rows *= 0.5
+            rows += 0.5
+        i, f, g, o = pre[:F], pre[F : 2 * F], pre[2 * F : 3 * F], pre[3 * F :]
+        cells[t + 1] = f * cells[t] + i * g
+        hidden[t] = o * np.tanh(cells[t + 1])
+    h = np.moveaxis(hidden[-1].reshape(F, N, H, W), 0, -1)
+    dh = np.ascontiguousarray(grad.reshape(R, F).T)
+    dc = np.zeros_like(dh)
+    dx = np.empty((T, N, H, W), dtype)
+    d_kern = np.zeros((4 * F, tail + kk + 1), dtype)
+    for t in reversed(range(T)):
+        d = gates[t]
+        i, f, g, o = (d[n * F : (n + 1) * F].copy() for n in range(4))
+        tc = np.tanh(cells[t + 1])
+        dc += dh * o * (1 - tc * tc)
+        d[3 * F :] = dh * tc * o * (1 - o)
+        d[:F] = dc * g * i * (1 - i)
+        d[2 * F : 3 * F] = dc * i * (1 - g * g)
+        d[F : 2 * F] = dc * cells[t] * f * (1 - f)
+        dc *= f
+        first = 0 if t else tail
+        _clipped_windows(xmaps[t : t + 1], k, k, windows[tail:])
+        if t:
+            _clipped_windows(hidden[t - 1].reshape(F, N, H, W), k, k, windows)
+        d_kern[:, first:] += d @ windows[first:].T
+        planes = np.matmul(kern[first : tail + kk], d, out=windows[first : tail + kk])
+        _clipped_shift_add(planes[tail - first :], k, k, dx[t : t + 1])
+        if t:
+            _clipped_shift_add(planes[:tail], k, k, dh.reshape(F, N, H, W))
+    gradients = (
+        np.moveaxis(dx, 0, -1),
+        d_kern[:, tail:-1].T.reshape(input_kernels.shape),
+        d_kern[:, :tail].T.reshape(recurrent_kernels.shape),
+        d_kern[:, -1],
+    )
+    return h, gradients
+
+
+def _assert_close(got, want, rel):
+    """|got - want| stays within ``rel`` of want's largest element."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestGridsMatchTheClippedLowering:
+    """Forward outputs and input gradients agree with the clipped-window
+    lowering to 1e-6 of their largest element, in float32; kernel and bias
+    gradients, whose GEMMs now also sum the zero gutter columns, to 1e-5."""
+
+    @pytest.mark.parametrize(
+        "N,H,W,C,F,k",
+        [(1, 32, 32, 32, 32, 5), (2, 7, 5, 3, 4, 5), (3, 16, 16, 19, 16, 3), (2, 1, 1, 4, 3, 5), (1, 9, 6, 8, 3, 1)],
+        ids=["pd1", "7x5-batch2", "rfe-batch3", "1x1-k5", "k1"],
+    )
+    def test_conv2d(self, N, H, W, C, F, k):
+        rng = np.random.default_rng(70 + k + C)
+        x = Tensor(rng.uniform(-1, 1, size=(N, H, W, C)).astype(np.float32), requires_grad=True)
+        kernel = Tensor(rng.normal(0, 0.2, size=(k, k, C, F)).astype(np.float32), requires_grad=True)
+        bias = Tensor(rng.normal(0, 0.2, size=F).astype(np.float32), requires_grad=True)
+        g = rng.normal(size=(N, H, W, F)).astype(np.float32)
+        out = conv2d(x, kernel, bias)
+        custom_op(np.float32(0), (out,), lambda _: out._accumulate(g)).backward()
+        want, dx, dk, db = _clipped_conv2d(x.data, kernel.data, bias.data, g)
+        _assert_close(out.data, want, 1e-6)
+        _assert_close(x.grad, dx, 1e-6)
+        _assert_close(kernel.grad, dk, 1e-5)
+        _assert_close(bias.grad, db, 1e-5)
+
+    @pytest.mark.parametrize(
+        "N,H,W,T,F,k",
+        [(1, 32, 32, 3, 16, 3), (2, 16, 16, 5, 8, 3), (2, 7, 5, 4, 3, 5), (1, 1, 1, 3, 2, 5), (3, 6, 4, 3, 2, 1)],
+        ids=["pfe1-32", "pfe2-batch2", "7x5-k5", "1x1-k5", "k1"],
+    )
+    def test_scan(self, N, H, W, T, F, k):
+        rng = np.random.default_rng(80 + k + T)
+        x = Tensor(rng.uniform(-1, 1, size=(N, H, W, T)).astype(np.float32), requires_grad=True)
+        p = _cell(rng, filters=F, extent=k, scale=0.3, dtype=np.float32)
+        for t in (p.input_kernels, p.recurrent_kernels, p.biases):
+            t.requires_grad = True
+        g = rng.normal(size=(N, H, W, F)).astype(np.float32)
+        h = convlstm_over_channels(x, p)
+        custom_op(np.float32(0), (h,), lambda _: h._accumulate(g)).backward()
+        want, (dx, dik, drk, db) = _clipped_scan(
+            x.data, p.input_kernels.data, p.recurrent_kernels.data, p.biases.data, g
+        )
+        _assert_close(h.data, want, 1e-6)
+        _assert_close(x.grad, dx, 1e-6)
+        _assert_close(p.input_kernels.grad, dik, 1e-5)
+        _assert_close(p.recurrent_kernels.grad, drk, 1e-5)
+        _assert_close(p.biases.grad, db, 1e-5)
 
 
 class TestParallelConv:

@@ -731,3 +731,20 @@ class TestManifestLast:
         assert replaced == [first]
         assert not (encoder_workdir / manifest).exists()
         assert not list(encoder_workdir.rglob("*.tmp"))
+
+
+
+class TestSynthRerun:
+    def test_a_smaller_rerun_removes_the_earlier_images_past_its_count(self, tmp_path):
+        import bear.cli as cli
+
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--out", str(out), "--count", "3", "--size", "8", "--seed", "1"]) == 0
+        (out / "img00007.ppm").write_bytes((out / "img0000.ppm").read_bytes())  # five digits, past the count
+        kept = ["notes.txt", "img12.ppm", "img0002.ppm.bak", "image0005.ppm"]  # not names synth writes
+        for name in kept:
+            (out / name).write_text("kept")
+        assert cli.main(["synth", "--out", str(out), "--count", "2", "--size", "8", "--seed", "5"]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(["img0000.ppm", "img0001.ppm", "synth.manifest", *kept])
+        assert f"output={out} (2 images)" in (out / "synth.manifest").read_text().splitlines()

@@ -1,6 +1,7 @@
 """Peak memory of full-scale training set-up, encoding and reading
-embeddings, and the resident cost of a parameter arena, measured in a child
-process so that nothing else in the test run counts towards it."""
+embeddings, the gradient block's cost in a run without batches, and the
+resident cost of a parameter arena, measured in a child process so that
+nothing else in the test run counts towards it."""
 
 import math
 import os
@@ -49,6 +50,15 @@ assert bear.cli.main(["encode", "--ckpt", "model.bc1", "--data", "data", "--out"
 print(start, peak_kib())
 """
 
+ZERO_EPOCH_CHILD = """
+import bear.cli
+""" + PEAK_KIB + """
+
+start = peak_kib()
+assert bear.cli.main(["train", "--data", "data", "--config", "zero.cfg", "--out", "model.bc1"]) == 0
+print(start, peak_kib())
+"""
+
 READ_CHILD = """
 import bear.latent
 """ + PEAK_KIB + """
@@ -91,16 +101,33 @@ def peak_rise_mb(child: str, cwd: Path) -> float:
     return (peak - start) / 1024
 
 
+def full_scale_inputs(cwd: Path) -> float:
+    """Write two full-scale images to ``data`` and a zero-epoch ``zero.cfg``
+    under ``cwd``, and return the MiB of one float32 parameter arena."""
+    cfg = BearConfig()  # the paper's full-scale configuration
+    (cwd / "data").mkdir()
+    for i, image in enumerate(synthetic_images(2, cfg.n, seed=0)):
+        write_ppm(cwd / "data" / f"img{i}.ppm", unit_to_image(image))
+    (cwd / "zero.cfg").write_text(f"n={cfg.n}\nm={cfg.m}\nmax_epochs=0\n")
+    return 4 * sum(math.prod(shape) for shape in parameter_shapes(cfg).values()) / 2**20
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux's /proc/self/status")
 def test_full_scale_train_and_encode_peak_stays_within_the_arena_plus_headroom(tmp_path):
-    cfg = BearConfig()  # the paper's full-scale configuration
-    (tmp_path / "data").mkdir()
-    for i, image in enumerate(synthetic_images(2, cfg.n, seed=0)):
-        write_ppm(tmp_path / "data" / f"img{i}.ppm", unit_to_image(image))
-    (tmp_path / "zero.cfg").write_text(f"n={cfg.n}\nm={cfg.m}\nmax_epochs=0\n")
+    arena_mb = full_scale_inputs(tmp_path)
     rise_mb = peak_rise_mb(CHILD, tmp_path)
-    arena_mb = 4 * sum(math.prod(shape) for shape in parameter_shapes(cfg).values()) / 2**20
     assert rise_mb <= arena_mb + HEADROOM_MB, f"peak rose {rise_mb:.1f} MiB for a {arena_mb:.1f} MiB arena"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux's /proc/self/status")
+def test_zero_epoch_train_never_touches_the_gradient_block(tmp_path):
+    # A run without batches writes the parameter values and nothing of the
+    # gradient block, which is as large. On Linux with one BLAS thread its
+    # peak rose 3.1 MiB beyond the values; filling the gradient block at the
+    # start of fit adds the block's 36.5 MiB to that.
+    arena_mb = full_scale_inputs(tmp_path)
+    beyond_mb = peak_rise_mb(ZERO_EPOCH_CHILD, tmp_path) - arena_mb
+    assert beyond_mb < arena_mb, f"peak rose {beyond_mb:.1f} MiB beyond the {arena_mb:.1f} MiB of parameter values"
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux's /proc/self/status")

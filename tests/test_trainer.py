@@ -175,6 +175,26 @@ class TestAdam:
         state.step(0.0)
         assert np.array_equal(w.data, [1.0, -2.0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_unread_first_moments_keep_the_bits_of_the_zero_moment_step(self, data):
+        # step 1 writes m and v without reading their zeros; reference_adam_steps
+        # reads them, and a -0.0 gradient there gives 0 + -0.0 = +0.0
+        special = [0.0, -0.0, 1e-45, -1e-45, 3e-39, -1.1754942e-38]  # signed zeros and subnormals
+        element = st.one_of(st.sampled_from(special), st.floats(-100.0, 100.0, width=32))
+        size = data.draw(st.integers(1, 16))
+        draw = lambda: np.array(data.draw(st.lists(element, min_size=size, max_size=size)), np.float32)
+        values, grads = draw(), [draw() for _ in range(3)]
+        params = ParameterSet({"w": values})
+        state = Adam(params)
+        for g in grads:
+            params["w"].grad[...] = g
+            state.step(1e-2)
+        want_p, want_m, want_v = reference_adam_steps(values, grads, 1e-2)
+        assert params.data.tobytes() == want_p.tobytes()
+        assert state.m.tobytes() == want_m.tobytes()
+        assert state.v.tobytes() == want_v.tobytes()
+
     def test_gradients_cleared_after_step(self):
         params = ParameterSet({"w": np.array([1.0])})
         w = params["w"]
