@@ -70,22 +70,26 @@ def _manifest_last(
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_image_dir(data_dir: Path, n: int, skipped: list[Path]) -> Iterator[tuple[str, np.ndarray]]:
+def _read_image_dir(data_dir: Path, n: int) -> Iterator[tuple[str, np.ndarray]]:
     """(name, image) for every *.ppm under ``data_dir`` (sorted by name),
     resized to n x n and read only as the caller asks for it.
 
-    Unreadable files are skipped with a warning and appended to ``skipped``.
+    Unreadable files are skipped with a warning each, and their count is
+    reported once the directory is exhausted.
     """
     if not data_dir.is_dir():
         raise DataError(f"{data_dir} is not a directory")
+    skipped = 0
     for path in sorted(data_dir.glob("*.ppm")):
         try:
             pixels = read_ppm(path)
         except (FormatError, OSError) as exc:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
-            skipped.append(path)
+            skipped += 1
             continue
         yield path.name, resize_unit(image_to_unit(pixels), n)
+    if skipped:
+        print(f"warning: skipped {skipped} unreadable images", file=sys.stderr)
 
 
 def _load_image_checkpoint(path: str, encoder_only: bool = False) -> Checkpoint:
@@ -93,11 +97,6 @@ def _load_image_checkpoint(path: str, encoder_only: bool = False) -> Checkpoint:
     if ckpt.config.d != 3:
         raise DataError(f"{path}: PPM images have 3 channels, but the checkpoint has d={ckpt.config.d}")
     return ckpt
-
-
-def _warn_skipped(skipped: list[Path]) -> None:
-    if skipped:
-        print(f"warning: skipped {len(skipped)} unreadable images", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +124,7 @@ def _cmd_train(args) -> int:
         tcfg = replace(tcfg, seed=args.seed)
     if bcfg.d != 3:
         raise ConfigError(f"training from PPM images requires d=3, config has d={bcfg.d}")
-    skipped: list[Path] = []
-    images = [image for _, image in _read_image_dir(Path(args.data), bcfg.n, skipped)]
-    _warn_skipped(skipped)
+    images = [image for _, image in _read_image_dir(Path(args.data), bcfg.n)]
     if len(images) < 2:
         raise DataError(f"need at least 2 usable images in {args.data}, found {len(images)}")
     ckpt, records = fit(images, tcfg, bcfg)
@@ -146,8 +143,7 @@ def _cmd_encode(args) -> int:
     # the decoder's 89% of the weights is checked but not read
     ckpt = _load_image_checkpoint(args.ckpt, encoder_only=True)
     # read, encode and release one chunk of images at a time
-    skipped: list[Path] = []
-    images = _read_image_dir(Path(args.data), ckpt.config.n, skipped)
+    images = _read_image_dir(Path(args.data), ckpt.config.n)
     ids: list[str] = []
     chunks = []
     with no_grad():
@@ -155,7 +151,6 @@ def _cmd_encode(args) -> int:
             names, pixels = zip(*chunk)
             ids += names
             chunks.append(encode(Tensor(np.stack(pixels)), ckpt.params, ckpt.config).data)
-    _warn_skipped(skipped)
     if not chunks:
         raise DataError(f"no usable images in {args.data}")
     rows = np.concatenate(chunks)

@@ -26,6 +26,7 @@ _MAX_ITER = 100
 _ASSIGN_BLOCK = 128
 
 _EPS = float(np.finfo(np.float64).eps)
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 # Bytes per block of the plain embeddings reader, which extends each block to
 # the end of its last line: bounds its token list, whatever the file's size.
@@ -280,6 +281,26 @@ def _lloyd(X: np.ndarray, translated, k: int, rng: np.random.Generator):
     return centroids, labels, inertia, iterations
 
 
+def _check_scale(X: np.ndarray) -> None:
+    """Raise NumericError unless every value that k-means and the elbow scan
+    compute from X stays finite, before any of them is computed.
+
+    Coordinates at most ``_FLOAT_MAX / n`` in size keep the column sums
+    behind every mean finite. With h half the widest column range (halved
+    before the subtraction, so it cannot overflow), two rows differ by at
+    most 2h per coordinate: squared distances stay below 4·m·h², screens on
+    translated rows below 16·m·h², sums over n rows below 4·m·h²·n and the
+    elbow's chord products below 8·m·h²·n², all under the bound
+    64·m·h²·n² ≤ ``_FLOAT_MAX``.
+    """
+    n, m = X.shape
+    top, bottom = X.max(axis=0), X.min(axis=0)
+    largest = max(float(top.max()), -float(bottom.min()))
+    half_range = float((top / 2 - bottom / 2).max())
+    if largest > _FLOAT_MAX / n or half_range > math.sqrt(_FLOAT_MAX / (64 * m * n * n)):
+        raise NumericError("k-means failed: the rows are too large for their squared distances to stay finite")
+
+
 def _best_of_restarts(ordered: np.ndarray, translated, k: int, seed: int, restarts: int):
     """kmeans on rows already in canonical order and their ``_translated``
     rows, so that elbow sorts its embedding set and translates it once for
@@ -307,6 +328,7 @@ def kmeans(e: EmbeddingSet, k: int, seed: int = 0, restarts: int = 5) -> KMeansR
     """
     if k < 1 or k > e.count:
         raise DataError(f"k must be in [1, {e.count}], got {k}")
+    _check_scale(e.rows)
     canon = _canonical_order(e.rows)
     ordered = e.rows[canon]
     centroids, labels, sse, iterations = _best_of_restarts(ordered, _translated(ordered), k, seed, restarts)
@@ -353,6 +375,7 @@ def elbow(
     """Run kmeans for every k in [k_min, k_max] under one seeding protocol."""
     if not 1 <= k_min < k_max <= e.count:
         raise DataError(f"need 1 <= k_min < k_max <= {e.count}, got [{k_min}, {k_max}]")
+    _check_scale(e.rows)
     ks = list(range(k_min, k_max + 1))
     ordered = e.rows[_canonical_order(e.rows)]
     translated = _translated(ordered)

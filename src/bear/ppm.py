@@ -37,7 +37,10 @@ def _read_header_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
         pos += 1
     if pos == start:
         raise FormatError(f"expected {what} at byte offset {start}")
-    return int(data[start:pos]), start, pos
+    try:
+        return int(data[start:pos]), start, pos
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise FormatError(f"{what} at byte offset {start} has too many digits ({pos - start})") from None
 
 
 def parse_ppm(data: bytes, label: str = "ppm") -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -44,6 +44,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.loss not in ("bce", "mse"):
             raise ConfigError(f"loss must be 'bce' or 'mse', got {self.loss!r}")
         if self.lr0 <= 0:
@@ -88,7 +92,8 @@ def bce_loss(x: Tensor, xhat: Tensor) -> Tensor:
     """Mean binary cross entropy, -mean(x log xhat + (1-x) log(1-xhat)).
 
     The reconstruction is clamped to [BCE_CLAMP, 1 - BCE_CLAMP] inside the
-    logs, and the clamp contributes zero gradient outside that window.
+    logs, and the clamp contributes zero gradient outside that window. The
+    target ``x`` is a constant: only ``xhat`` gets a gradient.
     """
     if x.shape != xhat.shape:
         raise ShapeError(f"bce_loss: shapes {x.shape} and {xhat.shape} differ")
@@ -97,19 +102,15 @@ def bce_loss(x: Tensor, xhat: Tensor) -> Tensor:
     count = x.size
 
     def backward(g) -> None:
-        gs = float(g)
-        if xhat.requires_grad:
-            inside = (xhat.data > BCE_CLAMP) & (xhat.data < 1.0 - BCE_CLAMP)
-            grad = (clamped - x.data) / (clamped * (1.0 - clamped))
-            xhat._accumulate((gs / count) * grad * inside)
-        if x.requires_grad:
-            x._accumulate((gs / count) * (np.log(1.0 - clamped) - np.log(clamped)))
+        inside = (xhat.data > BCE_CLAMP) & (xhat.data < 1.0 - BCE_CLAMP)
+        grad = (clamped - x.data) / (clamped * (1.0 - clamped))
+        xhat._accumulate((float(g) / count) * grad * inside)
 
-    return custom_op(value, (x, xhat), backward)
+    return custom_op(value, (xhat,), backward)
 
 
 def mse_loss(x: Tensor, xhat: Tensor) -> Tensor:
-    """Mean squared elementwise difference."""
+    """Mean squared elementwise difference; only ``xhat`` gets a gradient."""
     if x.shape != xhat.shape:
         raise ShapeError(f"mse_loss: shapes {x.shape} and {xhat.shape} differ")
     diff = xhat.data - x.data
@@ -117,13 +118,9 @@ def mse_loss(x: Tensor, xhat: Tensor) -> Tensor:
     count = x.size
 
     def backward(g) -> None:
-        gs = float(g)
-        if xhat.requires_grad:
-            xhat._accumulate((2.0 * gs / count) * diff)
-        if x.requires_grad:
-            x._accumulate((-2.0 * gs / count) * diff)
+        xhat._accumulate((2.0 * float(g) / count) * diff)
 
-    return custom_op(value, (x, xhat), backward)
+    return custom_op(value, (xhat,), backward)
 
 
 LOSS_FUNCTIONS: dict[str, Callable[[Tensor, Tensor], Tensor]] = {
@@ -239,8 +236,9 @@ def accumulate_gradients(
     bcfg: BearConfig,
     loss_fn: Callable[[Tensor, Tensor], Tensor],
 ) -> float:
-    """Add the gradient of the mean loss over ``images`` into the arena
-    gradients, and return that loss summed over the images.
+    """Return the loss over ``images`` summed over the images, and, when the
+    tape is on, add the gradient of its mean into the arena gradients; under
+    ``no_grad`` it only evaluates.
 
     The images run as micro-batches of ``bcfg.forward_chunk``. Each
     micro-batch's loss is weighted by its share of the images, and its graph
@@ -255,7 +253,8 @@ def accumulate_gradients(
         value = float(loss.data)
         if not math.isfinite(value):
             return value
-        scale(loss, len(micro) / len(images)).backward()
+        if loss.requires_grad:
+            scale(loss, len(micro) / len(images)).backward()
         total += value * len(micro)
         # release this graph, or it stays alive through the next forward pass
         del x, loss
@@ -293,16 +292,7 @@ def fit(
     val_set = [images[i] for i in order[:n_val]]
     train_set = [images[i] for i in order[n_val:]]
 
-    def validation_loss() -> float:
-        total = 0.0
-        with no_grad():
-            for chunk in _chunks(val_set, bcfg.forward_chunk):
-                x = Tensor(np.stack(chunk))
-                total += float(loss_fn(x, forward(x, params, bcfg)).data) * len(chunk)
-        return total / len(val_set)
-
     records: list[EpochRecord] = []
-    history: list[float] = []
     lr = cfg.lr0
     best_val = math.inf
     best_epoch = 0
@@ -311,6 +301,10 @@ def fit(
     # the initial values are never copied, and a run whose last epoch is its
     # best never restores.
     best_values: np.ndarray | None = None
+    # write the fresh gradient arena once, before a backward pass reads it; a
+    # zero-epoch run never touches it
+    if cfg.max_epochs > 0:
+        params.zero_grads()
 
     for epoch in range(1, cfg.max_epochs + 1):
         started = time.perf_counter()
@@ -321,8 +315,6 @@ def fit(
         epoch_order = rng.permutation(len(train_set))
         running = 0.0
         for batch in _chunks(epoch_order, cfg.batch_size):
-            if optimizer.t == 0:  # write the fresh gradient arena before a backward pass reads it
-                params.zero_grads()
             summed = accumulate_gradients([train_set[i] for i in batch], params, bcfg, loss_fn)
             if not math.isfinite(summed):
                 raise NumericError(f"non-finite training loss in epoch {epoch}")
@@ -332,14 +324,15 @@ def fit(
             optimizer.step(lr)
             running += summed
         train_loss = running / len(train_set)
-        val_loss = validation_loss()
+        with no_grad():
+            val_loss = accumulate_gradients(val_set, params, bcfg, loss_fn) / len(val_set)
         if not math.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss in epoch {epoch}")
         records.append(EpochRecord(epoch, train_loss, val_loss, lr, time.perf_counter() - started))
-        history.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
+        history = [r.val_loss for r in records]
         lr = plateau_decay(history, lr, cfg)
         if early_stop(history, cfg):
             break

@@ -308,6 +308,14 @@ class TestFailureModes:
         assert cli.main(["train", "--data", "data", "--config", "run.cfg", "--out", "m.bc1"]) == 1
         assert capsys.readouterr().err == "error: run.cfg: key 'n' has invalid int value 'abc'\n"
 
+    def test_run_config_comments_and_blank_lines_are_skipped(self, tmp_path):
+        from bear.serialize import load_run_config
+
+        (tmp_path / "plain.cfg").write_text(CONFIG)
+        commented = "# a run config\n\n" + CONFIG.replace("lr0=0.005\n", "  # lr0=0.5\n\n   \nlr0=0.005\n#\n")
+        (tmp_path / "commented.cfg").write_text(commented)
+        assert load_run_config(tmp_path / "commented.cfg") == load_run_config(tmp_path / "plain.cfg")
+
     def test_train_too_large_for_memory_is_usage_error(self, tmp_path):
         # resizing one image to n=65536 needs 48 GiB
         (tmp_path / "run.cfg").write_text(CONFIG.replace("n=16\n", "n=65536\n"))
@@ -341,6 +349,46 @@ class TestFailureModes:
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "out.csv.manifest").exists()
 
+    @pytest.mark.parametrize("args", [["cluster", "--k", "3"], ["cluster", "--elbow", "2", "4"]], ids=["k", "elbow"])
+    def test_overflowing_squared_distances_are_numeric_error_and_write_nothing(self, tmp_path, args):
+        # finite rows whose squared distances overflow
+        rows = [f"row{i},{(-1.0) ** i * 1e200!r},{(-1.0) ** (i // 2) * (1 + i / 10) * 1e200!r}" for i in range(12)]
+        (tmp_path / "emb.csv").write_text("id,z0,z1\n" + "\n".join(rows) + "\n")
+        proc = run_cli([*args, "--embeddings", "emb.csv", "--out", "out.csv"], tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: k-means failed: the rows are too large for their squared distances to stay finite\n"
+        assert proc.stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.csv"]
+
+    @pytest.mark.parametrize("setting", ["lr0=nan", "lr0=1e400", "l2=inf"])
+    def test_non_finite_run_config_float_is_usage_error_and_writes_nothing(self, tmp_path, setting):
+        key = setting.split("=")[0]
+        (tmp_path / "run.cfg").write_text(CONFIG.replace(f"\n{key}=", f"\n{setting}\n# {key}="))
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "broken.ppm").write_bytes(b"P6\n4 4\n255\n tiny")  # never read
+        proc = run_cli(["train", "--data", "data", "--config", "run.cfg", "--out", "m.bc1", "--log", "e.csv"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {key} must be finite, got ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run.cfg"]
+
+    @pytest.mark.parametrize(
+        "batch_size, message",
+        [(2, "non-finite training loss in epoch 1"), (8, "non-finite validation loss in epoch 2")],
+        ids=["training", "validation"],
+    )
+    def test_non_finite_loss_is_numeric_error_and_writes_nothing(self, tmp_path, batch_size, message):
+        # a step of 1e30 leaves parameters whose next forward pass is not finite:
+        # the next batch's when an epoch has several, else the validation pass's
+        config = CONFIG.replace("lr0=0.005", "lr0=1e30").replace("batch_size=8", f"batch_size={batch_size}")
+        (tmp_path / "run.cfg").write_text(config.replace("val_fraction=0.1", "val_fraction=0.2"))
+        assert run_cli(["synth", "--out", "data", "--count", "6", "--size", "16", "--seed", "0"], tmp_path).returncode == 0
+        proc = run_cli(["train", "--data", "data", "--config", "run.cfg", "--out", "m.bc1"], tmp_path)
+        assert proc.returncode == 3
+        # the overflows that lead there may warn first
+        assert proc.stderr.splitlines()[-1] == f"error: {message}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run.cfg"]
+
     def test_empty_data_dir_is_data_error(self, tmp_path, pipeline):
         (tmp_path / "empty").mkdir()
         proc = run_cli(
@@ -370,6 +418,31 @@ class TestFailureModes:
         assert proc.returncode == 0
         assert "skipping" in proc.stderr
         assert "broken.ppm" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["train", "encode", "reconstruct"])
+    def test_header_integer_over_the_int_digit_limit_is_data_error(self, tmp_path, pipeline, command):
+        (tmp_path / "run.cfg").write_text(CONFIG.replace("max_epochs=40", "max_epochs=1"))
+        assert run_cli(["synth", "--out", "data", "--count", "4", "--size", "16", "--seed", "2"], tmp_path).returncode == 0
+        (tmp_path / "data" / "long.ppm").write_bytes(b"P6\n" + b"9" * 5000 + b" 1\n255\n" + bytes(3))
+        reason = "width at byte offset 3 has too many digits (5000)"
+        model = str(pipeline / "model.bc1")
+        args = {
+            "train": ["train", "--data", "data", "--config", "run.cfg", "--out", "out"],
+            "encode": ["encode", "--ckpt", model, "--data", "data", "--out", "out"],
+            "reconstruct": ["reconstruct", "--ckpt", model, "--in", "data/long.ppm", "--out", "out"],
+        }[command]
+        proc = run_cli(args, tmp_path)
+        if command == "reconstruct":
+            assert proc.returncode == 2
+            assert proc.stderr == f"error: {reason}\n"
+            assert not (tmp_path / "out").exists()
+        else:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.splitlines() == [
+                f"warning: skipping data/long.ppm: {reason}",
+                "warning: skipped 1 unreadable images",
+            ]
+            assert (tmp_path / "out").exists()
 
     def test_encode_streams_chunks_of_usable_images(self, tmp_path, monkeypatch, capsys):
         # forward_chunk is 4 at n=64: six readable images make chunks of 4

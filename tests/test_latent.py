@@ -34,7 +34,9 @@ from bear.latent import (
     _kmeanspp,
     _parse_lines,
     _read_plain_embeddings,
+    _sse,
     _translated,
+    _update_centroids,
 )
 
 
@@ -206,6 +208,26 @@ class TestKMeans:
         # the first seed rechecks every row against d2 = inf
         assert sum(rechecked) <= 3 * len(X)
 
+    def test_seeding_past_the_distinct_rows_draws_uniformly(self):
+        # once every distinct row is a seed, every remaining distance is zero
+        X = np.repeat([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]], [3, 2, 3], axis=0)
+        for k in (4, 6, 8):
+            got = _kmeanspp(X, k, np.random.default_rng(k), _translated(X))
+            assert got.tolist() == _unscreened_kmeanspp(X, k, np.random.default_rng(k)), k
+        assert kmeans(_embeddings(X), 5, seed=2).inertia == 0.0
+
+    def test_empty_cluster_is_reseeded_on_the_farthest_point(self):
+        X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0]])  # in canonical order
+        centroids = np.array([[1.0], [10.5], [100.0]])
+        labels = np.array([0, 0, 0, 1, 1])
+        out = _update_centroids(X, 3, centroids, labels)
+        # rows 0 and 2 tie at distance 1 from their mean; the first one wins
+        assert out.tolist() == [[1.0], [10.5], [0.0]]
+        assert _sse(X, out, _assign(X, out)) <= _sse(X, centroids, labels)
+        # two empty clusters take the two farthest points, farthest first
+        out = _update_centroids(X, 3, centroids, np.zeros(5, dtype=np.intp))
+        assert out.tolist() == [[4.8], [11.0], [10.0]]
+
     @settings(deadline=None, max_examples=200)
     @given(
         st.integers(1, 4).flatmap(
@@ -236,6 +258,38 @@ class TestKMeans:
                 mapping[a] = b
             consistent = consistent and (mapping[a] == b)
         assert consistent
+
+
+# finite rows whose squared distances overflow
+OVERFLOWING_ROWS = np.array([[(-1.0) ** i, (-1.0) ** (i // 2) * (1 + i / 10)] for i in range(12)]) * 1e200
+
+
+def _cluster(mode, e):
+    return kmeans(e, 3) if mode == "kmeans" else elbow(e, 2, 4)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("mode", ["kmeans", "elbow"])
+    def test_rows_whose_squared_distances_overflow_are_numeric_error(self, mode):
+        with pytest.raises(NumericError, match="k-means failed"):
+            _cluster(mode, _embeddings(OVERFLOWING_ROWS))
+
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    @pytest.mark.parametrize("mode", ["kmeans", "elbow"])
+    def test_rows_whose_sum_overflows_are_numeric_error(self, mode, value):
+        # no spread at all, but the column sums behind the means overflow
+        with pytest.raises(NumericError, match="k-means failed"):
+            _cluster(mode, _embeddings(np.full((12, 2), value)))
+
+    @pytest.mark.parametrize("mode", ["kmeans", "elbow"])
+    def test_rows_at_the_bound_cluster_without_a_warning(self, mode):
+        # under tier-1's filters an overflow warning would fail this test
+        n, m = OVERFLOWING_ROWS.shape
+        half_range = (OVERFLOWING_ROWS.max(axis=0) / 2 - OVERFLOWING_ROWS.min(axis=0) / 2).max()
+        at_bound = OVERFLOWING_ROWS * ((1 - 1e-12) * np.sqrt(np.finfo(np.float64).max / (64 * m * n * n)) / half_range)
+        _cluster(mode, _embeddings(at_bound))
+        with pytest.raises(NumericError):
+            _cluster(mode, _embeddings(at_bound * 1.001))
 
 
 class TestInertia:

@@ -1,5 +1,7 @@
 """PPM P6 file handling and deterministic resizing."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,14 @@ class TestPpmFormat:
         data = b"P6\n2 2\n255\n" + bytes(5)
         with pytest.raises(FormatError, match="byte offset"):
             parse_ppm(data)
+
+    @pytest.mark.parametrize("field, at", [("width", 3), ("height", 5)])
+    def test_header_integer_over_the_int_digit_limit_names_its_offset(self, field, at):
+        # more digits than int() converts from a string (4,300 by default)
+        digits = b"1" * (max(getattr(sys, "get_int_max_str_digits", lambda: 0)(), 4300) + 1)
+        header = b"P6\n" + (digits + b" 1" if field == "width" else b"1 " + digits) + b"\n255\n"
+        with pytest.raises(FormatError, match=f"^{field} at byte offset {at} has too many digits"):
+            parse_ppm(header + bytes(3))
 
     def test_wrong_maxval_rejected(self):
         with pytest.raises(FormatError, match="maxval"):
@@ -101,3 +111,29 @@ class TestResize:
             out = resize_unit(x, n)
             assert out.shape == (n, n, 3)
             assert np.allclose(out, 0.25, atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(256, 200), (200, 256), (128, 200), (200, 128)])
+    def test_one_axis_shrinks_match_a_float64_area_average(self, shape):
+        # a whole-factor axis takes the box mean, an equal axis is kept, and
+        # the other axis takes fractional overlap weights
+        x = np.random.default_rng(4).uniform(size=(*shape, 3)).astype(np.float32)
+        want = _area_average(_area_average(x.astype(np.float64), 128, 0), 128, 1)
+        got = resize_unit(x, 128)
+        assert got.shape == (128, 128, 3) and got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+
+def _area_average(x, target, axis):
+    """Each output cell is the mean of the source axis over [i·s, (i+1)·s),
+    s = extent / target, read off the prefix sums of the source cells."""
+    x = np.moveaxis(x, axis, 0)
+    prefix = np.concatenate([np.zeros_like(x[:1]), np.cumsum(x, axis=0)])
+
+    def integral(t):  # the source summed over [0, t)
+        whole = int(t)
+        part = prefix[whole]
+        return part if whole == len(x) else part + (t - whole) * x[whole]
+
+    span = len(x) / target
+    out = np.stack([(integral((i + 1) * span) - integral(i * span)) / span for i in range(target)])
+    return np.moveaxis(out, 0, axis)

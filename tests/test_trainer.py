@@ -17,7 +17,7 @@ from bear.errors import ConfigError, DataError, FormatError, NumericError, Shape
 from bear.model import BearConfig, encoder_shapes, forward, init_params
 from bear.serialize import BT1_MAGIC, Checkpoint, load_checkpoint, save_checkpoint, write_bt1
 from bear.synth import synthetic_images
-from bear.tensor import CHUNK, ParameterSet, Tensor, grad_check
+from bear.tensor import CHUNK, ParameterSet, Tensor, grad_check, no_grad
 from bear.train import (
     Adam,
     TrainConfig,
@@ -56,6 +56,12 @@ class TestTrainConfig:
     def test_negative_l2_rejected(self):
         with pytest.raises(ConfigError, match="l2"):
             TrainConfig(l2=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["lr0", "decay_factor", "val_fraction", "l2"])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got"):
+            TrainConfig(**{name: value})
 
 
 class TestBceLoss:
@@ -130,6 +136,15 @@ class TestMseLoss:
             loss.backward()
             want = 2.0 * (params["xhat"].data - x.data) / x.size
             assert np.allclose(params["xhat"].grad, want)
+
+
+@pytest.mark.parametrize("loss_fn", [bce_loss, mse_loss], ids=["bce", "mse"])
+def test_the_loss_target_is_a_constant(loss_fn):
+    x = Tensor(np.full((2, 2, 1), 0.25), requires_grad=True)
+    xhat = Tensor(np.full((2, 2, 1), 0.5), requires_grad=True)
+    loss_fn(x, xhat).backward()
+    assert x.grad is None
+    assert np.all(xhat.grad != 0.0)
 
 
 class TestAdam:
@@ -578,6 +593,16 @@ class TestMicroBatches:
         accumulate_gradients(images[:4], params, MICRO_CFG, mse_loss)
         # only the first micro-batch's gradient, weighted by its share of 8
         np.testing.assert_allclose(2 * first, params.grad, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("loss_fn", [bce_loss, mse_loss], ids=["bce", "mse"])
+    def test_under_no_grad_it_only_evaluates(self, loss_fn):
+        images = synthetic_images(6, 64, seed=3)
+        params = init_params(MICRO_CFG)
+        summed = accumulate_gradients(images, params, MICRO_CFG, loss_fn)
+        params.zero_grads()
+        with no_grad():
+            assert accumulate_gradients(images, params, MICRO_CFG, loss_fn) == summed
+        assert not params.grad.any()
 
     def test_fit_over_micro_batches_is_reproducible(self, tmp_path):
         tcfg = TrainConfig(batch_size=8, max_epochs=2, val_fraction=0.2, lr0=1e-3, seed=1)
