@@ -84,7 +84,9 @@ def _read_image_dir(data_dir: Path, n: int) -> Iterator[tuple[str, np.ndarray]]:
         try:
             pixels = read_ppm(path)
         except (FormatError, OSError) as exc:
-            print(f"warning: skipping {path}: {exc}", file=sys.stderr)
+            # a FormatError names its file, and an OSError's strerror does not
+            reason = exc if isinstance(exc, FormatError) else f"{path}: {exc.strerror}"
+            print(f"warning: skipping {reason}", file=sys.stderr)
             skipped += 1
             continue
         yield path.name, resize_unit(image_to_unit(pixels), n)

@@ -21,7 +21,7 @@ _WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
 _COMMENT = 0x23  # '#'
 
 
-def _read_header_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
+def _read_header_int(data: bytes, pos: int, what: str, label: str) -> tuple[int, int, int]:
     n = len(data)
     while pos < n:
         b = data[pos]
@@ -36,11 +36,11 @@ def _read_header_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
     while pos < n and 0x30 <= data[pos] <= 0x39:
         pos += 1
     if pos == start:
-        raise FormatError(f"expected {what} at byte offset {start}")
+        raise FormatError(f"{label}: expected {what} at byte offset {start}")
     try:
         return int(data[start:pos]), start, pos
     except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-        raise FormatError(f"{what} at byte offset {start} has too many digits ({pos - start})") from None
+        raise FormatError(f"{label}: {what} at byte offset {start} has too many digits ({pos - start})") from None
 
 
 def parse_ppm(data: bytes, label: str = "ppm") -> np.ndarray:
@@ -49,13 +49,13 @@ def parse_ppm(data: bytes, label: str = "ppm") -> np.ndarray:
         raise FormatError(f"{label}: bad magic {data[:2]!r} at byte offset 0 (expected b'P6')")
     if len(data) < 3 or (data[2] not in _WHITESPACE and data[2] != _COMMENT):
         raise FormatError(f"{label}: expected whitespace after magic at byte offset 2")
-    width, at, pos = _read_header_int(data, 2, "width")
+    width, at, pos = _read_header_int(data, 2, "width", label)
     if width < 1:
         raise FormatError(f"{label}: width must be positive at byte offset {at}")
-    height, at, pos = _read_header_int(data, pos, "height")
+    height, at, pos = _read_header_int(data, pos, "height", label)
     if height < 1:
         raise FormatError(f"{label}: height must be positive at byte offset {at}")
-    maxval, at, pos = _read_header_int(data, pos, "maxval")
+    maxval, at, pos = _read_header_int(data, pos, "maxval", label)
     if maxval != 255:
         raise FormatError(f"{label}: unsupported maxval {maxval} at byte offset {at} (expected 255)")
     if pos >= len(data) or data[pos] not in _WHITESPACE:

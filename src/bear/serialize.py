@@ -115,14 +115,6 @@ def read_bt1(fh: BinaryIO) -> np.ndarray:
 # run configuration files (flat key=value)
 
 
-def _field_types(cls) -> dict[str, type]:
-    """Each dataclass field's name and the type of its default value."""
-    return {f.name: type(f.default) for f in fields(cls)}
-
-
-_BEAR_FIELDS = _field_types(BearConfig)
-
-
 def parse_kv_text(text: str, label: str = "config") -> dict[str, str]:
     """Parse ``key=value`` lines; blank lines and ``#`` comments are skipped."""
     out: dict[str, str] = {}
@@ -143,44 +135,32 @@ def parse_kv_text(text: str, label: str = "config") -> dict[str, str]:
     return out
 
 
-def _convert(key: str, value: str, kind: type, label: str):
-    try:
-        if kind is int:
-            return int(value)
-        if kind is float:
-            return float(value)
-        return value
-    except ValueError:
-        raise ConfigError(f"{label}: key {key!r} has invalid {kind.__name__} value {value!r}") from None
-
-
-def split_run_config(mapping: Mapping[str, str], label: str = "config"):
-    """Route flat keys into a (BearConfig, TrainConfig) pair.
-
-    The single ``seed`` key feeds both the initializer and the training
-    shuffles. Unknown keys are rejected by name.
-    """
-    from .train import TrainConfig  # local import to avoid a cycle
-
-    train_fields = _field_types(TrainConfig)
-    bear_kwargs: dict = {}
-    train_kwargs: dict = {}
-    for key, value in mapping.items():
-        known = False
-        if key in _BEAR_FIELDS:
-            bear_kwargs[key] = _convert(key, value, _BEAR_FIELDS[key], label)
-            known = True
-        if key in train_fields:
-            train_kwargs[key] = _convert(key, value, train_fields[key], label)
-            known = True
-        if not known:
+def _build(classes: tuple[type, ...], values: Mapping[str, str], label: str) -> tuple:
+    """One instance of each config dataclass in ``classes``, made from string
+    values in their file order. A key sets the field of that name in every
+    class that has one, converted to the type of that field's default, so the
+    single ``seed`` key feeds both the initializer and the training shuffles.
+    A key that no class has is rejected by name."""
+    types = [{f.name: type(f.default) for f in fields(cls)} for cls in classes]
+    kwargs: list[dict] = [{} for _ in classes]
+    for key, value in values.items():
+        owners = [(kinds[key], kw) for kinds, kw in zip(types, kwargs) if key in kinds]
+        if not owners:
             raise ConfigError(f"{label}: unknown config key {key!r}")
-    return BearConfig(**bear_kwargs), TrainConfig(**train_kwargs)
+        for kind, kw in owners:
+            try:
+                kw[key] = kind(value)
+            except ValueError:
+                raise ConfigError(f"{label}: key {key!r} has invalid {kind.__name__} value {value!r}") from None
+    return tuple(cls(**kw) for cls, kw in zip(classes, kwargs))
 
 
 def load_run_config(path: str | Path):
+    """The (BearConfig, TrainConfig) pair of a run config file."""
+    from .train import TrainConfig  # local import to avoid a cycle
+
     text = _decode_utf8(Path(path).read_bytes(), str(path), 0)
-    return split_run_config(parse_kv_text(text, label=str(path)), label=str(path))
+    return _build((BearConfig, TrainConfig), parse_kv_text(text, label=str(path)), str(path))
 
 
 def config_lines(cfg: BearConfig) -> list[str]:
@@ -191,15 +171,6 @@ def config_lines(cfg: BearConfig) -> list[str]:
 def config_hash(cfg: BearConfig) -> str:
     payload = "\n".join(config_lines(cfg)) + "\n"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def config_from_mapping(mapping: Mapping[str, str], label: str = "checkpoint header") -> BearConfig:
-    kwargs: dict = {}
-    for key, value in mapping.items():
-        if key not in _BEAR_FIELDS:
-            raise ConfigError(f"{label}: unknown config key {key!r}")
-        kwargs[key] = _convert(key, value, _BEAR_FIELDS[key], label)
-    return BearConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +220,7 @@ def load_checkpoint(path: str | Path, encoder_only: bool = False) -> Checkpoint:
             stray = [k for k in raw if not (k.startswith("cfg.") or k.startswith("meta."))]
             if stray:
                 raise FormatError(f"{path}: unexpected header key {stray[0]!r}")
-            cfg = config_from_mapping(cfg_map)
+            (cfg,) = _build((BearConfig,), cfg_map, "checkpoint header")
         except ConfigError as exc:
             # a malformed header is a fault of the file, not of the command line
             raise FormatError(f"{path}: {exc}") from None

@@ -4,7 +4,6 @@ rate decay, early stopping, and checkpointing of the best validation model."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -81,7 +80,6 @@ class EpochRecord:
     train_loss: float
     val_loss: float
     lr: float
-    seconds: float
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +151,11 @@ class Adam:
         self._finite = np.empty(CHUNK, bool)
 
     def step(self, lr: float) -> None:
-        """Update every parameter, or none: all gradients are checked first."""
+        """Update every parameter, or none: all gradients are checked first.
+
+        An update that overflows (a huge learning rate or gradient) raises
+        before it is written; the blocks before it have then been stepped.
+        """
         grad = self.params.grad
         for start in range(0, grad.size, CHUNK):
             block = grad[start : start + CHUNK]
@@ -164,26 +166,33 @@ class Adam:
         self.t += 1
         correction1 = 1.0 - self.beta1**self.t
         correction2 = 1.0 - self.beta2**self.t
-        for start in range(0, grad.size, CHUNK):
-            block = slice(start, start + CHUNK)
-            g, m, v, p = grad[block], self.m[block], self.v[block], self.params.data[block]
-            a, b = (s[: g.size] for s in self._scratch)
-            # the operation order of p -= lr * (m / c1) / (sqrt(v / c2) + eps), which
-            # keeps the bits; folding lr / c1 into one scalar would change them. Step 1
-            # writes the zero moments unread (0 * beta + x is x): a fresh page read
-            # before its first write maps the zero page, which the write copies
-            if self.t > 1:
-                m *= self.beta1
-                v *= self.beta2
-            np.add(m if self.t > 1 else 0.0, np.multiply(g, 1.0 - self.beta1, out=a), out=m)
-            np.multiply(g, g, out=a)
-            a *= 1.0 - self.beta2
-            np.add(v if self.t > 1 else 0.0, a, out=v)
-            np.divide(m, correction1, out=a)
-            a *= lr
-            np.sqrt(np.divide(v, correction2, out=b), out=b)
-            b += self.eps
-            p -= np.divide(a, b, out=a)
+        # an overflow is caught in the update below, so it does not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, grad.size, CHUNK):
+                block = slice(start, start + CHUNK)
+                g, m, v, p = grad[block], self.m[block], self.v[block], self.params.data[block]
+                a, b = (s[: g.size] for s in self._scratch)
+                # the operation order of p -= lr * (m / c1) / (sqrt(v / c2) + eps), which
+                # keeps the bits; folding lr / c1 into one scalar would change them. Step 1
+                # writes the zero moments unread (0 * beta + x is x): a fresh page read
+                # before its first write maps the zero page, which the write copies
+                if self.t > 1:
+                    m *= self.beta1
+                    v *= self.beta2
+                np.add(m if self.t > 1 else 0.0, np.multiply(g, 1.0 - self.beta1, out=a), out=m)
+                np.multiply(g, g, out=a)
+                a *= 1.0 - self.beta2
+                np.add(v if self.t > 1 else 0.0, a, out=v)
+                np.divide(m, correction1, out=a)
+                a *= lr
+                np.sqrt(np.divide(v, correction2, out=b), out=b)
+                b += self.eps
+                np.divide(a, b, out=a)
+                finite = np.isfinite(a, out=self._finite[: a.size])
+                if not finite.all():
+                    bad = self.params.name_at(start + int(np.argmin(finite)))
+                    raise NumericError(f"non-finite Adam update for parameter {bad!r} at learning rate {lr!r}")
+                p -= a
         self.params.zero_grads()
 
 
@@ -307,7 +316,6 @@ def fit(
         params.zero_grads()
 
     for epoch in range(1, cfg.max_epochs + 1):
-        started = time.perf_counter()
         if epoch > 1 and best_epoch == epoch - 1:
             if best_values is None:
                 best_values = np.empty_like(params.data)
@@ -328,7 +336,7 @@ def fit(
             val_loss = accumulate_gradients(val_set, params, bcfg, loss_fn) / len(val_set)
         if not math.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss in epoch {epoch}")
-        records.append(EpochRecord(epoch, train_loss, val_loss, lr, time.perf_counter() - started))
+        records.append(EpochRecord(epoch, train_loss, val_loss, lr))
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
@@ -350,13 +358,13 @@ def fit(
     return Checkpoint(config=bcfg, params=params, metadata=metadata), records
 
 
-EPOCH_LOG_HEADER = "epoch,train_loss,val_loss,lr,seconds"
+EPOCH_LOG_HEADER = "epoch,train_loss,val_loss,lr"
 
 
 def write_epoch_log(path: str | Path, records: Sequence[EpochRecord]) -> None:
-    """Write the per-epoch CSV log (`epoch,train_loss,val_loss,lr,seconds`)."""
+    """Write the per-epoch CSV log (`epoch,train_loss,val_loss,lr`)."""
     lines = [EPOCH_LOG_HEADER]
     for r in records:
-        lines.append(f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.lr!r},{r.seconds!r}")
+        lines.append(f"{r.epoch},{r.train_loss!r},{r.val_loss!r},{r.lr!r}")
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")

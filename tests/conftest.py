@@ -26,6 +26,9 @@ _PACKAGE_ROOT = str(Path(bear.__file__).resolve().parent.parent)
 os.environ["PYTHONPATH"] = os.pathsep.join(
     entry for entry in (_PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if entry
 )
+# The children run under the warning filters pyproject.toml gives this
+# process, so a warning a command prints fails its test instead of passing.
+os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning,error::DeprecationWarning"
 
 
 def naive_conv2d(x, kernel, bias, stride=1, padding="same"):

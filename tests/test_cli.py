@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, exit codes, and file contracts."""
 
 import csv
+import errno
 import os
 import struct
 import subprocess
@@ -130,7 +131,7 @@ class TestPipelineOutputs:
 
     def test_epoch_log_header(self, pipeline):
         lines = (pipeline / "epochs.csv").read_text().splitlines()
-        assert lines[0] == "epoch,train_loss,val_loss,lr,seconds"
+        assert lines[0] == "epoch,train_loss,val_loss,lr"
         assert len(lines) >= 2
 
     def test_manifests_written_beside_outputs(self, pipeline):
@@ -188,14 +189,14 @@ class TestDeterminism:
             (work / "run.cfg").write_text(quick)
             for step in (
                 ["synth", "--out", "data", "--count", "12", "--size", "16", "--seed", "3"],
-                ["train", "--data", "data", "--config", "run.cfg", "--out", "model.bc1"],
+                ["train", "--data", "data", "--config", "run.cfg", "--out", "model.bc1", "--log", "epochs.csv"],
                 ["encode", "--ckpt", "model.bc1", "--data", "data", "--out", "emb.csv"],
             ):
                 proc = run_cli(step, work)
                 assert proc.returncode == 0, proc.stderr
             outputs[tag] = {
                 name: (work / name).read_bytes()
-                for name in ("model.bc1", "emb.csv", "model.bc1.manifest", "emb.csv.manifest")
+                for name in ("model.bc1", "epochs.csv", "emb.csv", "model.bc1.manifest", "emb.csv.manifest")
             }
         assert outputs["a"] == outputs["b"]
 
@@ -284,8 +285,11 @@ class TestFailureModes:
             (b"cfg.n=16\ncfg.m\n", "checkpoint header line 2: expected key=value, got 'cfg.m'"),
             (b"=16\n", "checkpoint header line 1: empty key"),
             (b"cfg.n=16\ncfg.n=32\n", "checkpoint header line 2: duplicate key 'cfg.n'"),
+            (b"cfg.zz=8\n", "checkpoint header: unknown config key 'zz'"),
+            (b"cfg.m=0\n", "m must be at least 1, got 0"),
+            (b"foo=1\n", "unexpected header key 'foo'"),
         ],
-        ids=["invalid-int", "no-equals-sign", "empty-key", "duplicate-key"],
+        ids=["invalid-int", "no-equals-sign", "empty-key", "duplicate-key", "unknown-key", "invalid-m", "stray-key"],
     )
     def test_malformed_checkpoint_header_is_data_error(
         self, tmp_path, monkeypatch, capsys, command, header, message
@@ -299,14 +303,33 @@ class TestFailureModes:
         assert capsys.readouterr().err == f"error: model.bc1: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "model.bc1"]
 
-    def test_malformed_run_config_is_usage_error(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("n=16\n", "n=abc\n", "run.cfg: key 'n' has invalid int value 'abc'"),
+            ("l2=0.0001\n", "l2=0.0001\nbogus=3\n", "run.cfg: unknown config key 'bogus'"),
+            ("lr0=0.005\n", "lr0=x\n", "run.cfg: key 'lr0' has invalid float value 'x'"),
+            ("batch_size=8\n", "batch_size=x\n", "run.cfg: key 'batch_size' has invalid int value 'x'"),
+            ("loss=bce\n", "loss=foo\n", "loss must be 'bce' or 'mse', got 'foo'"),
+            ("n=16\n", "n=7\n", "n must be at least 8, got 7"),
+            (
+                "f_rfe=4\n", "f_rfe=3\n",
+                "f_rfe=3 must equal f_pfe=4: the entanglement stages preserve the encoder channel width",
+            ),
+            # two errors: the first in file order is reported
+            ("lr0=0.005\n", "lr0=x\nbogus=3\n", "run.cfg: key 'lr0' has invalid float value 'x'"),
+        ],
+        ids=["n-abc", "unknown-key", "lr0-x", "batch_size-x", "loss-foo", "n-7", "f_rfe-3", "two-errors"],
+    )
+    def test_malformed_run_config_is_usage_error(self, tmp_path, monkeypatch, capsys, old, new, message):
         import bear.cli as cli
 
-        (tmp_path / "run.cfg").write_text(CONFIG.replace("n=16\n", "n=abc\n"))
+        (tmp_path / "run.cfg").write_text(CONFIG.replace(old, new, 1))
         (tmp_path / "data").mkdir()
         monkeypatch.chdir(tmp_path)
         assert cli.main(["train", "--data", "data", "--config", "run.cfg", "--out", "m.bc1"]) == 1
-        assert capsys.readouterr().err == "error: run.cfg: key 'n' has invalid int value 'abc'\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run.cfg"]
 
     def test_run_config_comments_and_blank_lines_are_skipped(self, tmp_path):
         from bear.serialize import load_run_config
@@ -315,6 +338,17 @@ class TestFailureModes:
         commented = "# a run config\n\n" + CONFIG.replace("lr0=0.005\n", "  # lr0=0.5\n\n   \nlr0=0.005\n#\n")
         (tmp_path / "commented.cfg").write_text(commented)
         assert load_run_config(tmp_path / "commented.cfg") == load_run_config(tmp_path / "plain.cfg")
+
+    def test_a_run_config_key_sets_its_field_in_every_config(self, tmp_path):
+        from bear.serialize import load_run_config
+        from bear.train import TrainConfig
+
+        (tmp_path / "run.cfg").write_text("seed=5\nlr0=0.5\n")
+        bcfg, tcfg = load_run_config(tmp_path / "run.cfg")
+        assert (bcfg.seed, tcfg.seed) == (5, 5)
+        # lr0 is TrainConfig's alone, so BearConfig keeps every other default
+        assert bcfg == BearConfig(seed=5)
+        assert tcfg == TrainConfig(seed=5, lr0=0.5)
 
     def test_train_too_large_for_memory_is_usage_error(self, tmp_path):
         # resizing one image to n=65536 needs 48 GiB
@@ -372,21 +406,19 @@ class TestFailureModes:
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run.cfg"]
 
-    @pytest.mark.parametrize(
-        "batch_size, message",
-        [(2, "non-finite training loss in epoch 1"), (8, "non-finite validation loss in epoch 2")],
-        ids=["training", "validation"],
-    )
-    def test_non_finite_loss_is_numeric_error_and_writes_nothing(self, tmp_path, batch_size, message):
-        # a step of 1e30 leaves parameters whose next forward pass is not finite:
-        # the next batch's when an epoch has several, else the validation pass's
+    @pytest.mark.parametrize("batch_size", [2, 8], ids=["training", "validation"])
+    def test_non_finite_loss_is_numeric_error_and_writes_nothing(self, tmp_path, batch_size):
+        # a step of 1e30 leaves parameters whose next gradients overflow Adam's
+        # update: in the first epoch when it has several batches, else after
+        # the first epoch's validation pass
         config = CONFIG.replace("lr0=0.005", "lr0=1e30").replace("batch_size=8", f"batch_size={batch_size}")
         (tmp_path / "run.cfg").write_text(config.replace("val_fraction=0.1", "val_fraction=0.2"))
         assert run_cli(["synth", "--out", "data", "--count", "6", "--size", "16", "--seed", "0"], tmp_path).returncode == 0
         proc = run_cli(["train", "--data", "data", "--config", "run.cfg", "--out", "m.bc1"], tmp_path)
         assert proc.returncode == 3
-        # the overflows that lead there may warn first
-        assert proc.stderr.splitlines()[-1] == f"error: {message}"
+        assert proc.stderr == (
+            "error: non-finite Adam update for parameter 'pfe/convlstm1/recurrent-kernels' at learning rate 1e+30\n"
+        )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run.cfg"]
 
     def test_empty_data_dir_is_data_error(self, tmp_path, pipeline):
@@ -419,6 +451,24 @@ class TestFailureModes:
         assert "skipping" in proc.stderr
         assert "broken.ppm" in proc.stderr
 
+    @pytest.mark.parametrize("kind", ["truncated", "directory"])
+    def test_unreadable_image_warning_names_its_path_once(self, tmp_path, kind):
+        (tmp_path / "run.cfg").write_text(CONFIG.replace("max_epochs=40", "max_epochs=1"))
+        assert run_cli(["synth", "--out", "data", "--count", "4", "--size", "16", "--seed", "2"], tmp_path).returncode == 0
+        if kind == "truncated":
+            (tmp_path / "data" / "bad.ppm").write_bytes(b"P6\n4 4\n255\n tiny")
+            reason = "truncated pixel data at byte offset 16 (need 48 bytes from offset 11, have 5)"
+        else:
+            (tmp_path / "data" / "bad.ppm").mkdir()
+            reason = os.strerror(errno.EISDIR)
+        proc = run_cli(["train", "--data", "data", "--config", "run.cfg", "--out", "m.bc1"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"warning: skipping data/bad.ppm: {reason}",
+            "warning: skipped 1 unreadable images",
+        ]
+        assert proc.stderr.count("bad.ppm") == 1
+
     @pytest.mark.parametrize("command", ["train", "encode", "reconstruct"])
     def test_header_integer_over_the_int_digit_limit_is_data_error(self, tmp_path, pipeline, command):
         (tmp_path / "run.cfg").write_text(CONFIG.replace("max_epochs=40", "max_epochs=1"))
@@ -434,7 +484,7 @@ class TestFailureModes:
         proc = run_cli(args, tmp_path)
         if command == "reconstruct":
             assert proc.returncode == 2
-            assert proc.stderr == f"error: {reason}\n"
+            assert proc.stderr == f"error: data/long.ppm: {reason}\n"
             assert not (tmp_path / "out").exists()
         else:
             assert proc.returncode == 0, proc.stderr

@@ -45,7 +45,7 @@ class TestPpmFormat:
         # more digits than int() converts from a string (4,300 by default)
         digits = b"1" * (max(getattr(sys, "get_int_max_str_digits", lambda: 0)(), 4300) + 1)
         header = b"P6\n" + (digits + b" 1" if field == "width" else b"1 " + digits) + b"\n255\n"
-        with pytest.raises(FormatError, match=f"^{field} at byte offset {at} has too many digits"):
+        with pytest.raises(FormatError, match=f"^ppm: {field} at byte offset {at} has too many digits"):
             parse_ppm(header + bytes(3))
 
     def test_wrong_maxval_rejected(self):

@@ -244,6 +244,17 @@ class TestAdam:
         assert np.array_equal(state.m, m)
         assert np.array_equal(state.v, v)
 
+    @pytest.mark.parametrize("grad", [1e10, 1e20], ids=["inf", "inf-over-inf"])
+    def test_overflowing_update_names_its_parameter_before_writing_it(self, grad):
+        # in float32, 1e30 * 1e10 overflows to inf; at 1e20 the squared gradient
+        # overflows too, and the update is inf / inf, a nan
+        params = ParameterSet({"a": np.array([1.0, -2.0], np.float32), "b": np.array([0.5], np.float32)})
+        state = Adam(params)
+        params["b"].grad[...] = grad
+        with pytest.raises(NumericError, match=r"^non-finite Adam update for parameter 'b' at learning rate 1e\+30$"):
+            state.step(1e30)
+        assert params["b"].data.tolist() == [0.5]
+
     @staticmethod
     def _straddling_set(rng):
         # 75000 + 74800 + 77 float32 elements: "a" straddles the first chunk
@@ -441,7 +452,6 @@ class TestFit:
         for r in records:
             assert math.isfinite(r.train_loss) and r.train_loss >= 0.0
             assert math.isfinite(r.val_loss) and r.val_loss >= 0.0
-            assert r.seconds >= 0.0
         assert ckpt.config == bcfg
         assert ckpt.metadata["epochs_run"] == "2"
         assert int(ckpt.metadata["n_train"]) + int(ckpt.metadata["n_val"]) == len(images)
@@ -470,9 +480,7 @@ class TestFit:
         images, tcfg, bcfg = _desk_setup(max_epochs=2)
         ckpt_a, records_a = fit(images, tcfg, bcfg)
         ckpt_b, records_b = fit(images, tcfg, bcfg)
-        for ra, rb in zip(records_a, records_b):
-            # wall seconds vary run to run; everything else is deterministic
-            assert (ra.epoch, ra.train_loss, ra.val_loss, ra.lr) == (rb.epoch, rb.train_loss, rb.val_loss, rb.lr)
+        assert records_a == records_b
         pa, pb = tmp_path / "a.bc1", tmp_path / "b.bc1"
         save_checkpoint(ckpt_a, pa)
         save_checkpoint(ckpt_b, pb)
@@ -517,6 +525,17 @@ class TestFit:
         _, tcfg, bcfg = _desk_setup()
         with pytest.raises(DataError, match="empty"):
             fit([], tcfg, bcfg)
+
+    @pytest.mark.parametrize("held_out", [False, True], ids=["training", "validation"])
+    def test_a_nan_image_is_a_non_finite_loss(self, held_out):
+        images, tcfg, bcfg = _desk_setup()
+        # the seeded permutation's first round(0.25 * 12) = 3 images are the validation set
+        order = np.random.default_rng(tcfg.seed).permutation(len(images))
+        bad = order[0] if held_out else order[3]
+        images[bad] = np.full_like(images[bad], np.nan)
+        stage = "validation" if held_out else "training"
+        with pytest.raises(NumericError, match=f"^non-finite {stage} loss in epoch 1$"):
+            fit(images, tcfg, bcfg)
 
     def test_wrong_image_shape_rejected(self):
         images, tcfg, bcfg = _desk_setup()
@@ -723,10 +742,10 @@ def test_epoch_log_format(tmp_path):
     from bear.train import EpochRecord
 
     path = tmp_path / "log.csv"
-    records = [EpochRecord(1, 0.5, 0.6, 1e-4, 2.5), EpochRecord(2, 0.4, 0.55, 1e-4, 2.4)]
+    records = [EpochRecord(1, 0.5, 0.6, 1e-4), EpochRecord(2, 0.4, 0.55, 1e-4)]
     write_epoch_log(path, records)
     lines = path.read_text().splitlines()
-    assert lines[0] == "epoch,train_loss,val_loss,lr,seconds"
+    assert lines[0] == "epoch,train_loss,val_loss,lr"
     fields = lines[1].split(",")
     assert int(fields[0]) == 1
     assert float(fields[1]) == 0.5
