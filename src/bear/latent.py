@@ -8,7 +8,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,13 +129,33 @@ def _sq_dists(X: np.ndarray, Y: np.ndarray, rows=None, cols=None) -> np.ndarray:
     return out
 
 
-def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+class _Rows(NamedTuple):
+    """The rows k-means reads, prepared once by _translated: ``X`` itself,
+    its mean ``ref``, the translated copy ``shifted`` = X − ref, and that
+    copy's squared row norms ``sq`` and row norms ``norm``. Both screens,
+    _assign's and _kmeanspp's, use ``ref`` as their reference point."""
+
+    X: np.ndarray
+    ref: np.ndarray
+    shifted: np.ndarray
+    sq: np.ndarray
+    norm: np.ndarray
+
+
+def _translated(X: np.ndarray) -> _Rows:
+    ref = X.mean(axis=0)
+    shifted = X - ref
+    sq = np.einsum("ij,ij->i", shifted, shifted)
+    return _Rows(X, ref, shifted, sq, np.sqrt(sq))
+
+
+def _assign(rows: _Rows, centroids: np.ndarray) -> np.ndarray:
     """Index of each row's nearest centroid by ``((x - c) ** 2).sum()``, the
     lowest on ties.
 
     A GEMM screen ‖x̃‖² − 2·x̃·c̃ + ‖c̃‖² on the rows and centroids translated
-    by the centroids' mean, one block of rows at a time, is within B of
-    that exact value (see _screen_bound). If the exact nearest centroid a is
+    by the rows' mean, one block of rows at a time, is within B of that
+    exact value (see _screen_bound). If the exact nearest centroid a is
     not the screen's nearest b, then screen(a) ≤ exact(a) + B ≤ exact(b) + B
     ≤ screen(b) + 2B. So only the centroids within 2B of a row's screened
     minimum are candidates: a row with one candidate is settled, and the
@@ -143,24 +163,20 @@ def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     formula. The labels therefore do not depend on the BLAS, the block size
     or the reference point.
     """
-    n, m = X.shape
+    n, m = rows.X.shape
     k = centroids.shape[0]
-    ref = centroids.mean(axis=0)
-    shifted = centroids - ref
+    shifted = centroids - rows.ref
     c_sq = np.einsum("ij,ij->i", shifted, shifted)
     c_norm = np.sqrt(c_sq.max())
     labels = np.empty(n, dtype=np.intp)
-    translated = np.empty((min(n, _ASSIGN_BLOCK), m))
     screen = np.empty((min(n, _ASSIGN_BLOCK), k))
     for start in range(0, n, _ASSIGN_BLOCK):
         stop = min(start + _ASSIGN_BLOCK, n)
-        x = np.subtract(X[start:stop], ref, out=translated[: stop - start])
-        x_sq = np.einsum("ij,ij->i", x, x)
-        s = np.matmul(x, shifted.T, out=screen[: stop - start])
+        s = np.matmul(rows.shifted[start:stop], shifted.T, out=screen[: stop - start])
         s *= -2.0
-        s += x_sq[:, None]
+        s += rows.sq[start:stop, None]
         s += c_sq
-        slack = 2.0 * _screen_bound(np.sqrt(x_sq), c_norm, m)
+        slack = 2.0 * _screen_bound(rows.norm[start:stop], c_norm, m)
         # a negated > keeps every centroid of a row whose screen overflowed to NaN
         near = ~(s > (s.min(axis=1) + slack)[:, None])
         labels[start:stop] = near.argmax(axis=1)
@@ -168,7 +184,7 @@ def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         tied = np.flatnonzero(counts > 1)
         if tied.size:
             r, c = np.nonzero(near[tied])
-            d = _sq_dists(X, centroids, start + tied[r], c)
+            d = _sq_dists(rows.X, centroids, start + tied[r], c)
             # by row, then exact distance, then centroid: each row's first pair wins
             order = np.lexsort((c, d, r))
             labels[start + tied] = c[order[np.cumsum(counts[tied]) - counts[tied]]]
@@ -187,56 +203,32 @@ def _canonical_order(X: np.ndarray) -> np.ndarray:
     produce row-permutation-equivariant results.
 
     The order is np.lexsort(X.T[::-1]): by column 0, ties by column 1 and so
-    on, then by row index. It is built one column at a time, and each column
-    re-sorts only the rows still tied on the columns before it, so rows
-    that differ early cost one pass."""
-    n, m = X.shape
-    order = np.arange(n)
-    tied = np.arange(n)  # positions in `order` whose rows equal a neighbour's so far
-    run = np.zeros(n, dtype=np.intp)  # which run of equal rows each tied position is in
-    for j in range(m):
-        if tied.size == 0:
-            break
-        # stable, and -0.0 == 0.0, as in lexsort: positions stay inside their run
-        values = X[order[tied], j]
-        resort = np.lexsort((values, run))
-        order[tied] = order[tied[resort]]
-        values, run = values[resort], run[resort]
-        starts = np.ones(tied.size, dtype=bool)
-        starts[1:] = (run[1:] != run[:-1]) | (values[1:] != values[:-1])
-        alone = starts & np.append(starts[1:], True)
-        tied, run = tied[~alone], np.cumsum(starts)[~alone]
-    return order
+    on, then by row index. A stable sort of the rows, each viewed as one
+    record of m fields, gives it: numpy compares records field by field, and
+    -0.0 equals 0.0 there as in lexsort."""
+    records = np.ascontiguousarray(X).view([("", X.dtype)] * X.shape[1])[:, 0]
+    return np.argsort(records, kind="stable")
 
 
-def _translated(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X − mean(X), its rows' squared norms and their norms: what
-    _kmeanspp screens on, built once per ordered matrix."""
-    shifted = X - X.mean(axis=0)
-    x_sq = np.einsum("ij,ij->i", shifted, shifted)
-    return shifted, x_sq, np.sqrt(x_sq)
-
-
-def _kmeanspp(X: np.ndarray, k: int, rng: np.random.Generator, translated) -> np.ndarray:
-    """Row indices of k k-means++ seeds drawn from X.
+def _kmeanspp(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Row indices of k k-means++ seeds drawn from ``rows.X``.
 
     Each seed lowers d2, every row's squared distance to its nearest seed. A
-    GEMV on the rows translated by their mean screens the new seed's
-    distances; a row whose screened distance minus B (see _screen_bound) is
-    above its d2 cannot come closer, so only the other rows are recomputed
-    with the exact formula on the original rows. d2, and with it every
-    draw, keeps the bits of an exact pass over all rows. ``translated`` is
-    ``_translated(X)``.
+    GEMV on the translated rows screens the new seed's distances; a row
+    whose screened distance minus B (see _screen_bound) is above its d2
+    cannot come closer, so only the other rows are recomputed with the
+    exact formula on the original rows. d2, and with it every draw, keeps
+    the bits of an exact pass over all rows.
     """
+    X, _, shifted, x_sq, x_norm = rows
     n, m = X.shape
-    shifted, x_sq, x_norm = translated
     d2 = np.full(n, np.inf)
     chosen = [int(rng.integers(n))]
     while len(chosen) < k:
         pick = chosen[-1]
         screen = x_sq - 2.0 * (shifted @ shifted[pick]) + x_sq[pick]
-        rows = np.flatnonzero(~(screen - _screen_bound(x_norm, x_norm[pick], m) > d2))
-        d2[rows] = np.minimum(d2[rows], _sq_dists(X, X[pick], rows))
+        near = np.flatnonzero(~(screen - _screen_bound(x_norm, x_norm[pick], m) > d2))
+        d2[near] = np.minimum(d2[near], _sq_dists(X, X[pick], near))
         total = float(d2.sum())
         if total <= 0.0:
             chosen.append(int(rng.integers(n)))
@@ -262,14 +254,15 @@ def _update_centroids(X: np.ndarray, k: int, centroids: np.ndarray, labels: np.n
     return out
 
 
-def _lloyd(X: np.ndarray, translated, k: int, rng: np.random.Generator):
-    centroids = X[_kmeanspp(X, k, rng, translated)]
-    labels = _assign(X, centroids)
+def _lloyd(rows: _Rows, k: int, rng: np.random.Generator):
+    X = rows.X
+    centroids = X[_kmeanspp(rows, k, rng)]
+    labels = _assign(rows, centroids)
     inertia = _sse(X, centroids, labels)
     iterations = 0
     for _ in range(_MAX_ITER):
         centroids = _update_centroids(X, k, centroids, labels)
-        new_labels = _assign(X, centroids)
+        new_labels = _assign(rows, centroids)
         new_inertia = _sse(X, centroids, new_labels)
         if new_inertia > inertia + _MONOTONE_SLACK * max(1.0, inertia):
             raise NumericError(f"k-means objective increased from {inertia} to {new_inertia}")
@@ -289,7 +282,8 @@ def _check_scale(X: np.ndarray) -> None:
     behind every mean finite. With h half the widest column range (halved
     before the subtraction, so it cannot overflow), two rows differ by at
     most 2h per coordinate: squared distances stay below 4·m·h², screens on
-    translated rows below 16·m·h², sums over n rows below 4·m·h²·n and the
+    rows translated by their mean, which lies inside every column's range,
+    below 16·m·h², sums over n rows below 4·m·h²·n and the
     elbow's chord products below 8·m·h²·n², all under the bound
     64·m·h²·n² ≤ ``_FLOAT_MAX``.
     """
@@ -301,10 +295,17 @@ def _check_scale(X: np.ndarray) -> None:
         raise NumericError("k-means failed: the rows are too large for their squared distances to stay finite")
 
 
-def _best_of_restarts(ordered: np.ndarray, translated, k: int, seed: int, restarts: int):
-    """kmeans on rows already in canonical order and their ``_translated``
-    rows, so that elbow sorts its embedding set and translates it once for
-    all its ks and restarts. Labels come back in that order."""
+def _prepared(e: EmbeddingSet) -> tuple[np.ndarray, _Rows]:
+    """The canonical order of e's rows and the rows in that order, prepared
+    for k-means, once the rows pass _check_scale. kmeans and elbow prepare
+    their rows once for all their ks and restarts."""
+    _check_scale(e.rows)
+    canon = _canonical_order(e.rows)
+    return canon, _translated(e.rows[canon])
+
+
+def _best_of_restarts(rows: _Rows, k: int, seed: int, restarts: int):
+    """kmeans on prepared rows; labels come back in their order."""
     if restarts < 1:
         raise ConfigError(f"restarts must be at least 1, got {restarts}")
     if seed < 0:
@@ -312,7 +313,7 @@ def _best_of_restarts(ordered: np.ndarray, translated, k: int, seed: int, restar
     best = None
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
-        run = _lloyd(ordered, translated, k, rng)
+        run = _lloyd(rows, k, rng)
         if best is None or run[2] < best[2]:
             best = run
     return best
@@ -328,10 +329,8 @@ def kmeans(e: EmbeddingSet, k: int, seed: int = 0, restarts: int = 5) -> KMeansR
     """
     if k < 1 or k > e.count:
         raise DataError(f"k must be in [1, {e.count}], got {k}")
-    _check_scale(e.rows)
-    canon = _canonical_order(e.rows)
-    ordered = e.rows[canon]
-    centroids, labels, sse, iterations = _best_of_restarts(ordered, _translated(ordered), k, seed, restarts)
+    canon, rows = _prepared(e)
+    centroids, labels, sse, iterations = _best_of_restarts(rows, k, seed, restarts)
     assignments = np.empty(e.count, dtype=np.int64)
     assignments[canon] = labels
     return KMeansResult(
@@ -375,11 +374,9 @@ def elbow(
     """Run kmeans for every k in [k_min, k_max] under one seeding protocol."""
     if not 1 <= k_min < k_max <= e.count:
         raise DataError(f"need 1 <= k_min < k_max <= {e.count}, got [{k_min}, {k_max}]")
-    _check_scale(e.rows)
+    rows = _prepared(e)[1]
     ks = list(range(k_min, k_max + 1))
-    ordered = e.rows[_canonical_order(e.rows)]
-    translated = _translated(ordered)
-    inertias = [_best_of_restarts(ordered, translated, k, seed, restarts)[2] for k in ks]
+    inertias = [_best_of_restarts(rows, k, seed, restarts)[2] for k in ks]
     violations = [
         ks[i]
         for i in range(1, len(ks))

@@ -40,7 +40,8 @@ PD_KERNEL_EXTENTS = (1, 3, 5)
 class BearConfig:
     """Architecture hyperparameters.
 
-    n: square input extent; d: input depth; r: residual downsample factor;
+    n: square input extent; d: input depth; r: residual downsample factor
+    (4, so that the residual copy matches pfe's output extent);
     m: latent width; f_pfe / f_rfe / f_bfe: encoder stage filter counts
     (f_rfe must equal f_pfe because the entanglement stages preserve the
     encoder channel width); f_dec: decoder channel width; pf_branches:
@@ -65,10 +66,8 @@ class BearConfig:
             raise ConfigError(f"n must be at least 8, got {self.n}")
         if self.n % 8:
             raise ConfigError(f"n must be divisible by 8 (the encoder halves extents three times), got {self.n}")
-        if self.r < 1:
-            raise ConfigError(f"r must be positive, got {self.r}")
-        if self.n % self.r:
-            raise ConfigError(f"n={self.n} must be divisible by the residual factor r={self.r}")
+        if self.r != 4:
+            raise ConfigError(f"the residual factor r must be 4, the downsampling of pfe's two pools, got {self.r}")
         if self.d < 1:
             raise ConfigError(f"d must be at least 1, got {self.d}")
         if self.m < 1:

@@ -496,7 +496,7 @@ def _zero_block(count: int, dtype: np.dtype) -> Array:
     nbytes = count * dtype.itemsize
     try:
         block = mmap.mmap(-1, max(1, nbytes), flags=mmap.MAP_PRIVATE)
-    except OSError:  # an anonymous mapping fails only for want of memory
+    except (OSError, OverflowError):  # for want of memory, or of a size that ssize_t holds
         raise MemoryError(f"Unable to map {nbytes / 2**30:.1f} GiB for a parameter arena") from None
     if _HUGE_PAGES and nbytes >= 1 << 22:
         with suppress(OSError):  # advice only: a kernel without huge pages refuses it

@@ -150,18 +150,23 @@ class Adam:
         self._scratch = (np.empty(CHUNK, params.data.dtype), np.empty(CHUNK, params.data.dtype))
         self._finite = np.empty(CHUNK, bool)
 
+    def _first_non_finite(self, values: np.ndarray, start: int) -> str | None:
+        """The parameter of the first non-finite element of ``values``, the
+        arena block from ``start``, or None when every element is finite."""
+        finite = np.isfinite(values, out=self._finite[: values.size])
+        return None if finite.all() else self.params.name_at(start + int(np.argmin(finite)))
+
     def step(self, lr: float) -> None:
         """Update every parameter, or none: all gradients are checked first.
 
         An update that overflows (a huge learning rate or gradient) raises
-        before it is written; the blocks before it have then been stepped.
+        before it is written, and so does a second moment that overflows (a
+        huge gradient), whose update would be a silent 0 from then on; the
+        blocks before it have then been stepped.
         """
         grad = self.params.grad
         for start in range(0, grad.size, CHUNK):
-            block = grad[start : start + CHUNK]
-            finite = np.isfinite(block, out=self._finite[: block.size])
-            if not finite.all():
-                bad = self.params.name_at(start + int(np.argmin(finite)))
+            if (bad := self._first_non_finite(grad[start : start + CHUNK], start)) is not None:
                 raise NumericError(f"non-finite gradient for parameter {bad!r}")
         self.t += 1
         correction1 = 1.0 - self.beta1**self.t
@@ -188,10 +193,10 @@ class Adam:
                 np.sqrt(np.divide(v, correction2, out=b), out=b)
                 b += self.eps
                 np.divide(a, b, out=a)
-                finite = np.isfinite(a, out=self._finite[: a.size])
-                if not finite.all():
-                    bad = self.params.name_at(start + int(np.argmin(finite)))
+                if (bad := self._first_non_finite(a, start)) is not None:
                     raise NumericError(f"non-finite Adam update for parameter {bad!r} at learning rate {lr!r}")
+                if (bad := self._first_non_finite(b, start)) is not None:
+                    raise NumericError(f"non-finite Adam second moment for parameter {bad!r}")
                 p -= a
         self.params.zero_grads()
 

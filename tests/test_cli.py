@@ -36,6 +36,18 @@ l2=0.0001
 """
 
 
+# PPM headers that parse_ppm rejects, by kind: (file content, the reason it gives)
+MALFORMED_HEADERS = {
+    "no-width": (b"P6 x 4\n255\n", "expected width at byte offset 3"),
+    "magic-without-whitespace": (b"P64 4\n255\n", "expected whitespace after magic at byte offset 2"),
+    "width-0": (b"P6\n0 4\n255\n", "width must be positive at byte offset 3"),
+    "height-0": (b"P6\n4 0\n255\n", "height must be positive at byte offset 5"),
+    "maxval-without-whitespace": (
+        b"P6\n1 1\n255x" + bytes(3), "expected single whitespace after maxval at byte offset 10"
+    ),
+}
+
+
 def run_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "bear", *args],
@@ -287,9 +299,13 @@ class TestFailureModes:
             (b"cfg.n=16\ncfg.n=32\n", "checkpoint header line 2: duplicate key 'cfg.n'"),
             (b"cfg.zz=8\n", "checkpoint header: unknown config key 'zz'"),
             (b"cfg.m=0\n", "m must be at least 1, got 0"),
+            (b"cfg.r=8\n", "the residual factor r must be 4, the downsampling of pfe's two pools, got 8"),
             (b"foo=1\n", "unexpected header key 'foo'"),
         ],
-        ids=["invalid-int", "no-equals-sign", "empty-key", "duplicate-key", "unknown-key", "invalid-m", "stray-key"],
+        ids=[
+            "invalid-int", "no-equals-sign", "empty-key", "duplicate-key", "unknown-key", "invalid-m", "invalid-r",
+            "stray-key",
+        ],
     )
     def test_malformed_checkpoint_header_is_data_error(
         self, tmp_path, monkeypatch, capsys, command, header, message
@@ -312,6 +328,16 @@ class TestFailureModes:
             ("batch_size=8\n", "batch_size=x\n", "run.cfg: key 'batch_size' has invalid int value 'x'"),
             ("loss=bce\n", "loss=foo\n", "loss must be 'bce' or 'mse', got 'foo'"),
             ("n=16\n", "n=7\n", "n must be at least 8, got 7"),
+            ("r=4\n", "r=2\n", "the residual factor r must be 4, the downsampling of pfe's two pools, got 2"),
+            ("d=3\n", "d=0\n", "d must be at least 1, got 0"),
+            ("d=3\n", "d=1\n", "training from PPM images requires d=3, config has d=1"),
+            ("f_dec=4\n", "f_dec=0\n", "f_dec must be at least 1, got 0"),
+            ("seed=0\n", "seed=-1\n", "seed must be nonnegative, got -1"),
+            ("lr0=0.005\n", "lr0=0\n", "lr0 must be positive, got 0.0"),
+            ("l2=0.0001\n", "l2=0.0001\nplateau_patience=0\n", "plateau_patience must be at least 1, got 0"),
+            ("l2=0.0001\n", "l2=0.0001\ndecay_factor=1\n", "decay_factor must be in (0, 1), got 1.0"),
+            ("batch_size=8\n", "batch_size=0\n", "batch_size must be at least 1, got 0"),
+            ("max_epochs=40\n", "max_epochs=-1\n", "max_epochs must be nonnegative, got -1"),
             (
                 "f_rfe=4\n", "f_rfe=3\n",
                 "f_rfe=3 must equal f_pfe=4: the entanglement stages preserve the encoder channel width",
@@ -319,7 +345,11 @@ class TestFailureModes:
             # two errors: the first in file order is reported
             ("lr0=0.005\n", "lr0=x\nbogus=3\n", "run.cfg: key 'lr0' has invalid float value 'x'"),
         ],
-        ids=["n-abc", "unknown-key", "lr0-x", "batch_size-x", "loss-foo", "n-7", "f_rfe-3", "two-errors"],
+        ids=[
+            "n-abc", "unknown-key", "lr0-x", "batch_size-x", "loss-foo", "n-7", "r-2", "d-0", "d-1", "f_dec-0",
+            "seed-negative", "lr0-0", "plateau_patience-0", "decay_factor-1", "batch_size-0", "max_epochs-negative",
+            "f_rfe-3", "two-errors",
+        ],
     )
     def test_malformed_run_config_is_usage_error(self, tmp_path, monkeypatch, capsys, old, new, message):
         import bear.cli as cli
@@ -363,6 +393,16 @@ class TestFailureModes:
     def test_parameter_arena_too_large_for_memory_is_usage_error(self, tmp_path):
         # m = 2**24 latent units make dd's weights alone 4 GiB
         (tmp_path / "run.cfg").write_text(CONFIG.replace("m=16\n", "m=16777216\n"))
+        assert run_cli(["synth", "--out", "data", "--count", "2", "--size", "16"], tmp_path).returncode == 0
+        proc = run_cli_capped(["train", "--data", "data", "--config", "run.cfg", "--out", "model.bc1"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "does not fit in memory" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run.cfg"]
+
+    def test_parameter_arena_beyond_ssize_t_is_usage_error(self, tmp_path):
+        # f_dec = 999999999992 asks for an arena of more bytes than ssize_t holds
+        (tmp_path / "run.cfg").write_text(CONFIG.replace("f_dec=4\n", "f_dec=999999999992\n"))
         assert run_cli(["synth", "--out", "data", "--count", "2", "--size", "16"], tmp_path).returncode == 0
         proc = run_cli_capped(["train", "--data", "data", "--config", "run.cfg", "--out", "model.bc1"], tmp_path)
         assert proc.returncode == 1
@@ -451,16 +491,19 @@ class TestFailureModes:
         assert "skipping" in proc.stderr
         assert "broken.ppm" in proc.stderr
 
-    @pytest.mark.parametrize("kind", ["truncated", "directory"])
+    @pytest.mark.parametrize("kind", ["truncated", "directory", *MALFORMED_HEADERS])
     def test_unreadable_image_warning_names_its_path_once(self, tmp_path, kind):
         (tmp_path / "run.cfg").write_text(CONFIG.replace("max_epochs=40", "max_epochs=1"))
         assert run_cli(["synth", "--out", "data", "--count", "4", "--size", "16", "--seed", "2"], tmp_path).returncode == 0
         if kind == "truncated":
             (tmp_path / "data" / "bad.ppm").write_bytes(b"P6\n4 4\n255\n tiny")
             reason = "truncated pixel data at byte offset 16 (need 48 bytes from offset 11, have 5)"
-        else:
+        elif kind == "directory":
             (tmp_path / "data" / "bad.ppm").mkdir()
             reason = os.strerror(errno.EISDIR)
+        else:
+            content, reason = MALFORMED_HEADERS[kind]
+            (tmp_path / "data" / "bad.ppm").write_bytes(content)
         proc = run_cli(["train", "--data", "data", "--config", "run.cfg", "--out", "m.bc1"], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines() == [
@@ -493,6 +536,54 @@ class TestFailureModes:
                 "warning: skipped 1 unreadable images",
             ]
             assert (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", list(MALFORMED_HEADERS))
+    def test_malformed_header_is_skipped_by_encode_and_data_error_for_reconstruct(
+        self, encoder_workdir, capsys, kind
+    ):
+        import bear.cli as cli
+
+        content, reason = MALFORMED_HEADERS[kind]
+        (encoder_workdir / "data" / "bad.ppm").write_bytes(content)
+        assert cli.main(["encode", "--ckpt", "model.bc1", "--data", "data", "--out", "e.csv"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: skipping data/bad.ppm: {reason}",
+            "warning: skipped 1 unreadable images",
+        ]
+        assert cli.main(["reconstruct", "--ckpt", "model.bc1", "--in", "data/bad.ppm", "--out", "r.ppm"]) == 2
+        assert capsys.readouterr().err == f"error: data/bad.ppm: {reason}\n"
+        assert not (encoder_workdir / "r.ppm").exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["train", "--data", "emb.csv", "--config", "run.cfg", "--out", "out"], "emb.csv is not a directory"),
+            (["encode", "--ckpt", "model.bc1", "--data", "emb.csv", "--out", "out"], "emb.csv is not a directory"),
+            (
+                ["cluster", "--embeddings", "emb.csv", "--k", "1", "--pca-rank", "0", "--out", "out"],
+                "rank must be in [1, 2], got 0",
+            ),
+        ],
+        ids=["train-data-file", "encode-data-file", "cluster-pca-rank-0"],
+    )
+    def test_data_error_writes_nothing(self, encoder_workdir, capsys, args, message):
+        import bear.cli as cli
+
+        (encoder_workdir / "run.cfg").write_text(CONFIG)
+        (encoder_workdir / "emb.csv").write_text("id,z0,z1\nrow0,1.0,2.0\nrow1,3.0,2.0\n")
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in encoder_workdir.iterdir()) == ["data", "emb.csv", "model.bc1", "run.cfg"]
+
+    def test_elbow_of_a_straight_inertia_curve_is_reported(self, tmp_path, monkeypatch, capsys):
+        import bear.cli as cli
+
+        # equal rows have zero inertia at every k
+        (tmp_path / "emb.csv").write_text("id,z0\n" + "".join(f"row{i},1.5\n" for i in range(4)))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["cluster", "--embeddings", "emb.csv", "--elbow", "1", "3", "--out", "elbow.csv"]) == 0
+        assert capsys.readouterr().out == "no elbow: the inertia curve is a straight line\n"
+        assert (tmp_path / "elbow.csv").read_text() == "k,inertia\n1,0.0\n2,0.0\n3,0.0\n"
 
     def test_encode_streams_chunks_of_usable_images(self, tmp_path, monkeypatch, capsys):
         # forward_chunk is 4 at n=64: six readable images make chunks of 4
@@ -718,12 +809,16 @@ def encoder_workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
-def _transpose_dd_weights_shape(data: bytes) -> bytes:
-    """An encoder_workdir checkpoint with dd's (8, 32) weights stored as
-    (32, 8): the same size, another shape."""
-    at = data.index(b"dd/dense/weights") + len(b"dd/dense/weights") + len(BT1_MAGIC)
-    assert data[at : at + 12] == struct.pack("<3I", 2, 8, 32)
-    return data[:at] + struct.pack("<3I", 2, 32, 8) + data[at + 12 :]
+def _dd_weights_header(rank: int, *extents: int):
+    """A corrupter of encoder_workdir checkpoints that writes ``rank`` and
+    ``extents`` over the BT1 rank and extents of dd's (8, 32) weights."""
+
+    def corrupt(data: bytes) -> bytes:
+        at = data.index(b"dd/dense/weights") + len(b"dd/dense/weights") + len(BT1_MAGIC)
+        assert data[at : at + 12] == struct.pack("<3I", 2, 8, 32)
+        return data[:at] + struct.pack("<3I", rank, *extents) + data[at + 12 :]
+
+    return corrupt
 
 
 class TestEncoderOnlyLoad:
@@ -749,11 +844,17 @@ class TestEncoderOnlyLoad:
         "corrupt",
         [
             lambda data: data.replace(b"dd/dense/bias", b"dd/dense/biaz", 1),
-            _transpose_dd_weights_shape,
+            _dd_weights_header(2, 32, 8),  # the same size, another shape
             lambda data: data[:-6],
             lambda data: data + b"\x00",
+            _dd_weights_header(0, 8, 32),
+            _dd_weights_header(9, 8, 32),
+            _dd_weights_header(2, 0, 32),
         ],
-        ids=["decoder-name", "decoder-shape", "truncated-elements", "trailing-bytes"],
+        ids=[
+            "decoder-name", "decoder-shape", "truncated-elements", "trailing-bytes", "decoder-rank-0",
+            "decoder-rank-9", "decoder-zero-extent",
+        ],
     )
     def test_corrupt_decoder_fails_encode_as_a_whole_load_does(self, encoder_workdir, capsys, corrupt):
         import bear.cli as cli

@@ -93,6 +93,20 @@ def _screen_case(name):
     return X, X[rng.permutation(len(X))]
 
 
+def _wide_tied_rows(seed):
+    """Up to 80 rows of 100 to 400 columns, drawn from a few distinct rows
+    with exact duplicates. Each distinct row copies one of two sign patterns
+    up to a cut and holds -0.0 or 0.0 after it, so rows tie far into the row,
+    and its last column may still tell two of them apart."""
+    rng = np.random.default_rng(seed)
+    m, distinct = int(rng.integers(100, 401)), int(rng.integers(1, 20))
+    rows = rng.choice([-1.0, 2.0], size=(2, m))[rng.integers(0, 2, distinct)]
+    late = np.arange(m) >= rng.integers(0, m + 1, distinct)[:, None]
+    rows[late] = rng.choice([-0.0, 0.0], size=int(late.sum()))
+    rows[:, -1] = rng.choice([-1.0, -0.0, 0.0, 2.0], distinct)
+    return rows[rng.integers(0, distinct, int(rng.integers(0, 81)))]
+
+
 SCREEN_CASES = ["offset-1e3", "offset-1e6", "duplicated-centroids", "exact-ties", "k=1", "k=N"]
 
 
@@ -172,7 +186,7 @@ class TestKMeans:
         X[_ASSIGN_BLOCK + 3] = 0.0
         tied = ((X[_ASSIGN_BLOCK + 3] - centroids) ** 2).sum(axis=1)
         assert tied[2] == tied[5] == tied.min()
-        labels = _assign(X, centroids)
+        labels = _assign(_translated(X), centroids)
         one_shot = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
         assert np.array_equal(labels, one_shot)
         assert labels[_ASSIGN_BLOCK + 3] == 2
@@ -180,14 +194,14 @@ class TestKMeans:
     @pytest.mark.parametrize("case", SCREEN_CASES)
     def test_screened_assignment_matches_one_shot_formula(self, case):
         X, centroids = _screen_case(case)
-        assert np.array_equal(_assign(X, centroids), _one_shot_labels(X, centroids))
+        assert np.array_equal(_assign(_translated(X), centroids), _one_shot_labels(X, centroids))
 
     @pytest.mark.parametrize("case", SCREEN_CASES)
     def test_screened_seeding_draws_the_unscreened_seeds(self, case):
         X, _ = _screen_case(case)
         X = X[_canonical_order(X)]
         for k in (1, 2, 9):
-            got = _kmeanspp(X, k, np.random.default_rng(k), _translated(X))
+            got = _kmeanspp(_translated(X), k, np.random.default_rng(k))
             assert got.tolist() == _unscreened_kmeanspp(X, k, np.random.default_rng(k)), k
 
     @pytest.mark.parametrize("case", ["offset-1e3", "offset-1e6"])
@@ -200,11 +214,11 @@ class TestKMeans:
         monkeypatch.setattr(
             latent, "_sq_dists", lambda X, Y, rows=None, cols=None: rechecked.append(len(rows)) or exact(X, Y, rows, cols)
         )
-        _assign(X, centroids)
+        _assign(_translated(X), centroids)
         assert sum(rechecked) <= len(X) // 10
         rechecked.clear()
         X = X[_canonical_order(X)]
-        _kmeanspp(X, 9, np.random.default_rng(9), _translated(X))
+        _kmeanspp(_translated(X), 9, np.random.default_rng(9))
         # the first seed rechecks every row against d2 = inf
         assert sum(rechecked) <= 3 * len(X)
 
@@ -212,7 +226,7 @@ class TestKMeans:
         # once every distinct row is a seed, every remaining distance is zero
         X = np.repeat([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]], [3, 2, 3], axis=0)
         for k in (4, 6, 8):
-            got = _kmeanspp(X, k, np.random.default_rng(k), _translated(X))
+            got = _kmeanspp(_translated(X), k, np.random.default_rng(k))
             assert got.tolist() == _unscreened_kmeanspp(X, k, np.random.default_rng(k)), k
         assert kmeans(_embeddings(X), 5, seed=2).inertia == 0.0
 
@@ -223,7 +237,7 @@ class TestKMeans:
         out = _update_centroids(X, 3, centroids, labels)
         # rows 0 and 2 tie at distance 1 from their mean; the first one wins
         assert out.tolist() == [[1.0], [10.5], [0.0]]
-        assert _sse(X, out, _assign(X, out)) <= _sse(X, centroids, labels)
+        assert _sse(X, out, _assign(_translated(X), out)) <= _sse(X, centroids, labels)
         # two empty clusters take the two farthest points, farthest first
         out = _update_centroids(X, 3, centroids, np.zeros(5, dtype=np.intp))
         assert out.tolist() == [[4.8], [11.0], [10.0]]
@@ -234,6 +248,7 @@ class TestKMeans:
             lambda m: st.lists(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0]), min_size=m, max_size=m), max_size=40)
             .map(lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), m))
         )
+        | st.integers(0, 2**32 - 1).map(_wide_tied_rows)
     )
     def test_refined_order_is_the_lexsort_order(self, X):
         # few distinct values make long runs of rows tied on their first

@@ -244,15 +244,24 @@ class TestAdam:
         assert np.array_equal(state.m, m)
         assert np.array_equal(state.v, v)
 
-    @pytest.mark.parametrize("grad", [1e10, 1e20], ids=["inf", "inf-over-inf"])
-    def test_overflowing_update_names_its_parameter_before_writing_it(self, grad):
+    @pytest.mark.parametrize(
+        "grad, lr, message",
+        [
+            (1e10, 1e30, r"^non-finite Adam update for parameter 'b' at learning rate 1e\+30$"),
+            (1e20, 1e30, r"^non-finite Adam update for parameter 'b' at learning rate 1e\+30$"),
+            (1e20, 1e-3, r"^non-finite Adam second moment for parameter 'b'$"),
+        ],
+        ids=["inf", "inf-over-inf", "second-moment"],
+    )
+    def test_overflowing_update_names_its_parameter_before_writing_it(self, grad, lr, message):
         # in float32, 1e30 * 1e10 overflows to inf; at 1e20 the squared gradient
-        # overflows too, and the update is inf / inf, a nan
+        # overflows too, and the update is inf / inf, a nan. At lr 1e-3 that
+        # update is a finite lr * m / inf = 0, which would freeze the weight
         params = ParameterSet({"a": np.array([1.0, -2.0], np.float32), "b": np.array([0.5], np.float32)})
         state = Adam(params)
         params["b"].grad[...] = grad
-        with pytest.raises(NumericError, match=r"^non-finite Adam update for parameter 'b' at learning rate 1e\+30$"):
-            state.step(1e30)
+        with pytest.raises(NumericError, match=message):
+            state.step(lr)
         assert params["b"].data.tolist() == [0.5]
 
     @staticmethod
