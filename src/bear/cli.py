@@ -41,20 +41,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _output_paths(*paths: str | None) -> list[Path]:
+    """The given output paths, checked before any input is read: each must
+    end in a file name, and no two may name the same file."""
+    outputs = [Path(p) for p in paths if p is not None]
+    for i, path in enumerate(outputs):
+        if path.name in ("", ".."):
+            raise ConfigError(f"output path {str(path)!r} names no file")
+        if path.resolve() in [p.resolve() for p in outputs[:i]]:
+            raise ConfigError(f"output path {str(path)!r} is given twice")
+    return outputs
+
+
 @contextmanager
 def _manifest_last(
-    primary: Path,
+    outputs: list[Path],
     command: str,
     config: str | None,
     seed: int | None,
     inputs: list[str],
-    outputs: list[str],
     cfg_hash: str | None,
+    listed: str | None = None,
 ) -> Iterator[None]:
-    """Remove the previous manifest of ``primary``, run the block's writes, and
-    write the new manifest last, so that a manifest stands only beside the
-    complete set of outputs it names: a failed or interrupted write leaves
-    none."""
+    """Remove the previous manifest of the primary output ``outputs[0]``, run
+    the block's writes, and write the new manifest last, so that a manifest
+    stands only beside the complete set of outputs it names: a failed or
+    interrupted write leaves none. ``listed`` names the outputs in the
+    manifest in place of their paths."""
+    primary = outputs[0]
     manifest = primary.with_name(primary.name + ".manifest")
     manifest.unlink(missing_ok=True)
     yield
@@ -64,7 +78,7 @@ def _manifest_last(
         f"seed={seed if seed is not None else '-'}",
     ]
     lines += [f"input={p}" for p in inputs]
-    lines += [f"output={p}" for p in outputs]
+    lines += [f"output={p}" for p in ([listed] if listed else outputs)]
     lines.append(f"config_hash={cfg_hash if cfg_hash is not None else '-'}")
     with atomic_write(manifest) as fh:
         fh.write("\n".join(lines) + "\n")
@@ -109,7 +123,7 @@ def _cmd_synth(args) -> int:
     images = synthetic_images(args.count, args.size, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with _manifest_last(out_dir / "synth", "synth", None, args.seed, [], [f"{out_dir} ({len(images)} images)"], None):
+    with _manifest_last([out_dir / "synth"], "synth", None, args.seed, [], None, f"{out_dir} ({len(images)} images)"):
         for i, img in enumerate(images):
             write_ppm(out_dir / f"img{i:04d}.ppm", unit_to_image(img))
         for stale in out_dir.glob("img[0-9][0-9][0-9][0-9]*.ppm"):  # an earlier, larger run's images
@@ -120,6 +134,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    outputs = _output_paths(args.out, args.log)
     bcfg, tcfg = load_run_config(args.config)
     if args.seed is not None:
         bcfg = replace(bcfg, seed=args.seed)
@@ -130,25 +145,25 @@ def _cmd_train(args) -> int:
     if len(images) < 2:
         raise DataError(f"need at least 2 usable images in {args.data}, found {len(images)}")
     ckpt, records = fit(images, tcfg, bcfg)
-    out = Path(args.out)
-    outputs = [str(out)] + ([str(args.log)] if args.log else [])
-    with _manifest_last(out, "train", str(args.config), tcfg.seed, [str(args.data)], outputs, config_hash(bcfg)):
-        save_checkpoint(ckpt, out)
+    with _manifest_last(outputs, "train", str(args.config), tcfg.seed, [str(args.data)], config_hash(bcfg)):
+        save_checkpoint(ckpt, outputs[0])
         if args.log:
-            write_epoch_log(args.log, records)
+            write_epoch_log(outputs[1], records)
     best = ckpt.metadata.get("best_val_loss", "-")
     print(f"trained {len(records)} epochs on {len(images)} images; best validation loss {best}")
     return EXIT_OK
 
 
 def _cmd_encode(args) -> int:
+    outputs = _output_paths(args.out)
     # the decoder's 89% of the weights is checked but not read
     ckpt = _load_image_checkpoint(args.ckpt, encoder_only=True)
     # read, encode and release one chunk of images at a time
     images = _read_image_dir(Path(args.data), ckpt.config.n)
     ids: list[str] = []
     chunks = []
-    with no_grad():
+    # weights large enough to overflow float32 warn here; the finite check below reports it
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         while chunk := list(itertools.islice(images, ckpt.config.forward_chunk)):
             names, pixels = zip(*chunk)
             ids += names
@@ -159,47 +174,47 @@ def _cmd_encode(args) -> int:
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
         raise NumericError(f"non-finite embedding for {ids[int(np.argmin(finite))]!r}")
-    out = Path(args.out)
     inputs = [str(args.ckpt), str(args.data)]
-    with _manifest_last(out, "encode", None, None, inputs, [str(out)], config_hash(ckpt.config)):
-        lat.write_embeddings(out, lat.EmbeddingSet(rows=rows, ids=ids))
-    print(f"encoded {len(rows)} images to {out}")
+    with _manifest_last(outputs, "encode", None, None, inputs, config_hash(ckpt.config)):
+        lat.write_embeddings(outputs[0], lat.EmbeddingSet(rows=rows, ids=ids))
+    print(f"encoded {len(rows)} images to {outputs[0]}")
     return EXIT_OK
 
 
 def _cmd_reconstruct(args) -> int:
+    outputs = _output_paths(args.out)
     ckpt = _load_image_checkpoint(args.ckpt)
     pixels = read_ppm(args.input)
     x = resize_unit(image_to_unit(pixels), ckpt.config.n)
-    with no_grad():
+    # as in encode: the finite check below reports an overflow
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         xhat = forward(Tensor(x[None]), ckpt.params, ckpt.config)
     if not np.isfinite(xhat.data).all():
         raise NumericError(f"non-finite reconstruction of {args.input}")
-    out = Path(args.out)
     inputs = [str(args.ckpt), str(args.input)]
-    with _manifest_last(out, "reconstruct", None, None, inputs, [str(out)], config_hash(ckpt.config)):
-        write_ppm(out, unit_to_image(xhat.data[0]))
-    print(f"reconstructed {args.input} to {out}")
+    with _manifest_last(outputs, "reconstruct", None, None, inputs, config_hash(ckpt.config)):
+        write_ppm(outputs[0], unit_to_image(xhat.data[0]))
+    print(f"reconstructed {args.input} to {outputs[0]}")
     return EXIT_OK
 
 
 def _cmd_cluster(args) -> int:
+    outputs = _output_paths(args.out)
     embeddings = lat.read_embeddings(args.embeddings)
     if args.pca_rank is not None:
         embeddings = lat.reduce_embeddings(embeddings, args.pca_rank)
-    out = Path(args.out)
     # entered only around the write, once the result is computed
-    manifest_last = _manifest_last(out, "cluster", None, args.seed, [str(args.embeddings)], [str(out)], None)
+    manifest_last = _manifest_last(outputs, "cluster", None, args.seed, [str(args.embeddings)], None)
     if args.k is not None:
         result = lat.kmeans(embeddings, args.k, seed=args.seed, restarts=args.restarts)
         with manifest_last:
-            lat.write_clusters(out, embeddings.ids, result.assignments)
+            lat.write_clusters(outputs[0], embeddings.ids, result.assignments)
         print(f"k={args.k}: inertia {result.inertia!r} after {result.iterations} iterations")
     else:
         k_min, k_max = args.elbow
         curve = lat.elbow(embeddings, k_min, k_max, seed=args.seed, restarts=args.restarts)
         with manifest_last:
-            lat.write_elbow(out, curve)
+            lat.write_elbow(outputs[0], curve)
         if curve.selected_k is None:
             print("no elbow: the inertia curve is a straight line")
         else:
@@ -210,12 +225,12 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    outputs = _output_paths(args.out)
     embeddings = lat.read_embeddings(args.embeddings)
     proj = lat.project2d(embeddings)
-    out = Path(args.out)
-    with _manifest_last(out, "project", None, None, [str(args.embeddings)], [str(out)], None):
-        lat.write_projection(out, embeddings, proj)
-    print(f"projected {embeddings.count} rows to {out}")
+    with _manifest_last(outputs, "project", None, None, [str(args.embeddings)], None):
+        lat.write_projection(outputs[0], embeddings, proj)
+    print(f"projected {embeddings.count} rows to {outputs[0]}")
     return EXIT_OK
 
 

@@ -327,7 +327,9 @@ def kmeans(e: EmbeddingSet, k: int, seed: int = 0, restarts: int = 5) -> KMeansR
     Seeding draws in canonical point order, so for a fixed seed the result is
     equivariant under row permutations (assignments permute with the rows).
     """
-    if k < 1 or k > e.count:
+    if k < 1:
+        raise ConfigError(f"k must be at least 1, got {k}")
+    if k > e.count:
         raise DataError(f"k must be in [1, {e.count}], got {k}")
     canon, rows = _prepared(e)
     centroids, labels, sse, iterations = _best_of_restarts(rows, k, seed, restarts)
@@ -372,7 +374,9 @@ def elbow(
     restarts: int = 5,
 ) -> ElbowCurve:
     """Run kmeans for every k in [k_min, k_max] under one seeding protocol."""
-    if not 1 <= k_min < k_max <= e.count:
+    if not 1 <= k_min < k_max:
+        raise ConfigError(f"need 1 <= k_min < k_max, got [{k_min}, {k_max}]")
+    if k_max > e.count:
         raise DataError(f"need 1 <= k_min < k_max <= {e.count}, got [{k_min}, {k_max}]")
     rows = _prepared(e)[1]
     ks = list(range(k_min, k_max + 1))
@@ -406,11 +410,13 @@ def principal_components(X: np.ndarray, rank: int) -> Projection:
     depend on the sign LAPACK happens to return. Rows of ``X`` are centered;
     scores are the centered rows projected on the components.
     """
+    if rank < 1:
+        raise ConfigError(f"rank must be at least 1, got {rank}")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise DataError(f"projection needs at least 2 rows, got shape {X.shape}")
     m = X.shape[1]
-    if not 1 <= rank <= m:
+    if rank > m:
         raise DataError(f"rank must be in [1, {m}], got {rank}")
     # rows too large to square overflow here; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):

@@ -231,9 +231,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     Leading axes fold into the maps of one zero-gutter grid (``_Grid``), the
     window concept of the ConvLSTM scan. The output shift-adds the tap planes
-    of the tap-reversed kernel @ the input's grid; the backward pass builds
-    the window matrix of the output gradient's grid once and gets both
-    gradients from it with one GEMM each.
+    of the tap-reversed kernel @ the input's channel-major grid; the backward
+    pass reads that grid again, builds the window matrix of the output
+    gradient's grid once and gets both gradients from it with one GEMM each.
     """
     if x.ndim < 3:
         raise ShapeError(f"conv2d: input must have rank 3 or more (..., H, W, C), got rank {x.ndim}")
@@ -249,12 +249,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv2d: same padding requires odd kernel extents, got {kh}x{kw}")
     xmat = x.data.reshape(-1, C)  # one row per position
     grid = _grid(kh, kw, xmat.shape[0] // (H * W), H, W)
-    xgrid = np.zeros((grid.length, C), xmat.dtype)  # position-major: x copies in without a transpose
-    grid.maps(xgrid.T)[...] = np.moveaxis(xmat.reshape(-1, H, W, C), -1, 0)
+    # x channel-major, as in the scan: row-major x drifted 4x further from a
+    # float64 reference at 11 channels in the kernel gradient
+    xcols = _channel_major(xmat, grid)[:, grid.lead : grid.lead + grid.cols]
     # row (tap, f) holds the kernel at the reversed tap, so shift-adding
     # its planes gives output position p tap (i, j) of input p + offset
     krev = kernel.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * F, C)
-    planes = krev @ xgrid[grid.lead : grid.lead + grid.cols].T
+    planes = krev @ xcols
     out = grid.maps(_shift_add(planes, grid, np.empty((F, grid.length), planes.dtype)))
     out += bias.data[:, None, None, None]
     out = np.moveaxis(out, 0, -1).reshape(*lead, H, W, F)
@@ -267,9 +268,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             # row (tap, f), column p holds g[f, p + offset]
             gwin = _windows(_channel_major(gmat, grid), grid, np.empty((kh * kw * F, grid.cols), gmat.dtype))
             if kernel.requires_grad:
-                # x channel-major, as in the scan: row-major x drifted 4x
-                # further from a float64 reference at 11 channels
-                xcols = _channel_major(xmat, grid)[:, grid.lead : grid.lead + grid.cols]
                 dkrev = (gwin @ xcols.T).reshape(kh, kw, F, C)
                 kernel._accumulate(dkrev[::-1, ::-1].transpose(0, 1, 3, 2))
             if x.requires_grad:

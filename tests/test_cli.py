@@ -242,10 +242,15 @@ class TestFailureModes:
             ["cluster", "--embeddings", "emb.csv", "--elbow", "1", "2", "--seed", "-1", "--out", "c.csv"],
             ["cluster", "--embeddings", "emb.csv", "--k", "1", "--restarts", "0", "--out", "c.csv"],
             ["cluster", "--embeddings", "emb.csv", "--elbow", "1", "2", "--restarts", "0", "--out", "c.csv"],
+            ["cluster", "--embeddings", "emb.csv", "--k", "1", "--pca-rank", "0", "--out", "c.csv"],
+            ["cluster", "--embeddings", "emb.csv", "--k", "0", "--out", "c.csv"],
+            ["cluster", "--embeddings", "emb.csv", "--elbow", "0", "2", "--out", "c.csv"],
+            ["cluster", "--embeddings", "emb.csv", "--elbow", "3", "2", "--out", "c.csv"],
         ],
         ids=[
             "synth-count-0", "synth-size-1", "synth-seed-negative", "cluster-seed-negative", "elbow-seed-negative",
-            "cluster-restarts-0", "elbow-restarts-0",
+            "cluster-restarts-0", "elbow-restarts-0", "cluster-pca-rank-0", "cluster-k-0", "elbow-kmin-0",
+            "elbow-reversed",
         ],
     )
     def test_invalid_argument_values_are_usage_errors(self, tmp_path, args):
@@ -255,6 +260,34 @@ class TestFailureModes:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "data").exists() and not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["train", "--data", "missing", "--config", "run.cfg", "--out", "/"],
+            ["train", "--data", "missing", "--config", "run.cfg", "--out", "m.bc1", "--log", "."],
+            ["encode", "--ckpt", "model.bc1", "--data", "missing", "--out", ""],
+            ["reconstruct", "--ckpt", "model.bc1", "--in", "missing.ppm", "--out", "."],
+            ["cluster", "--embeddings", "missing.csv", "--k", "2", "--out", "."],
+            ["project", "--embeddings", "missing.csv", "--out", "."],
+            ["project", "--embeddings", "missing.csv", "--out", "out/.."],
+            ["train", "--data", "missing", "--config", "run.cfg", "--out", "m.bc1", "--log", "./m.bc1"],
+        ],
+        ids=["train-out", "train-log", "encode", "reconstruct", "cluster", "project", "project-parent-dir",
+             "train-log-is-out"],
+    )
+    def test_unusable_output_path_is_usage_error_before_any_input(
+        self, tmp_path, monkeypatch, capsys, args
+    ):
+        # every input is missing, so an exit 1 shows the output check ran first
+        import bear.cli as cli
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(CONFIG)
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output path ") and err.count("\n") == 1, err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_synth_too_large_for_memory_is_usage_error(self, tmp_path):
         # one 300000 x 300000 image needs terabytes; the command runs in a
@@ -559,12 +592,8 @@ class TestFailureModes:
         [
             (["train", "--data", "emb.csv", "--config", "run.cfg", "--out", "out"], "emb.csv is not a directory"),
             (["encode", "--ckpt", "model.bc1", "--data", "emb.csv", "--out", "out"], "emb.csv is not a directory"),
-            (
-                ["cluster", "--embeddings", "emb.csv", "--k", "1", "--pca-rank", "0", "--out", "out"],
-                "rank must be in [1, 2], got 0",
-            ),
         ],
-        ids=["train-data-file", "encode-data-file", "cluster-pca-rank-0"],
+        ids=["train-data-file", "encode-data-file"],
     )
     def test_data_error_writes_nothing(self, encoder_workdir, capsys, args, message):
         import bear.cli as cli
@@ -681,6 +710,31 @@ class TestFailureModes:
         assert proc.stderr == "error: non-finite reconstruction of data/img0000.ppm\n"
         assert not (tmp_path / "out.ppm").exists()
         assert not (tmp_path / "out.ppm.manifest").exists()
+
+    @pytest.mark.parametrize(
+        "value, code, message",
+        [(3e38, 0, ""), (np.inf, 3, "error: non-finite ")],
+        ids=["overflowing-kernel", "infinite-kernel"],
+    )
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["encode", "--ckpt", "model.bc1", "--data", "data", "--out", "out.csv"],
+            ["reconstruct", "--ckpt", "model.bc1", "--in", "data/img0000.ppm", "--out", "out.ppm"],
+        ],
+        ids=["encode", "reconstruct"],
+    )
+    def test_kernel_weights_that_overflow_inference_do_not_warn(self, tmp_path, args, value, code, message):
+        # a matmul that overflows float32 warns unless told not to; a
+        # non-finite result is then the one-line numeric error
+        cfg = BearConfig(n=32, d=3, r=4, m=32, f_pfe=8, f_rfe=8, f_bfe=8, f_dec=8)
+        params = init_params(cfg)
+        params["rfe2/conv/kernel"].data[:] = value
+        save_checkpoint(Checkpoint(cfg, params, {}), tmp_path / "model.bc1")
+        assert run_cli(["synth", "--out", "data", "--count", "1", "--size", "32", "--seed", "0"], tmp_path).returncode == 0
+        proc = run_cli(args, tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == (1 if code else 0), proc.stderr
 
     @pytest.mark.parametrize(
         "args",

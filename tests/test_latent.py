@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import exhaustive_kmeans_inertia
 
 from bear import cli, latent
-from bear.errors import DataError, FormatError, NumericError
+from bear.errors import ConfigError, DataError, FormatError, NumericError
 from bear.latent import (
     ElbowCurve,
     EmbeddingSet,
@@ -137,7 +137,8 @@ class TestKMeans:
 
     def test_k_out_of_range_rejected(self):
         e = _embeddings(np.zeros((4, 2)))
-        with pytest.raises(DataError):
+        # a k below 1 is invalid whatever the rows: a usage error
+        with pytest.raises(ConfigError):
             kmeans(e, 0)
         with pytest.raises(DataError):
             kmeans(e, 5)
@@ -353,7 +354,8 @@ class TestElbow:
 
     def test_invalid_range_rejected(self):
         e = _embeddings(np.zeros((5, 2)))
-        with pytest.raises(DataError):
+        # an empty or reversed range is invalid whatever the rows
+        with pytest.raises(ConfigError):
             elbow(e, 3, 3)
         with pytest.raises(DataError):
             elbow(e, 1, 9)
@@ -493,6 +495,13 @@ class TestProjection:
         X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]]) * scale
         with pytest.raises(NumericError, match="covariance"):
             principal_components(X, rank=1)
+
+    def test_rank_below_one_is_usage_error_and_above_m_data_error(self):
+        X = np.random.default_rng(13).normal(size=(5, 3))
+        with pytest.raises(ConfigError):
+            principal_components(X, rank=0)
+        with pytest.raises(DataError):
+            principal_components(X, rank=4)
 
     def test_single_row_rejected(self):
         with pytest.raises(DataError):

@@ -105,6 +105,28 @@ class TestConv2d:
         b = Tensor(rng.normal(size=4))
         assert conv2d(x, k, b).shape == (9, 9, 4)
 
+    def test_input_grid_is_built_once_and_read_by_backward(self, monkeypatch):
+        # the forward pass lays the input onto a channel-major grid, the
+        # backward pass reuses it and lays only the output gradient
+        import bear.tensor
+
+        calls, build = [], bear.tensor._channel_major
+
+        def counted(rows, grid):
+            calls.append(rows.shape)
+            return build(rows, grid)
+
+        monkeypatch.setattr(bear.tensor, "_channel_major", counted)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 6, 6, 3)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 3, 3, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        loss = sum_squares(conv2d(x, k, b))
+        assert calls == [(72, 3)]
+        loss.backward()
+        assert calls == [(72, 3), (72, 5)]
+        assert x.grad is not None and k.grad is not None
+
 
 class TestDense:
     def test_identity(self):
