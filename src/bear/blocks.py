@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _channel_major, _grid, _records, _shift_add, _windows, conv2d, custom_op
+from .tensor import Tensor, _channel_major, _give, _grid, _records, _shift_add, _take, _windows, conv2d, custom_op
 
 
 @dataclass
@@ -82,6 +82,12 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     windows @ gates.T, and the k*k tap planes of both map gradients from
     another, which it shift-adds back onto their grids; the hidden-map
     gradient's gutters are zeroed after each shift-add.
+
+    Its large arrays come from ``tensor._take`` and go back through
+    ``_give`` once dead, so inside a training run they may arrive holding an
+    earlier scan's values: what the scan reads before writing (the initial
+    cell, the hidden maps' margins, dc) it zeroes, and the output is copied
+    out of the hidden maps.
     """
     if x.ndim < 3:
         raise ShapeError(f"convlstm_over_channels: input must have rank 3 or more, got rank {x.ndim}")
@@ -105,12 +111,14 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     # and o gates; the backward pass takes gradients with respect to v, so it
     # keeps kern
     kern_half = kern * np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), F)  # gates (i, f, g, o)
-    gates = np.empty((slot(T - 1) + 1, 4 * F, P), dtype)  # rows (i, f, g, o), F each
-    cells = np.zeros((slot(T) + 1, F, P), dtype)  # cells[0] is the zero initial state
-    hidden = np.zeros((slot(T - 1) + 1, F, grid.length), dtype)  # grid arrays, margins zero
-    windows = np.empty((tail + kk + 1, P), dtype)
+    gates = _take((slot(T - 1) + 1, 4 * F, P), dtype)  # rows (i, f, g, o), F each
+    cells = _take((slot(T) + 1, F, P), dtype)
+    cells[0] = 0  # the zero initial state
+    hidden = _take((slot(T - 1) + 1, F, grid.length), dtype)  # grid arrays
+    hidden[..., : grid.lead] = hidden[..., in_grid.stop :] = 0  # margins; each step writes in_grid
+    windows = _take((tail + kk + 1, P), dtype)
     windows[-1] = 1
-    work = np.empty((F, P), dtype)
+    work = _take((F, P), dtype)
     for t in range(T):
         pre = gates[slot(t)]
         first = 0 if t else tail  # the zero initial state has no recurrent term
@@ -128,22 +136,26 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
         c += np.multiply(i, g, out=work)
         h = np.multiply(o, np.tanh(c, out=work), out=hidden[slot(t), :, in_grid])
         grid.zero_gutters(h)  # the GEMM computed the gutter columns too
-    h = np.moveaxis(grid.maps(hidden[-1]), 0, -1)
+    _give(windows, work)
     del windows, work, kern_half
+    h = np.moveaxis(grid.maps(hidden[-1]), 0, -1).copy()  # out of hidden, which may be handed back
+    if not keep:
+        _give(gates, cells, hidden)
 
     def backward(grad: np.ndarray) -> None:
         nonlocal gates, cells, hidden  # one pass consumes them: it overwrites the gates
         dh = _channel_major(grad.reshape(-1, F), grid)  # a grid array: the planes shift-add onto it
         dhc = dh[:, in_grid]  # zero in the gutter columns, like dc and so every gate gradient
-        dc = np.zeros((F, P), dtype)
+        dc = _take((F, P), dtype)
+        dc[...] = 0
         # gate gradients run in place over reused scratch: the same formulas as
         # expressions allocate about 15 (F, P) temporaries a step, which raised
         # full-scale training's peak RSS by about 11 MB
-        s1, s2, s3 = np.empty((3, F, P), dtype)
-        windows = np.empty((tail + kk + 1, P), dtype)  # each step's window matrix, then its tap planes
+        s1, s2, s3 = scratch = _take((3, F, P), dtype)
+        windows = _take((tail + kk + 1, P), dtype)  # each step's window matrix, then its tap planes
         windows[-1] = 1  # the planes stop short of the ones row
         planes_stop = tail + kk if x.requires_grad else tail
-        dx = np.empty((T, grid.length), dtype)
+        dx = _take((T, grid.length), dtype)
         d_kern = np.zeros((tail + kk + 1, 4 * F), dtype)  # kernel and bias gradients, kern's layout
         for t in reversed(range(T)):
             d = gates[t]  # this step's gates in, their gradients out
@@ -189,6 +201,7 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
                 if t:
                     _shift_add(planes[:tail], grid, dh)
                     grid.zero_gutters(dhc)
+        _give(gates, cells, hidden, dc, scratch, windows)
         del gates, cells, hidden  # so the next node's backward pass runs without them
         if p.recurrent_kernels.requires_grad:
             p.recurrent_kernels._accumulate(d_kern[:tail].reshape(p.recurrent_kernels.shape))
@@ -198,6 +211,7 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
             p.biases._accumulate(d_kern[-1])
         if x.requires_grad:
             x._accumulate(np.moveaxis(grid.maps(dx), 0, -1).reshape(x.shape))
+        _give(dx)
 
     return custom_op(h.reshape(*lead, H, W, F), parents, backward)
 

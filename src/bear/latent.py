@@ -203,11 +203,21 @@ def _canonical_order(X: np.ndarray) -> np.ndarray:
     produce row-permutation-equivariant results.
 
     The order is np.lexsort(X.T[::-1]): by column 0, ties by column 1 and so
-    on, then by row index. A stable sort of the rows, each viewed as one
-    record of m fields, gives it: numpy compares records field by field, and
-    -0.0 equals 0.0 there as in lexsort."""
-    records = np.ascontiguousarray(X).view([("", X.dtype)] * X.shape[1])[:, 0]
-    return np.argsort(records, kind="stable")
+    on, then by row index. A stable sort of column 0 gives it up to ties.
+    The rows in runs tied there are then sorted stably together, each viewed
+    as one record of m fields: numpy compares records field by field, and
+    -0.0 equals 0.0 there as in lexsort. Sorting only those rows, already in
+    column-0 order, bounds the cost of rows that repeat many times, which the
+    record comparison is slowest on."""
+    order = np.argsort(X[:, 0], kind="stable")
+    first = X[order, 0]
+    tied = np.flatnonzero(first[1:] == first[:-1])
+    if tied.size and X.shape[1] > 1:
+        at = np.union1d(tied, tied + 1)  # the positions of every tied run
+        rows = order[at]
+        records = np.ascontiguousarray(X[rows]).view([("", X.dtype)] * X.shape[1])[:, 0]
+        order[at] = rows[np.argsort(records, kind="stable")]
+    return order
 
 
 def _kmeanspp(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -47,6 +47,46 @@ def no_grad() -> Iterator[None]:
         _grad_enabled = previous
 
 
+# Blocks handed back inside ``reuse_memory``, or None outside it.
+_free: list[Array] | None = None
+
+
+@contextmanager
+def reuse_memory() -> Iterator[None]:
+    """Keep the blocks handed back with ``_give`` inside this context, and let
+    ``_take`` hand them out again; they are dropped when it exits. A training
+    run's steps ask for the same large arrays every micro-batch, and memory
+    freed to the allocator goes back to the kernel and faults in again. Like
+    ``no_grad``, it sets module state, so it serves one thread at a time."""
+    global _free
+    previous = _free
+    _free = []
+    try:
+        yield
+    finally:
+        _free = previous
+
+
+def _take(shape: tuple[int, ...], dtype) -> Array:
+    """An uninitialised array: inside ``reuse_memory`` a view of the smallest
+    free block with enough bytes, otherwise ``np.empty``."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    fits = [i for i, block in enumerate(_free or ()) if block.nbytes >= nbytes]
+    if not fits:
+        return np.empty(shape, dtype)
+    block = _free.pop(min(fits, key=lambda i: _free[i].nbytes))
+    return block[:nbytes].view(dtype).reshape(shape)
+
+
+def _give(*arrays: Array) -> None:
+    """Hand back arrays whose contents are dead: inside ``reuse_memory`` the
+    whole block each one views (the array itself if it owns its memory) goes
+    on the free list, as bytes."""
+    if _free is not None:
+        _free.extend((a if a.base is None else a.base).reshape(-1).view(np.uint8) for a in arrays)
+
+
 class Tensor:
     """A dense array plus its slot on the recording tape.
 

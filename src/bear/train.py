@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import BearConfig, forward, init_params
 from .serialize import Checkpoint, atomic_write
-from .tensor import CHUNK, ParameterSet, Tensor, custom_op, no_grad, scale
+from .tensor import CHUNK, ParameterSet, Tensor, custom_op, no_grad, reuse_memory, scale
 
 # Validation loss changes smaller than this do not count as improvements.
 IMPROVE_EPS = 1e-6
@@ -275,6 +275,7 @@ def accumulate_gradients(
     return total
 
 
+@reuse_memory()
 def fit(
     images: Sequence[np.ndarray],
     cfg: TrainConfig,
@@ -284,7 +285,9 @@ def fit(
 
     Returns the best-validation checkpoint and the per-epoch log. The seeded
     shuffle fixes the train/validation split and every batch order, so a rerun
-    with identical inputs reproduces the run exactly.
+    with identical inputs reproduces the run exactly. The run's scans take
+    their large arrays from one free list (``reuse_memory``), dropped when it
+    returns or raises.
     """
     if len(images) == 0:
         raise DataError("fit: dataset is empty")

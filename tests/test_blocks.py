@@ -8,17 +8,21 @@ from conftest import naive_conv2d, reference_convlstm_step
 
 from bear.blocks import ConvLstmParams, convlstm_over_channels, mean_conv
 from bear.errors import ShapeError
+import bear.tensor
 from bear.tensor import (
     ParameterSet,
     Tensor,
     _channel_major,
+    _give,
     _grid,
     _shift_add,
+    _take,
     _windows,
     conv2d,
     custom_op,
     grad_check,
     no_grad,
+    reuse_memory,
     sum_squares,
 )
 
@@ -283,6 +287,78 @@ class TestConvLstmOverChannels:
         x = Tensor(rng.normal(size=(5, 5, 3)), requires_grad=True)
         out = convlstm_over_channels(x, p)
         assert out._parents == (x, p.input_kernels, p.recurrent_kernels, p.biases)
+
+
+def _scan_run(seed, extent, filters, taped):
+    """The output and, when ``taped``, every gradient of one float32 scan of
+    a batch of two maps, as arrays."""
+    rng = np.random.default_rng(seed)
+    p = _cell(rng, filters=filters, extent=extent, dtype=np.float32)
+    x = Tensor(rng.normal(size=(2, 6, 5, 3)).astype(np.float32), requires_grad=taped)
+    for t in (p.input_kernels, p.recurrent_kernels, p.biases):
+        t.requires_grad = taped
+    out = convlstm_over_channels(x, p)
+    if not taped:
+        return [out.data]
+    sum_squares(out).backward()
+    return [out.data, x.grad, p.input_kernels.grad, p.recurrent_kernels.grad, p.biases.grad]
+
+
+class TestFreeList:
+    """Inside ``reuse_memory`` the scan takes its large arrays from a free list
+    and hands them back; outside it, ``_take`` is ``np.empty``."""
+
+    # a 1x1 kernel with one filter has no gutters, so the scan's output map
+    # would be a contiguous view of its hidden-map block
+    CASES = [(3, 2), (1, 1)]
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize("extent,filters", CASES, ids=["3x3", "1x1-one-filter"])
+    def test_scan_on_dirty_blocks_matches_fresh_memory(self, extent, filters, taped):
+        fresh = _scan_run(5, extent, filters, taped)
+        with reuse_memory():
+            seeded = [np.full(4096, np.nan, np.float32) for _ in range(8)]
+            _give(*seeded)
+            dirty = _scan_run(5, extent, filters, taped)
+            # every request was served from a seeded block, and every block came back
+            assert sorted(b.ctypes.data for b in bear.tensor._free) == sorted(b.ctypes.data for b in seeded)
+        assert len(dirty) == len(fresh)
+        for got, want in zip(dirty, fresh):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize("extent,filters", CASES, ids=["3x3", "1x1-one-filter"])
+    def test_writing_a_handed_back_block_leaves_the_output_alone(self, extent, filters, taped):
+        with reuse_memory():
+            results = _scan_run(6, extent, filters, taped)
+            kept = [r.copy() for r in results]
+            assert bear.tensor._free
+            for block in bear.tensor._free:
+                block[...] = 0xFF
+        for got, want in zip(results, kept):
+            assert got.tobytes() == want.tobytes()
+
+    def test_take_outside_the_context_never_reuses_a_block(self):
+        first = _take((4, 8), np.float32)
+        _give(first)
+        assert bear.tensor._free is None
+        second = _take((4, 8), np.float32)
+        assert second.shape == (4, 8) and second.dtype == np.float32
+        assert not np.shares_memory(first, second)
+
+    def test_take_hands_out_the_smallest_block_that_fits(self):
+        with reuse_memory():
+            small, large = np.empty(64, np.uint8), np.empty(256, np.uint8)
+            _give(large, small)
+            a = _take((4, 4), np.float32)  # 64 bytes
+            assert np.shares_memory(a, small) and a.shape == (4, 4) and a.dtype == np.float32
+            b = _take((3,), np.float64)  # 24 bytes: only the large block is left
+            assert np.shares_memory(b, large)
+            c = _take((1,), np.float32)  # the free list is empty now
+            assert not np.shares_memory(c, small) and not np.shares_memory(c, large)
+            _give(a)
+            assert [block.nbytes for block in bear.tensor._free] == [64]
+        assert bear.tensor._free is None
 
 
 class TestWindows:

@@ -107,6 +107,20 @@ def _wide_tied_rows(seed):
     return rows[rng.integers(0, distinct, int(rng.integers(0, 81)))]
 
 
+def _repeated_rows(seed):
+    """Up to 30 distinct rows of 1 to 40 columns, each repeated up to 100
+    times, in shuffled order. Some distinct rows share column 0, -0.0 and
+    0.0 among them, and some share every column but the last."""
+    rng = np.random.default_rng(seed)
+    m, distinct = int(rng.integers(1, 41)), int(rng.integers(1, 31))
+    rows = rng.standard_normal((distinct, m))
+    rows[rng.random(distinct) < 0.3, 0] = rng.choice([-0.0, 0.0, 1.5])
+    twins = rng.random(distinct) < 0.3
+    rows[twins, :-1] = rows[0, :-1]
+    repeated = np.repeat(rows, rng.integers(1, 101, distinct), axis=0)
+    return repeated[rng.permutation(len(repeated))]
+
+
 SCREEN_CASES = ["offset-1e3", "offset-1e6", "duplicated-centroids", "exact-ties", "k=1", "k=N"]
 
 
@@ -250,6 +264,7 @@ class TestKMeans:
             .map(lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), m))
         )
         | st.integers(0, 2**32 - 1).map(_wide_tied_rows)
+        | st.integers(0, 2**32 - 1).map(_repeated_rows)
     )
     def test_refined_order_is_the_lexsort_order(self, X):
         # few distinct values make long runs of rows tied on their first

@@ -1,7 +1,8 @@
 """Peak memory of full-scale training set-up, encoding and reading
-embeddings, the gradient block's cost in a run without batches, and the
-resident cost of a parameter arena, measured in a child process so that
-nothing else in the test run counts towards it."""
+embeddings, the gradient block's cost in a run without batches, the
+resident cost of a parameter arena, and the pages a steady training step
+faults in, measured in a child process so that nothing else in the test run
+counts towards it."""
 
 import math
 import os
@@ -89,6 +90,39 @@ del params
 print(start, untouched, written, rss_kib())
 """
 
+# Minor page faults of each full-scale training step (2 images) of a 13-image
+# fit, after a 5-image fit in the same process. glibc hands the memory a
+# step frees back to the kernel, and without the run's free list the scans'
+# stored gates, cells and hidden maps fault in again: every step after the
+# first faulted 32,700-33,800 pages on Linux with one BLAS thread, 4 KiB
+# pages and numpy's huge-page advice off. With it, the second step faulted
+# up to about 500 pages and the later ones 2-5.
+# The warm-up matters: in a fresh process the same steps faulted 0-400 pages
+# and now and then 10,000-33,000.
+STEP_FAULTS_CHILD = """
+import resource
+from bear import train
+from bear.model import BearConfig
+from bear.synth import synthetic_images
+
+images = synthetic_images(13, 128, seed=0)
+cfg, bcfg = train.TrainConfig(batch_size=2, max_epochs=1), BearConfig()
+train.fit(images[:5], cfg, bcfg)
+faults = []
+inner = train.accumulate_gradients
+
+def counted(*args):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    loss = inner(*args)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return loss
+
+train.accumulate_gradients = counted
+train.fit(images, cfg, bcfg)
+print(*faults)
+"""
+STEADY_STEP_FAULTS = 1000
+
 # one BLAS thread, so the measure does not depend on the core count
 ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -149,3 +183,17 @@ def test_arena_is_resident_only_while_written_and_held(tmp_path):
     assert written - start >= 3.5, "writing the 4 MiB arena should make it resident"
     assert untouched - start < 1.0, f"a zero arena made {untouched - start:.1f} MiB resident"
     assert freed - start < 1.0, f"a freed arena left {freed - start:.1f} MiB resident"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs Linux's page-fault accounting")
+def test_a_steady_training_step_faults_no_memory_in_again(tmp_path):
+    env = {**ENV, "NUMPY_MADVISE_HUGEPAGE": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-c", STEP_FAULTS_CHILD], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    *steps, _ = map(int, proc.stdout.split())  # the last call is the validation pass
+    assert len(steps) == 6, proc.stdout
+    # the first step writes the fresh arena and Adam's moments, and the first
+    # two fill the run's free list
+    assert max(steps[2:]) < STEADY_STEP_FAULTS, f"page faults per training step: {steps}"

@@ -530,6 +530,20 @@ class TestFit:
         assert ckpt.params.data.tobytes() == want.tobytes()
         assert all(not np.array_equal(a, b) for a, b in zip(ends, ends[1:]))
 
+    def test_the_run_takes_memory_from_its_own_free_list(self, monkeypatch):
+        images, tcfg, bcfg = _desk_setup(max_epochs=1)
+        inner = bear.train.accumulate_gradients
+        active = []
+
+        def spy(*args):
+            active.append(bear.tensor._free is not None)
+            return inner(*args)
+
+        monkeypatch.setattr(bear.train, "accumulate_gradients", spy)
+        fit(images, tcfg, bcfg)
+        assert active and all(active)
+        assert bear.tensor._free is None, "the run's free list outlived it"
+
     def test_empty_dataset_rejected(self):
         _, tcfg, bcfg = _desk_setup()
         with pytest.raises(DataError, match="empty"):
@@ -545,6 +559,7 @@ class TestFit:
         stage = "validation" if held_out else "training"
         with pytest.raises(NumericError, match=f"^non-finite {stage} loss in epoch 1$"):
             fit(images, tcfg, bcfg)
+        assert bear.tensor._free is None, "the run's free list outlived it"
 
     def test_wrong_image_shape_rejected(self):
         images, tcfg, bcfg = _desk_setup()
