@@ -5,10 +5,11 @@ for 2-D plotting, written with each row's norm."""
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +30,20 @@ _EPS = float(np.finfo(np.float64).eps)
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 # Bytes per block of the plain embeddings reader, which extends each block to
-# the end of its last line: bounds its token list, whatever the file's size.
+# the end of its last line: bounds its scratch arrays, whatever the file's size.
 _READ_BLOCK = 1 << 20
+
+# An x87 extended (63 stored mantissa bits, x86-64 Linux) or IEEE quad (112,
+# aarch64 Linux) long double holds every int64 and every power of ten up to
+# 10**27 exactly and rounds each operation once, which _plain_decimals needs to
+# convert plain decimals in bulk. Where long double is plain double (macOS
+# arm64, Windows) or a double-double (ppc64), float() converts every value.
+_EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
+_POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
+# 10**k at k and -10**k at _POW10.size + k
+_DIVISORS = np.concatenate((_POW10, -_POW10))
+# the bytes of a plain value and its separator
+_PLAIN = b"0123456789,.-"
 
 
 @dataclass
@@ -534,29 +547,124 @@ def _parse_lines(block: bytes, width: int) -> tuple[list[str], np.ndarray] | Non
     unless the csv module would split each of its lines at every comma and
     accept it: the block has no quote, carriage return or NUL and is UTF-8,
     every line has width + 1 fields of at most csv.field_size_limit()
-    characters, and float() accepts every value. np.array converts each str
-    with float()'s own parser, so the values have its bits."""
+    characters, and float() accepts every value. The values have float()'s
+    bits (see _decimals)."""
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
     try:
-        lines = block.decode("utf-8").removesuffix("\n").split("\n")
+        # an ASCII block is UTF-8 without decoding it
+        block.isascii() or block.decode("utf-8")
     except UnicodeDecodeError:
         return None
     limit = csv.field_size_limit()
     ids: list[str] = []
-    cells: list[str] = []
-    for line in lines:
-        fields = line.split(",")
-        if len(fields) != width + 1 or (len(line) > limit and max(map(len, fields)) > limit):
+    rests: list[bytes] = []
+    for line in block.removesuffix(b"\n").split(b"\n"):
+        row_id, comma, rest = line.partition(b",")
+        # a line of at most ``limit`` bytes has no field of more characters
+        if not comma or (len(line) > limit and max(map(len, line.decode().split(","))) > limit):
             return None
-        ids.append(fields[0])
-        cells += fields
-    del cells[:: width + 1]
+        ids.append(row_id.decode())
+        rests.append(rest)
+    values = _decimals(rests, width)
+    return None if values is None else (ids, values)
+
+
+def _decimals(lines: list[bytes], width: int) -> np.ndarray | None:
+    """The (len(lines), width) values of the comma-separated UTF-8 ``lines``
+    with float()'s bits, or None unless every line has ``width`` values and
+    float() accepts each. Where long double is exact, a block converts its
+    plain values in bulk (see _plain_decimals), unless more than an eighth
+    of its values, or of its first line's, have other bytes (exponents,
+    say): float() converts every value of such a block."""
+    # the first line tells before the block is joined
+    if _EXACT_LONG_DOUBLE and 8 * len(lines[0].translate(None, _PLAIN)) <= width:
+        body = b",".join(lines)
+        stray = body.translate(None, _PLAIN)
+        if 8 * len(stray) <= len(lines) * width:
+            return _plain_decimals(body, stray, [len(line) for line in lines], width)
+    rows = [line.decode().split(",") for line in lines]
+    if any(len(row) != width for row in rows):
+        return None
+    values = _floats(itertools.chain.from_iterable(rows), len(lines) * width)
+    return None if values is None else values.reshape(len(lines), width)
+
+
+def _plain_decimals(body: bytes, stray: bytes, lengths: list[int], width: int) -> np.ndarray | None:
+    """The values of ``body``, lines of the given byte ``lengths`` joined by
+    commas, as in _decimals; ``stray`` is body's bytes other than _PLAIN.
+
+    A plain value, ``[-]digits[.digits]``, is converted in bulk: its digits
+    without the dot parse as an int64, and int / ±10**k, with k digits after
+    the dot, is one division of two exact long doubles, so it rounds once.
+    The cast to float64 rounds again, which differs from float()'s single
+    rounding only where the quotient lies on a float64 halfway point. Those
+    ties, mantissas that saturate int64, k > 27 and every value with a stray
+    byte (an exponent, inf, nan, "+", a space, "_", a non-ASCII digit) go to
+    float() as str. The sign is the divisor's, so -0.0 and -0 keep it."""
+    count = len(lengths) * width
+    buf = np.frombuffer(body, dtype=np.uint8)
+    marks = np.flatnonzero((buf == ord(",")) | (buf == ord(".")))
+    is_dot = buf[marks] == ord(".")
+    commas, dots = marks[~is_dot], marks[is_dot]
+    # the commas that join the lines are every width-th one
+    joins = np.cumsum(lengths[:-1], dtype=np.intp) + np.arange(len(lengths) - 1)
+    if len(commas) != count - 1 or (commas[width - 1 :: width] != joins).any():
+        return None
+    starts = np.concatenate(([0], commas + 1))
+    ends = np.append(commas, len(buf))
+    sizes = ends - starts
+    # float() rejects an empty value
+    if not sizes.all():
+        return None
+    # the value a byte belongs to is the number of commas before it
+    odd = np.zeros(count, dtype=bool)
+    for byte in set(stray):
+        odd[np.searchsorted(commas, np.flatnonzero(buf == byte))] = True
+    dotted = np.flatnonzero(is_dot) - np.arange(len(dots))
+    has_dot = np.zeros(count, dtype=bool)
+    has_dot[dotted] = True
+    fraction = np.zeros(count, dtype=np.intp)
+    fraction[dotted] = ends[dotted] - dots - 1
+    negative = buf[starts] == ord("-")
+    # float() rejects a second dot, and "-", "." and "-." for want of a digit
+    twice = dotted[1:][dotted[1:] == dotted[:-1]]
+    if not odd[twice].all() or ((sizes - negative - has_dot == 0) & ~odd).any():
+        return None
+    odd |= fraction >= _POW10.size
+    # each odd value reads as 0 until float() converts it
+    cuts = [0, *np.column_stack((starts[odd], ends[odd])).ravel().tolist(), len(body)]
+    digits = b"0".join(body[start:end] for start, end in zip(cuts[::2], cuts[1::2]))
+    # float() rejects a minus anywhere but first
+    minus = np.count_nonzero(np.frombuffer(digits, dtype=np.uint8) == ord("-"))
+    if minus != np.count_nonzero(negative & ~odd):
+        return None
+    mantissas = np.abs(np.fromstring(digits.replace(b".", b""), dtype=np.int64, sep=","))
+    fraction[odd] = 0  # float() replaces their quotients
+    quotients = mantissas / _DIVISORS.take(fraction + _POW10.size * negative)
+    values = quotients.astype(np.float64)
+    # the quotient's distance from its float64 in float64 spacings: 1/2 at a
+    # halfway point, 1/4 at one just below a power of two (and 1/4 elsewhere,
+    # where float() only costs time)
+    spacings = np.abs((quotients - values).astype(np.float64) / np.spacing(values))
+    odd |= (spacings == 0.5) | (spacings == 0.25)
+    # a mantissa past int64 parses as its maximum, and -2**63 stays negative
+    odd |= (mantissas == np.iinfo(np.int64).max) | (mantissas < 0)
+    index = np.flatnonzero(odd)
+    tokens = (body[start:end].decode() for start, end in zip(starts[index].tolist(), ends[index].tolist()))
+    redone = _floats(tokens, len(index))
+    if redone is None:
+        return None
+    values[index] = redone
+    return values.reshape(len(lengths), width)
+
+
+def _floats(tokens: Iterable[str], count: int) -> np.ndarray | None:
+    """float() of each of ``count`` tokens, or None if it rejects one."""
     try:
-        values = np.array(cells, dtype=np.float64)
+        return np.fromiter(map(float, tokens), dtype=np.float64, count=count)
     except ValueError:
         return None
-    return ids, values.reshape(len(ids), width)
 
 
 def _csv_records(fh, path: Path) -> Iterator[list[str]]:

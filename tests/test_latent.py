@@ -1,6 +1,7 @@
 """k-means, elbow selection, principal projection, and the CSVs (with their row norms)."""
 
 import csv
+import decimal
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from bear.latent import (
     _canonical_order,
     _kmeanspp,
     _parse_lines,
+    _plain_decimals,
     _read_plain_embeddings,
     _sse,
     _translated,
@@ -633,6 +635,7 @@ READER_EDGES = [
     ("byte-order mark", b"\xef\xbb\xbf" + _HEADER + b"r0,1,2\n", False),
     ("too many fields", _HEADER + b"r0,1,2\nr1,1,2,3\n", False),
     ("too few fields", _HEADER + b"r0,1,2\nr1,1\n", False),
+    ("a field moved to the line before", _HEADER + b"r0,1,2,3\nr1,4\n", False),
     ("non-numeric value", _HEADER + b"r0,1,2\nr1,oops,2\n", False),
     ("field at the csv field limit", _HEADER + b"r" * _LIMIT + b",1,2\n", True),
     ("field over the csv field limit", _HEADER + b"r" * (_LIMIT + 1) + b",1,2\n", False),
@@ -649,6 +652,94 @@ def _outcome(call):
 
 def _embedding_bits(e):
     return e.ids, e.rows.shape, e.rows.tobytes()
+
+
+# Token sets at the edges of the bulk conversion, each converted after a plain
+# first line: ``_EXACTNESS_CASES[name]()`` gives the tokens.
+_BULK_WIDTH = 64
+
+
+def _plain_led_block(tokens):
+    """A block of lines of _BULK_WIDTH values, one line of plain values and
+    then ``tokens``, padded with plain values to whole lines; and its cells."""
+    padding = ["0.5"] * (-len(tokens) % _BULK_WIDTH)
+    cells = ["0.25"] * _BULK_WIDTH + list(tokens) + padding
+    lines = [",".join(["r"] + cells[i : i + _BULK_WIDTH]) for i in range(0, len(cells), _BULK_WIDTH)]
+    return ("\n".join(lines) + "\n").encode(), cells
+
+
+def _halfway_decimals():
+    """Decimals of 17 to 19 digits exactly on float64 halfway points, and one
+    unit in the last digit either side; and midpoints of random float64s,
+    below powers of two among them, rounded to 17 to 19 digits with the
+    same neighbours, where a long double's quotient can round onto the
+    halfway point."""
+    rng = np.random.default_rng(47)
+    tokens = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        for q in (0, 1, 2):
+            # between 2**(52 - q) and 2**(53 - q) the spacing is 2**-q
+            for j in rng.integers(0, 2**50, 20).tolist():
+                middle = decimal.Decimal(2**52 + j) / 2**q + decimal.Decimal(2) ** -(q + 1)
+                unit = decimal.Decimal(10) ** -(q + 1)
+                tokens += [f"{middle + d * unit:f}" for d in (-1, 0, 1)]
+        points = rng.uniform(1e-3, 1e3, 300).tolist() + [2.0**e for e in range(-20, 20)]
+        for x in points:
+            below = float(np.nextafter(x, 0.0))
+            for low, high in ((x, float(np.nextafter(x, np.inf))), (below, x)):
+                middle = (decimal.Decimal(low) + decimal.Decimal(high)) / 2
+                for digits in (17, 18, 19):
+                    unit = decimal.Decimal(10) ** (middle.adjusted() - digits + 1)
+                    rounded = middle.quantize(unit)
+                    tokens += [f"{rounded + d * unit:f}" for d in (-1, 0, 1)]
+    negatives = ["-" + token for token in tokens[::7]]
+    return tokens + negatives
+
+
+_EXACTNESS_CASES = {
+    "signed zeros": lambda: ["-0.0", "-0", "-.0", "0", "0.0", ".0", "0.", "-0.", "-000.000"],
+    "short forms": lambda: [".5", "5.", "-.5", "-5.", "-2", "7", "12345", "-0.5", "000123.4500"],
+    "halfway decimals": _halfway_decimals,
+    "saturated mantissas": lambda: [
+        "9223372036854775808.5",
+        "9223372036854775807",
+        "-9223372036854775807",
+        "-9223372036854775808",
+        "9223372036854775808",
+        "18446744073709551616",
+        "123456789012345678901234567890",
+        "-0.12345678901234567890123",
+        "99999999999999999999.5",
+        "0000000000000000000000000000000001.5",
+    ],
+    "27 and 28 fraction digits": lambda: [
+        "0." + "0" * 26 + "1",
+        "0." + "0" * 27 + "1",
+        "1." + "3" * 17 + "0" * 10,
+        "1." + "3" * 17 + "0" * 11,
+        "-0." + "9" * 18 + "0" * 9,
+        "-0." + "9" * 18 + "0" * 10,
+        "0." + "7" * 28,
+    ],
+    "odd tokens among plain ones": lambda: [
+        "1e-05",
+        "-1.2345678901234567e-07",
+        "3E+20",
+        "inf",
+        "-inf",
+        "Infinity",
+        "nan",
+        "+1.5",
+        "1_000.5",
+        " 2.5",
+        "2.5 ",
+        "\t-3",
+        "١٢.5",
+        "２",
+        "-٣",
+    ],
+}
 
 
 class TestPlainReader:
@@ -686,6 +777,7 @@ class TestPlainReader:
         st.lists(
             st.one_of(
                 st.floats().map(repr),
+                st.text(alphabet="0123456789.-", max_size=22),
                 st.text(alphabet="0123456789_.eE+-naifty() \t\x0b\x0c\x1c\xa0\u2003\u0661\uff12", max_size=10),
                 st.text(
                     alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters=',\n"\r\x00'),
@@ -693,17 +785,69 @@ class TestPlainReader:
                 ),
             ),
             min_size=1,
-            max_size=4,
+            max_size=16,
         )
     )
     def test_bulk_conversion_is_float_bit_for_bit(self, tokens):
-        # the values of one line; float() is the csv parser's conversion
-        parsed = _parse_lines(("r," + ",".join(tokens) + "\n").encode(), len(tokens))
+        # float() is the csv parser's conversion. On a line of their own, odd
+        # tokens send the block to float() whole; after a plain first line
+        # they meet the bulk path.
         try:
             want = np.array([float(token) for token in tokens])
         except ValueError:
-            assert parsed is None
+            want = None
+        parsed = _parse_lines(("r," + ",".join(tokens) + "\n").encode(), len(tokens))
+        block, cells = _plain_led_block(tokens)
+        led = _parse_lines(block, _BULK_WIDTH)
+        if want is None:
+            assert parsed is None and led is None
             return
-        assert parsed is not None
         assert parsed[0] == ["r"]
         assert parsed[1].tobytes() == want.tobytes()
+        assert led[1].tobytes() == np.array([float(cell) for cell in cells]).tobytes()
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["long double", "plain double"])
+    @pytest.mark.parametrize("name", sorted(_EXACTNESS_CASES))
+    def test_exactness_cases_are_float_bit_for_bit(self, name, exact, monkeypatch):
+        # the plain-double route sends every value to float()
+        monkeypatch.setattr(latent, "_EXACT_LONG_DOUBLE", exact and latent._EXACT_LONG_DOUBLE)
+        block, cells = _plain_led_block(_EXACTNESS_CASES[name]())
+        parsed = _parse_lines(block, _BULK_WIDTH)
+        assert parsed is not None
+        assert parsed[1].tobytes() == np.array([float(cell) for cell in cells]).tobytes()
+
+    @pytest.mark.parametrize("token", ["", "-", ".", "-.", "--5", "1-2", "5-", ".-5", "1..2", "1.2.3"])
+    def test_bulk_path_rejects_what_float_rejects(self, token):
+        block, _ = _plain_led_block([token, "1.5"])
+        assert _parse_lines(block, _BULK_WIDTH) is None
+
+    def test_float32_reprs_over_their_whole_range(self):
+        # one line straight into the bulk path, whose float() takes the
+        # exponent forms, which most of these reprs are
+        rng = np.random.default_rng(41)
+        size = 204_800
+        magnitudes = 10.0 ** rng.uniform(-45.0, np.log10(3e38), size)
+        values = (rng.choice((-1.0, 1.0), size) * magnitudes).astype(np.float32).astype(np.float64)
+        body = ",".join(map(repr, values.tolist())).encode()
+        converted = _plain_decimals(body, body.translate(None, latent._PLAIN), [len(body)], size)
+        assert converted is not None
+        assert converted.tobytes() == values.tobytes()
+
+    def test_a_written_file_converts_in_bulk(self, tmp_path, monkeypatch):
+        # float() takes only exponent forms and ties, so a fall-back to it
+        # for whole blocks shows
+        rng = np.random.default_rng(43)
+        e = _embeddings(rng.normal(size=(2000, 64)))
+        path = tmp_path / "emb.csv"
+        write_embeddings(path, e)
+        calls = []
+
+        def counted(token):
+            calls.append(token)
+            return float(token)
+
+        monkeypatch.setattr(latent, "float", counted, raising=False)
+        back = read_embeddings(path)
+        assert back.rows.tobytes() == e.rows.tobytes()
+        assert 0 < len(calls) <= 0.01 * e.rows.size
+
