@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _channel_major, _give, _grid, _records, _shift_add, _take, _windows, conv2d, custom_op
+from .tensor import Tensor, _channel_major, _give, _grid, _local, _records, _shift_add, _take, _windows, conv2d, custom_op
 
 
 @dataclass
@@ -227,13 +227,7 @@ def _centred_mean(parts: Sequence[Tensor]) -> Tensor:
     for t, window in zip(parts, windows):
         out[window] += t.data
     out *= weight
-
-    def backward(g: np.ndarray) -> None:
-        for t, window in zip(parts, windows):
-            if t.requires_grad:
-                t._accumulate(g[window] * weight)
-
-    return custom_op(out, parts, backward)
+    return _local(out, *((t, lambda g, window=window: g[window] * weight) for t, window in zip(parts, windows)))
 
 
 def mean_conv(x: Tensor, branches: Sequence[tuple[Tensor, Tensor]]) -> Tensor:

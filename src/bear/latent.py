@@ -458,6 +458,8 @@ def principal_components(X: np.ndarray, rank: int) -> Projection:
 
 def project2d(e: EmbeddingSet) -> Projection:
     """Two-component projection of the embedding rows for plotting."""
+    if e.width < 2:
+        raise DataError(f"projection needs at least 2 latent columns, got {e.width}")
     return principal_components(e.rows, rank=2)
 
 
@@ -716,7 +718,13 @@ def write_elbow(path: str | Path, curve: ElbowCurve) -> None:
 
 def write_projection(path: str | Path, e: EmbeddingSet, proj: Projection) -> None:
     """CSV with header ``id,px,py,norm`` (norm of the original row)."""
-    lengths = np.sqrt((e.rows**2).sum(axis=1))
+    with np.errstate(over="ignore"):
+        lengths = np.sqrt((e.rows**2).sum(axis=1))
+        # a row whose squares overflow: its largest magnitude times the norm
+        # of the row divided by it; inf only where the norm itself overflows
+        for i in np.flatnonzero(np.isinf(lengths)):
+            big = np.abs(e.rows[i]).max()
+            lengths[i] = big * np.sqrt(((e.rows[i] / big) ** 2).sum())
     rows = (
         [row_id, repr(float(point[0])), repr(float(point[1])), repr(float(length))]
         for row_id, point, length in zip(e.ids, proj.scores, lengths)

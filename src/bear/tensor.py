@@ -185,6 +185,19 @@ def _records(parents: Sequence[Tensor]) -> bool:
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
+def _local(value, *pairs: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
+    """A ``custom_op`` node given by its local derivatives: each pair is a
+    parent and that parent's gradient as a function of the node's gradient.
+    The backward pass adds it into each parent that requires a gradient."""
+
+    def backward(g: Array) -> None:
+        for parent, local in pairs:
+            if parent.requires_grad:
+                parent._accumulate(local(g))
+
+    return custom_op(value, tuple(parent for parent, _ in pairs), backward)
+
+
 # ---------------------------------------------------------------------------
 # primitive operations
 
@@ -383,22 +396,12 @@ def _stable_sigmoid(v: Array) -> Array:
 
 def sigmoid(x: Tensor) -> Tensor:
     y = _stable_sigmoid(x.data)
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x._accumulate(g * y * (1.0 - y))
-
-    return custom_op(y, (x,), backward)
+    return _local(y, (x, lambda g: g * y * (1.0 - y)))
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x._accumulate(g * (1.0 - y * y))
-
-    return custom_op(y, (x,), backward)
+    return _local(y, (x, lambda g: g * (1.0 - y * y)))
 
 
 def box_mean(x: Array, rh: int, rw: int) -> Array:
@@ -433,12 +436,7 @@ def downsample_avg(x: Tensor, r: int) -> Tensor:
     if W % r:
         raise ShapeError(f"downsample_avg: width extent {W} is not divisible by {r}")
     out = box_mean(x.data, r, r)
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x._accumulate(np.repeat(np.repeat(g, r, axis=-3), r, axis=-2) / (r * r))
-
-    return custom_op(out, (x,), backward)
+    return _local(out, (x, lambda g: np.repeat(np.repeat(g, r, axis=-3), r, axis=-2) / (r * r)))
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
@@ -450,12 +448,7 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
         raise ShapeError(f"upsample_nearest: factor must be positive, got {factor}")
     *lead, H, W, C = x.shape
     out = np.repeat(np.repeat(x.data, factor, axis=-3), factor, axis=-2)
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x._accumulate(g.reshape(*lead, H, factor, W, factor, C).sum(axis=(-4, -2)))
-
-    return custom_op(out, (x,), backward)
+    return _local(out, (x, lambda g: g.reshape(*lead, H, factor, W, factor, C).sum(axis=(-4, -2))))
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -467,14 +460,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"concat_channels: batch and spatial extents {a.shape[:-1]} and {b.shape[:-1]} differ")
     ca = a.shape[-1]
     out = np.concatenate([a.data, b.data], axis=-1)
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            a._accumulate(g[..., :ca])
-        if b.requires_grad:
-            b._accumulate(g[..., ca:])
-
-    return custom_op(out, (a, b), backward)
+    return _local(out, (a, lambda g: g[..., :ca]), (b, lambda g: g[..., ca:]))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -483,36 +469,18 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     count = math.prod(shape)
     if count != x.size:
         raise ShapeError(f"reshape: {shape} holds {count} elements, tensor has {x.size}")
-    out = x.data.reshape(shape)
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x._accumulate(g.reshape(x.data.shape))
-
-    return custom_op(out, (x,), backward)
+    return _local(x.data.reshape(shape), (x, lambda g: g.reshape(x.data.shape)))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply every element by the constant ``c``."""
     c = float(c)
-    out = x.data * c
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x._accumulate(g * c)
-
-    return custom_op(out, (x,), backward)
+    return _local(x.data * c, (x, lambda g: g * c))
 
 
 def sum_squares(x: Tensor) -> Tensor:
     """Sum of squared elements, as a scalar tape node."""
-    out = (x.data * x.data).sum()
-
-    def backward(g: Array) -> None:
-        if x.requires_grad:
-            x._accumulate((2.0 * float(g)) * x.data)
-
-    return custom_op(out, (x,), backward)
+    return _local((x.data * x.data).sum(), (x, lambda g: (2.0 * float(g)) * x.data))
 
 
 # ---------------------------------------------------------------------------

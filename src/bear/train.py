@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import BearConfig, forward, init_params
 from .serialize import Checkpoint, atomic_write
-from .tensor import CHUNK, ParameterSet, Tensor, custom_op, no_grad, reuse_memory, scale
+from .tensor import CHUNK, ParameterSet, Tensor, _local, no_grad, reuse_memory, scale
 
 # Validation loss changes smaller than this do not count as improvements.
 IMPROVE_EPS = 1e-6
@@ -99,12 +99,12 @@ def bce_loss(x: Tensor, xhat: Tensor) -> Tensor:
     value = -(x.data * np.log(clamped) + (1.0 - x.data) * np.log(1.0 - clamped)).mean()
     count = x.size
 
-    def backward(g) -> None:
+    def local(g):
         inside = (xhat.data > BCE_CLAMP) & (xhat.data < 1.0 - BCE_CLAMP)
         grad = (clamped - x.data) / (clamped * (1.0 - clamped))
-        xhat._accumulate((float(g) / count) * grad * inside)
+        return (float(g) / count) * grad * inside
 
-    return custom_op(value, (xhat,), backward)
+    return _local(value, (xhat, local))
 
 
 def mse_loss(x: Tensor, xhat: Tensor) -> Tensor:
@@ -112,13 +112,8 @@ def mse_loss(x: Tensor, xhat: Tensor) -> Tensor:
     if x.shape != xhat.shape:
         raise ShapeError(f"mse_loss: shapes {x.shape} and {xhat.shape} differ")
     diff = xhat.data - x.data
-    value = (diff * diff).mean()
     count = x.size
-
-    def backward(g) -> None:
-        xhat._accumulate((2.0 * float(g) / count) * diff)
-
-    return custom_op(value, (xhat,), backward)
+    return _local((diff * diff).mean(), (xhat, lambda g: (2.0 * float(g) / count) * diff))
 
 
 LOSS_FUNCTIONS: dict[str, Callable[[Tensor, Tensor], Tensor]] = {

@@ -647,6 +647,23 @@ class TestParallelConv:
 
         assert grad_check(loss, params, h=1e-5).error < 1e-6
 
+    @pytest.mark.parametrize("frozen", [0, 1, 2])
+    def test_frozen_branch_kernel_gets_nothing_and_the_others_their_centred_slices(self, frozen):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(6, 6, 2)))
+        kernels = [Tensor(rng.normal(size=(e, e, 2, 3)), requires_grad=i != frozen) for i, e in enumerate((1, 3, 5))]
+        biases = [Tensor(rng.normal(size=3), requires_grad=True) for _ in kernels]
+        out = mean_conv(x, list(zip(kernels, biases)))
+        (folded,) = [t for t in out._parents if t.shape == (5, 5, 2, 3)]
+        assert folded._parents == tuple(k for i, k in enumerate(kernels) if i != frozen)
+        sum_squares(out).backward()
+        for i, kernel in enumerate(kernels):
+            if i == frozen:
+                assert kernel.grad is None
+                continue
+            lo, hi = (5 - kernel.shape[0]) // 2, (5 + kernel.shape[0]) // 2
+            assert np.array_equal(kernel.grad, folded.grad[lo:hi, lo:hi] * (1.0 / 3))
+
     def test_empty_branch_list_rejected(self):
         with pytest.raises(ShapeError, match="at least one"):
             mean_conv(Tensor(np.zeros((4, 4, 1))), [])

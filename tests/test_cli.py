@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import math
 import os
 import struct
 import subprocess
@@ -455,6 +456,30 @@ class TestFailureModes:
         assert "covariance" in proc.stderr and "not finite" in proc.stderr
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "out.csv.manifest").exists()
+
+    def test_projection_norms_of_rows_whose_squares_overflow_are_finite(self, tmp_path):
+        # the first two rows' squared norms pass float64's maximum, but their
+        # covariance stays finite, so the projection runs
+        values = (1e153, -1e153, 0.5e153)
+        rows = [f"row{i}," + ",".join([repr(v)] * 256) for i, v in enumerate(values)]
+        (tmp_path / "emb.csv").write_text("id," + ",".join(f"z{i}" for i in range(256)) + "\n" + "\n".join(rows) + "\n")
+        proc = run_cli(["project", "--embeddings", "emb.csv", "--out", "p.csv"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        with open(tmp_path / "p.csv", newline="") as fh:
+            norms = [float(row["norm"]) for row in csv.DictReader(fh)]
+        assert norms == [pytest.approx(math.hypot(*[v] * 256), rel=1e-15) for v in values]
+
+    def test_projection_of_one_latent_column_is_data_error(self, tmp_path):
+        (tmp_path / "emb.csv").write_text("id,z0\nrow0,1.0\nrow1,2.0\nrow2,4.0\n")
+        proc = run_cli(["project", "--embeddings", "emb.csv", "--out", "p.csv"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: projection needs at least 2 latent columns, got 1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.csv"]
+        # cluster names the rank, which its user gave
+        proc = run_cli(["cluster", "--k", "1", "--pca-rank", "2", "--embeddings", "emb.csv", "--out", "c.csv"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: rank must be in [1, 1], got 2\n"
 
     @pytest.mark.parametrize("args", [["cluster", "--k", "3"], ["cluster", "--elbow", "2", "4"]], ids=["k", "elbow"])
     def test_overflowing_squared_distances_are_numeric_error_and_write_nothing(self, tmp_path, args):

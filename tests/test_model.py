@@ -305,6 +305,41 @@ class TestFullPipeline:
         assert np.abs(alone - batch).max() <= BATCH_TOL
 
 
+def test_tape_shape_of_a_desk_forward_and_loss(monkeypatch):
+    # 16 encoder nodes (pfe 4; rfe1, rfe2 3 each; bfe 6; the residual pool
+    # of the input records nothing), 17 decoder nodes (dd 3; pd1, pd2 5
+    # each; pf 4) and the loss. A refactor of the tape that adds or drops a
+    # node fails here
+    cfg = BearConfig(n=32, d=3, r=4, m=32, f_pfe=8, f_rfe=8, f_bfe=8, f_dec=8)
+    params = init_params(cfg)
+    x = Tensor(np.stack([_image(cfg, seed=s) for s in range(2)]))
+    recorded = []
+    init = Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self._backward is not None:
+            recorded.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    loss = bce_loss(x, forward(x, params, cfg))
+    reachable, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in reachable:
+            reachable[id(node)] = node
+            stack.extend(node._parents)
+    taped = [node for node in reachable.values() if node._backward is not None]
+    assert len(taped) == 34
+    assert {id(node) for node in recorded} == {id(node) for node in taped}
+    leaves = {id(node) for node in reachable.values() if node._backward is None}
+    assert leaves == {id(t) for _, t in params.items()}
+    recorded.clear()
+    with no_grad():
+        loss = bce_loss(x, forward(x, params, cfg))
+    assert recorded == [] and not loss.requires_grad
+
+
 class TestInitialization:
     def test_same_seed_same_parameters(self, desk_config):
         a = init_params(desk_config)

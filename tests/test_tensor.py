@@ -346,6 +346,20 @@ class TestConcatSlice:
         assert np.all(a.grad == 1.0)
         assert np.all(b.grad == 1.0)
 
+    @pytest.mark.parametrize("frozen", ["a", "b"])
+    def test_frozen_side_is_not_recorded_and_the_other_gets_its_slice(self, frozen):
+        # rfe and bfe concatenate the residual copy, which needs no gradient
+        rng = np.random.default_rng(4)
+        a = Tensor(rng.normal(size=(2, 3, 3, 2)), requires_grad=frozen != "a")
+        b = Tensor(rng.normal(size=(2, 3, 3, 3)), requires_grad=frozen != "b")
+        out = concat_channels(a, b)
+        live, dead, channels = (b, a, slice(2, 5)) if frozen == "a" else (a, b, slice(0, 2))
+        assert out._parents == (live,)
+        g = rng.normal(size=out.shape)
+        out._backward(g)
+        assert np.array_equal(live.grad, g[..., channels])
+        assert dead.grad is None
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
