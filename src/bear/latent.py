@@ -233,31 +233,37 @@ def _canonical_order(X: np.ndarray) -> np.ndarray:
     return order
 
 
-def _kmeanspp(rows: _Rows, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Row indices of k k-means++ seeds drawn from ``rows.X``.
+def _kmeanspp(rows: _Rows, k: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Row indices of k k-means++ seeds drawn from ``rows.X`` with each
+    generator of ``rngs``, one row of the result per generator.
 
-    Each seed lowers d2, every row's squared distance to its nearest seed. A
-    GEMV on the translated rows screens the new seed's distances; a row
-    whose screened distance minus B (see _screen_bound) is above its d2
-    cannot come closer, so only the other rows are recomputed with the
-    exact formula on the original rows. d2, and with it every draw, keeps
-    the bits of an exact pass over all rows.
+    Each seed lowers its generator's d2, every row's squared distance to
+    its nearest seed. The first seed's distances are computed exactly. After
+    that, one GEMM on the translated rows screens every generator's newest
+    seed; a row whose screened distance minus B (see _screen_bound) is
+    above its d2 cannot come closer, so only the other rows are recomputed
+    with the exact formula on the original rows. Each d2, and with it every
+    draw, keeps the bits of an exact pass over all rows, and a generator's
+    first j seeds are the same for every k of at least j.
     """
     X, _, shifted, x_sq, x_norm = rows
     n, m = X.shape
-    d2 = np.full(n, np.inf)
-    chosen = [int(rng.integers(n))]
-    while len(chosen) < k:
-        pick = chosen[-1]
-        screen = x_sq - 2.0 * (shifted @ shifted[pick]) + x_sq[pick]
-        near = np.flatnonzero(~(screen - _screen_bound(x_norm, x_norm[pick], m) > d2))
-        d2[near] = np.minimum(d2[near], _sq_dists(X, X[pick], near))
-        total = float(d2.sum())
-        if total <= 0.0:
-            chosen.append(int(rng.integers(n)))
+    chosen = np.empty((len(rngs), k), dtype=np.intp)
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    for j in range(1, k):
+        picks = chosen[:, j - 1]
+        if j == 1:
+            d2 = np.stack([_sq_dists(X, X[pick]) for pick in picks])
         else:
-            chosen.append(int(rng.choice(n, p=d2 / total)))
-    return np.array(chosen)
+            screen = x_sq - 2.0 * (shifted[picks] @ shifted.T) + x_sq[picks, None]
+            screen -= _screen_bound(x_norm, x_norm[picks, None], m)
+            for r, pick in enumerate(picks):
+                near = np.flatnonzero(~(screen[r] > d2[r]))
+                d2[r, near] = np.minimum(d2[r, near], _sq_dists(X, X[pick], near))
+        for r, rng in enumerate(rngs):
+            total = float(d2[r].sum())
+            chosen[r, j] = rng.integers(n) if total <= 0.0 else rng.choice(n, p=d2[r] / total)
+    return chosen
 
 
 def _update_centroids(X: np.ndarray, k: int, centroids: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -277,9 +283,8 @@ def _update_centroids(X: np.ndarray, k: int, centroids: np.ndarray, labels: np.n
     return out
 
 
-def _lloyd(rows: _Rows, k: int, rng: np.random.Generator):
-    X = rows.X
-    centroids = X[_kmeanspp(rows, k, rng)]
+def _lloyd(rows: _Rows, centroids: np.ndarray):
+    X, k = rows.X, centroids.shape[0]
     labels = _assign(rows, centroids)
     inertia = _sse(X, centroids, labels)
     iterations = 0
@@ -327,19 +332,22 @@ def _prepared(e: EmbeddingSet) -> tuple[np.ndarray, _Rows]:
     return canon, _translated(e.rows[canon])
 
 
-def _best_of_restarts(rows: _Rows, k: int, seed: int, restarts: int):
-    """kmeans on prepared rows; labels come back in their order."""
+def _check_restarts(seed: int, restarts: int) -> None:
     if restarts < 1:
         raise ConfigError(f"restarts must be at least 1, got {restarts}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng((seed, r))
-        run = _lloyd(rows, k, rng)
-        if best is None or run[2] < best[2]:
-            best = run
-    return best
+
+
+def _best_of_restarts(rows: _Rows, ks: Sequence[int], seed: int, restarts: int) -> list:
+    """The best Lloyd run of ``restarts`` k-means++ restarts for each k of
+    ``ks``, on prepared rows; labels come back in their order. Each restart
+    seeds once, for the largest k, and starts Lloyd at every k from its
+    first k seeds, which are the seeds it would draw for k alone."""
+    rngs = [np.random.default_rng((seed, r)) for r in range(restarts)]
+    seeds = _kmeanspp(rows, max(ks), rngs)
+    # min keeps the first restart of the lowest inertia
+    return [min((_lloyd(rows, rows.X[s[:k]]) for s in seeds), key=lambda run: run[2]) for k in ks]
 
 
 def kmeans(e: EmbeddingSet, k: int, seed: int = 0, restarts: int = 5) -> KMeansResult:
@@ -352,10 +360,11 @@ def kmeans(e: EmbeddingSet, k: int, seed: int = 0, restarts: int = 5) -> KMeansR
     """
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
+    _check_restarts(seed, restarts)
     if k > e.count:
         raise DataError(f"k must be in [1, {e.count}], got {k}")
     canon, rows = _prepared(e)
-    centroids, labels, sse, iterations = _best_of_restarts(rows, k, seed, restarts)
+    centroids, labels, sse, iterations = _best_of_restarts(rows, [k], seed, restarts)[0]
     assignments = np.empty(e.count, dtype=np.int64)
     assignments[canon] = labels
     return KMeansResult(
@@ -399,11 +408,11 @@ def elbow(
     """Run kmeans for every k in [k_min, k_max] under one seeding protocol."""
     if not 1 <= k_min < k_max:
         raise ConfigError(f"need 1 <= k_min < k_max, got [{k_min}, {k_max}]")
+    _check_restarts(seed, restarts)
     if k_max > e.count:
         raise DataError(f"need 1 <= k_min < k_max <= {e.count}, got [{k_min}, {k_max}]")
-    rows = _prepared(e)[1]
     ks = list(range(k_min, k_max + 1))
-    inertias = [_best_of_restarts(rows, k, seed, restarts)[2] for k in ks]
+    inertias = [run[2] for run in _best_of_restarts(_prepared(e)[1], ks, seed, restarts)]
     violations = [
         ks[i]
         for i in range(1, len(ks))
@@ -606,9 +615,8 @@ def _plain_decimals(body: bytes, stray: bytes, lengths: list[int], width: int) -
     float() as str. The sign is the divisor's, so -0.0 and -0 keep it."""
     count = len(lengths) * width
     buf = np.frombuffer(body, dtype=np.uint8)
-    marks = np.flatnonzero((buf == ord(",")) | (buf == ord(".")))
-    is_dot = buf[marks] == ord(".")
-    commas, dots = marks[~is_dot], marks[is_dot]
+    commas = np.flatnonzero(buf == ord(","))
+    dots = np.flatnonzero(buf == ord("."))
     # the commas that join the lines are every width-th one
     joins = np.cumsum(lengths[:-1], dtype=np.intp) + np.arange(len(lengths) - 1)
     if len(commas) != count - 1 or (commas[width - 1 :: width] != joins).any():
@@ -623,7 +631,11 @@ def _plain_decimals(body: bytes, stray: bytes, lengths: list[int], width: int) -
     odd = np.zeros(count, dtype=bool)
     for byte in set(stray):
         odd[np.searchsorted(commas, np.flatnonzero(buf == byte))] = True
-    dotted = np.flatnonzero(is_dot) - np.arange(len(dots))
+    # the value of each dot: dot i's own, when every value holds one dot
+    if len(dots) == count and (dots[:-1] < commas).all() and (dots[1:] > commas).all():
+        dotted = np.arange(count)
+    else:
+        dotted = np.searchsorted(commas, dots)
     has_dot = np.zeros(count, dtype=bool)
     has_dot[dotted] = True
     fraction = np.zeros(count, dtype=np.intp)

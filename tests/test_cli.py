@@ -49,6 +49,12 @@ MALFORMED_HEADERS = {
 }
 
 
+# Embeddings files for the cluster usage errors: two rows, and two rows whose
+# squared distances overflow, which k-means rejects as a numeric failure.
+TWO_ROWS = "id,z0,z1\nrow0,1.0,2.0\nrow1,3.0,2.0\n"
+TOO_LARGE_ROWS = "id,z0,z1\nrow0,1e200,-1e200\nrow1,-1e200,1e200\n"
+
+
 def run_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "bear", *args],
@@ -234,28 +240,35 @@ class TestFailureModes:
         assert "one of the arguments --k --elbow is required" in proc.stderr
 
     @pytest.mark.parametrize(
-        "args",
+        "args,rows",
         [
-            ["synth", "--out", "data", "--count", "0"],
-            ["synth", "--out", "data", "--size", "1"],
-            ["synth", "--out", "data", "--seed", "-1"],
-            ["cluster", "--embeddings", "emb.csv", "--k", "1", "--seed", "-1", "--out", "c.csv"],
-            ["cluster", "--embeddings", "emb.csv", "--elbow", "1", "2", "--seed", "-1", "--out", "c.csv"],
-            ["cluster", "--embeddings", "emb.csv", "--k", "1", "--restarts", "0", "--out", "c.csv"],
-            ["cluster", "--embeddings", "emb.csv", "--elbow", "1", "2", "--restarts", "0", "--out", "c.csv"],
-            ["cluster", "--embeddings", "emb.csv", "--k", "1", "--pca-rank", "0", "--out", "c.csv"],
-            ["cluster", "--embeddings", "emb.csv", "--k", "0", "--out", "c.csv"],
-            ["cluster", "--embeddings", "emb.csv", "--elbow", "0", "2", "--out", "c.csv"],
-            ["cluster", "--embeddings", "emb.csv", "--elbow", "3", "2", "--out", "c.csv"],
+            (["synth", "--out", "data", "--count", "0"], TWO_ROWS),
+            (["synth", "--out", "data", "--size", "1"], TWO_ROWS),
+            (["synth", "--out", "data", "--seed", "-1"], TWO_ROWS),
+            (["cluster", "--embeddings", "emb.csv", "--k", "1", "--seed", "-1", "--out", "c.csv"], TWO_ROWS),
+            (["cluster", "--embeddings", "emb.csv", "--elbow", "1", "2", "--seed", "-1", "--out", "c.csv"], TWO_ROWS),
+            (["cluster", "--embeddings", "emb.csv", "--k", "1", "--restarts", "0", "--out", "c.csv"], TWO_ROWS),
+            (["cluster", "--embeddings", "emb.csv", "--elbow", "1", "2", "--restarts", "0", "--out", "c.csv"], TWO_ROWS),
+            (["cluster", "--embeddings", "emb.csv", "--k", "1", "--pca-rank", "0", "--out", "c.csv"], TWO_ROWS),
+            (["cluster", "--embeddings", "emb.csv", "--k", "0", "--out", "c.csv"], TWO_ROWS),
+            (["cluster", "--embeddings", "emb.csv", "--elbow", "0", "2", "--out", "c.csv"], TWO_ROWS),
+            (["cluster", "--embeddings", "emb.csv", "--elbow", "3", "2", "--out", "c.csv"], TWO_ROWS),
+            # invalid whatever the rows, so reported before the rows' own faults
+            (["cluster", "--embeddings", "emb.csv", "--k", "2", "--restarts", "0", "--out", "c.csv"], TOO_LARGE_ROWS),
+            (["cluster", "--embeddings", "emb.csv", "--k", "2", "--seed", "-1", "--out", "c.csv"], TOO_LARGE_ROWS),
+            (["cluster", "--embeddings", "emb.csv", "--elbow", "1", "9", "--restarts", "0", "--out", "c.csv"], TWO_ROWS),
+            (["cluster", "--embeddings", "emb.csv", "--elbow", "1", "9", "--seed", "-1", "--out", "c.csv"], TWO_ROWS),
+            (["cluster", "--embeddings", "emb.csv", "--k", "3", "--restarts", "0", "--out", "c.csv"], TWO_ROWS),
         ],
         ids=[
             "synth-count-0", "synth-size-1", "synth-seed-negative", "cluster-seed-negative", "elbow-seed-negative",
             "cluster-restarts-0", "elbow-restarts-0", "cluster-pca-rank-0", "cluster-k-0", "elbow-kmin-0",
-            "elbow-reversed",
+            "elbow-reversed", "cluster-restarts-0-rows-too-large", "cluster-seed-negative-rows-too-large",
+            "elbow-restarts-0-too-few-rows", "elbow-seed-negative-too-few-rows", "cluster-restarts-0-too-few-rows",
         ],
     )
-    def test_invalid_argument_values_are_usage_errors(self, tmp_path, args):
-        (tmp_path / "emb.csv").write_text("id,z0,z1\nrow0,1.0,2.0\nrow1,3.0,2.0\n")
+    def test_invalid_argument_values_are_usage_errors(self, tmp_path, args, rows):
+        (tmp_path / "emb.csv").write_text(rows)
         proc = run_cli(args, tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr

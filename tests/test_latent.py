@@ -215,11 +215,30 @@ class TestKMeans:
 
     @pytest.mark.parametrize("case", SCREEN_CASES)
     def test_screened_seeding_draws_the_unscreened_seeds(self, case):
+        # generators drawn together share each step's screen but not their draws
         X, _ = _screen_case(case)
         X = X[_canonical_order(X)]
+        rows = _translated(X)
         for k in (1, 2, 9):
-            got = _kmeanspp(_translated(X), k, np.random.default_rng(k))
-            assert got.tolist() == _unscreened_kmeanspp(X, k, np.random.default_rng(k)), k
+            for count in (1, 3, 5):
+                got = _kmeanspp(rows, k, [np.random.default_rng((k, g)) for g in range(count)])
+                want = [_unscreened_kmeanspp(X, k, np.random.default_rng((k, g))) for g in range(count)]
+                assert got.tolist() == want, (k, count)
+
+    @pytest.mark.parametrize("case", ["exact-ties", "k=N", "past the distinct rows"])
+    def test_seeds_for_k_are_the_first_seeds_for_a_larger_k(self, case):
+        # what lets one seeding serve every k of a restart
+        if case == "past the distinct rows":
+            # from the fourth seed on, every draw is rng.integers'
+            X = np.repeat([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]], [6, 5, 6], axis=0)
+        else:
+            X = _screen_case(case)[0]
+            X = X[_canonical_order(X)]
+        rows = _translated(X)
+        for k in range(1, min(len(X) - 4, 14)):
+            seeds = _kmeanspp(rows, k, [np.random.default_rng((7, g)) for g in range(3)])
+            more = _kmeanspp(rows, k + 5, [np.random.default_rng((7, g)) for g in range(3)])
+            assert np.array_equal(seeds, more[:, :k]), k
 
     @pytest.mark.parametrize("case", ["offset-1e3", "offset-1e6"])
     def test_screen_stays_sharp_when_the_offset_dwarfs_the_spread(self, case, monkeypatch):
@@ -229,22 +248,24 @@ class TestKMeans:
         rechecked = []
         exact = latent._sq_dists
         monkeypatch.setattr(
-            latent, "_sq_dists", lambda X, Y, rows=None, cols=None: rechecked.append(len(rows)) or exact(X, Y, rows, cols)
+            latent,
+            "_sq_dists",
+            lambda X, Y, rows=None, cols=None: rechecked.append(len(X if rows is None else rows)) or exact(X, Y, rows, cols),
         )
         _assign(_translated(X), centroids)
         assert sum(rechecked) <= len(X) // 10
         rechecked.clear()
         X = X[_canonical_order(X)]
-        _kmeanspp(_translated(X), 9, np.random.default_rng(9))
-        # the first seed rechecks every row against d2 = inf
+        _kmeanspp(_translated(X), 9, [np.random.default_rng(9)])
+        # the first seed's distances are computed for every row
         assert sum(rechecked) <= 3 * len(X)
 
     def test_seeding_past_the_distinct_rows_draws_uniformly(self):
         # once every distinct row is a seed, every remaining distance is zero
         X = np.repeat([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]], [3, 2, 3], axis=0)
         for k in (4, 6, 8):
-            got = _kmeanspp(_translated(X), k, np.random.default_rng(k))
-            assert got.tolist() == _unscreened_kmeanspp(X, k, np.random.default_rng(k)), k
+            got = _kmeanspp(_translated(X), k, [np.random.default_rng(k)])
+            assert got.tolist() == [_unscreened_kmeanspp(X, k, np.random.default_rng(k))], k
         assert kmeans(_embeddings(X), 5, seed=2).inertia == 0.0
 
     def test_empty_cluster_is_reseeded_on_the_farthest_point(self):
@@ -358,11 +379,15 @@ class TestElbow:
         assert curve.violations == []
 
     def test_inertias_are_the_kmeans_inertias(self):
+        # 15 distinct rows, so the scan's seeding for k = 18 draws its last
+        # seeds uniformly, past the distinct rows
         rng = np.random.default_rng(14)
-        e = _blobs(rng, [np.zeros(3), np.full(3, 8.0), np.array([8.0, -8.0, 0.0])], per_blob=25)
-        curve = elbow(e, 2, 6, seed=3, restarts=2)
+        blobs = _blobs(rng, [np.zeros(3), np.full(3, 8.0), np.array([8.0, -8.0, 0.0])], per_blob=5)
+        e = _embeddings(np.repeat(blobs.rows, rng.integers(1, 5, blobs.count), axis=0))
+        assert len(np.unique(e.rows, axis=0)) == 15
+        curve = elbow(e, 2, 18, seed=3)
         for k, value in curve.points:
-            assert value == kmeans(e, k, seed=3, restarts=2).inertia, k
+            assert value == kmeans(e, k, seed=3).inertia, k
 
     def test_collinear_curve_flags_no_elbow(self):
         ks = [1, 2, 3, 4, 5]
@@ -637,6 +662,8 @@ READER_EDGES = [
     ("too few fields", _HEADER + b"r0,1,2\nr1,1\n", False),
     ("a field moved to the line before", _HEADER + b"r0,1,2,3\nr1,4\n", False),
     ("non-numeric value", _HEADER + b"r0,1,2\nr1,oops,2\n", False),
+    # one dot per value in all, but none in the first
+    ("dotless value beside a two-dot value", _HEADER + b"r0,12,3.4.5\n", False),
     ("field at the csv field limit", _HEADER + b"r" * _LIMIT + b",1,2\n", True),
     ("field over the csv field limit", _HEADER + b"r" * (_LIMIT + 1) + b",1,2\n", False),
 ]
@@ -821,6 +848,7 @@ class TestPlainReader:
         block, _ = _plain_led_block([token, "1.5"])
         assert _parse_lines(block, _BULK_WIDTH) is None
 
+    @pytest.mark.skipif(not latent._EXACT_LONG_DOUBLE, reason="float() converts every value where long double is inexact")
     def test_float32_reprs_over_their_whole_range(self):
         # one line straight into the bulk path, whose float() takes the
         # exponent forms, which most of these reprs are
@@ -833,6 +861,7 @@ class TestPlainReader:
         assert converted is not None
         assert converted.tobytes() == values.tobytes()
 
+    @pytest.mark.skipif(not latent._EXACT_LONG_DOUBLE, reason="float() converts every value where long double is inexact")
     def test_a_written_file_converts_in_bulk(self, tmp_path, monkeypatch):
         # float() takes only exponent forms and ties, so a fall-back to it
         # for whole blocks shows
