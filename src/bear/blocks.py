@@ -7,7 +7,6 @@ train and store every branch kernel."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,50 +15,14 @@ from .errors import ShapeError
 from .tensor import Tensor, _channel_major, _give, _grid, _local, _records, _shift_add, _take, _windows, conv2d, custom_op
 
 
-@dataclass
-class ConvLstmParams:
-    """Weights of one convolutional LSTM cell.
-
-    The cell is driven over single-channel slices of its input, so the input
-    kernels consume exactly one channel. Gate kernels are stacked along the
-    last axis as (input, forget, candidate, output), each ``filters`` wide.
-    """
-
-    input_kernels: Tensor  # (k, k, 1, 4F)
-    recurrent_kernels: Tensor  # (k, k, F, 4F)
-    biases: Tensor  # (4F,)
-
-    def __post_init__(self) -> None:
-        ik, rk, b = self.input_kernels, self.recurrent_kernels, self.biases
-        if ik.ndim != 4 or ik.shape[2] != 1:
-            raise ShapeError(f"input kernels must be (k, k, 1, 4F), got {ik.shape}")
-        if rk.ndim != 4:
-            raise ShapeError(f"recurrent kernels must be (k, k, F, 4F), got {rk.shape}")
-        k = ik.shape[0]
-        if ik.shape[1] != k or rk.shape[0] != k or rk.shape[1] != k:
-            raise ShapeError(f"kernel extents disagree: {ik.shape} vs {rk.shape}")
-        if k % 2 == 0:
-            raise ShapeError(f"kernel extent must be odd, got {k}")
-        f = rk.shape[2]
-        if rk.shape[3] != 4 * f or ik.shape[3] != 4 * f:
-            raise ShapeError(f"stacked gate axis must be 4F={4 * f}, got {ik.shape[3]} and {rk.shape[3]}")
-        if b.ndim != 1 or b.shape[0] != 4 * f:
-            raise ShapeError(f"biases must have extent {4 * f}, got shape {b.shape}")
-
-    @property
-    def filters(self) -> int:
-        return self.recurrent_kernels.shape[2]
-
-    @property
-    def kernel_extent(self) -> int:
-        return self.input_kernels.shape[0]
-
-
-def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
+def convlstm_over_channels(x: Tensor, input_kernels: Tensor, recurrent_kernels: Tensor, biases: Tensor) -> Tensor:
     """Run the cell across the channel axis of an (..., H, W, T) input as a
     sequence of T single-channel steps from zero state, and return the final
     hidden state (..., H, W, F) as one tape node. Leading axes are scanned
-    together, as independent maps.
+    together, as independent maps. The input kernels (k, k, 1, 4F) read one
+    channel, the recurrent kernels are (k, k, F, 4F) and the biases (4F,),
+    with k odd; their gates are stacked along the last axis as (i, f, g, o),
+    F each.
 
     Per step, with same padding,
     i = sig(conv(x_t; Wi) + conv(h; Ui) + bi), f and o likewise,
@@ -91,11 +54,24 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     """
     if x.ndim < 3:
         raise ShapeError(f"convlstm_over_channels: input must have rank 3 or more, got rank {x.ndim}")
+    ik, rk = input_kernels.shape, recurrent_kernels.shape
+    if len(ik) != 4 or ik[2] != 1:
+        raise ShapeError(f"input kernels must be (k, k, 1, 4F), got {ik}")
+    if len(rk) != 4:
+        raise ShapeError(f"recurrent kernels must be (k, k, F, 4F), got {rk}")
+    k, F = ik[0], rk[2]
+    if ik[1] != k or rk[0] != k or rk[1] != k:
+        raise ShapeError(f"kernel extents disagree: {ik} vs {rk}")
+    if k % 2 == 0:
+        raise ShapeError(f"kernel extent must be odd, got {k}")
+    if rk[3] != 4 * F or ik[3] != 4 * F:
+        raise ShapeError(f"stacked gate axis must be 4F={4 * F}, got {ik[3]} and {rk[3]}")
+    if biases.shape != (4 * F,):
+        raise ShapeError(f"biases must have extent {4 * F}, got shape {biases.shape}")
     *lead, H, W, T = x.shape
-    F, k = p.filters, p.kernel_extent
     kk = k * k
     tail = kk * F  # the first input-window row; the hidden-map windows come before it
-    parents = (x, p.input_kernels, p.recurrent_kernels, p.biases)
+    parents = (x, input_kernels, recurrent_kernels, biases)
     keep = _records(parents)
 
     def slot(t: int) -> int:  # where step t's gates, cell and hidden map live
@@ -105,7 +81,7 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
     P, in_grid = grid.cols, slice(grid.lead, grid.lead + grid.cols)  # window columns, and their place in a grid array
     xgrid = _channel_major(x.data.reshape(-1, T), grid)
     # one row per window row: the hidden-map taps, the input taps, the ones row
-    kern = np.vstack([p.recurrent_kernels.data.reshape(tail, -1), p.input_kernels.data.reshape(kk, -1), p.biases.data])
+    kern = np.vstack([recurrent_kernels.data.reshape(tail, -1), input_kernels.data.reshape(kk, -1), biases.data])
     dtype = np.result_type(xgrid, kern)
     # halving is exact, so this copy's GEMM gives exactly v / 2 for the i, f
     # and o gates; the backward pass takes gradients with respect to v, so it
@@ -144,6 +120,8 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         nonlocal gates, cells, hidden  # one pass consumes them: it overwrites the gates
+        if gates is None:
+            raise RuntimeError("convlstm_over_channels: an earlier backward pass consumed the scan's saved state")
         dh = _channel_major(grad.reshape(-1, F), grid)  # a grid array: the planes shift-add onto it
         dhc = dh[:, in_grid]  # zero in the gutter columns, like dc and so every gate gradient
         dc = _take((F, P), dtype)
@@ -202,13 +180,13 @@ def convlstm_over_channels(x: Tensor, p: ConvLstmParams) -> Tensor:
                     _shift_add(planes[:tail], grid, dh)
                     grid.zero_gutters(dhc)
         _give(gates, cells, hidden, dc, scratch, windows)
-        del gates, cells, hidden  # so the next node's backward pass runs without them
-        if p.recurrent_kernels.requires_grad:
-            p.recurrent_kernels._accumulate(d_kern[:tail].reshape(p.recurrent_kernels.shape))
-        if p.input_kernels.requires_grad:
-            p.input_kernels._accumulate(d_kern[tail:-1].reshape(p.input_kernels.shape))
-        if p.biases.requires_grad:
-            p.biases._accumulate(d_kern[-1])
+        gates = cells = hidden = None  # so the next node's backward pass runs without them
+        if recurrent_kernels.requires_grad:
+            recurrent_kernels._accumulate(d_kern[:tail].reshape(rk))
+        if input_kernels.requires_grad:
+            input_kernels._accumulate(d_kern[tail:-1].reshape(ik))
+        if biases.requires_grad:
+            biases._accumulate(d_kern[-1])
         if x.requires_grad:
             x._accumulate(np.moveaxis(grid.maps(dx), 0, -1).reshape(x.shape))
         _give(dx)

@@ -43,11 +43,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _output_paths(*paths: str | None) -> list[Path]:
     """The given output paths, checked before any input is read: each must
-    end in a file name, and no two may name the same file."""
+    end in a file name in an existing directory, and no two may name the
+    same file."""
     outputs = [Path(p) for p in paths if p is not None]
     for i, path in enumerate(outputs):
         if path.name in ("", ".."):
             raise ConfigError(f"output path {str(path)!r} names no file")
+        if not path.parent.is_dir():
+            raise ConfigError(f"output path {str(path)!r} is not in an existing directory")
         if path.resolve() in [p.resolve() for p in outputs[:i]]:
             raise ConfigError(f"output path {str(path)!r} is given twice")
     return outputs
@@ -200,6 +203,10 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_cluster(args) -> int:
     outputs = _output_paths(args.out)
+    # arguments invalid whatever the rows are usage errors, reported before the rows are read
+    lat.check_cluster_args(args.k if args.k is not None else tuple(args.elbow), args.seed, args.restarts)
+    if args.pca_rank is not None and args.pca_rank < 1:
+        raise ConfigError(f"rank must be at least 1, got {args.pca_rank}")
     embeddings = lat.read_embeddings(args.embeddings)
     if args.pca_rank is not None:
         embeddings = lat.reduce_embeddings(embeddings, args.pca_rank)

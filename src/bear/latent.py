@@ -332,7 +332,16 @@ def _prepared(e: EmbeddingSet) -> tuple[np.ndarray, _Rows]:
     return canon, _translated(e.rows[canon])
 
 
-def _check_restarts(seed: int, restarts: int) -> None:
+def check_cluster_args(k: int | tuple[int, int], seed: int, restarts: int) -> None:
+    """Reject arguments that are invalid whatever the rows: a k below 1, a
+    (k_min, k_max) range not 1 <= k_min < k_max, fewer than one restart, a
+    negative seed. kmeans and elbow run it first, and the CLI before it
+    reads the rows."""
+    if isinstance(k, tuple):
+        if not 1 <= k[0] < k[1]:
+            raise ConfigError(f"need 1 <= k_min < k_max, got [{k[0]}, {k[1]}]")
+    elif k < 1:
+        raise ConfigError(f"k must be at least 1, got {k}")
     if restarts < 1:
         raise ConfigError(f"restarts must be at least 1, got {restarts}")
     if seed < 0:
@@ -358,9 +367,7 @@ def kmeans(e: EmbeddingSet, k: int, seed: int = 0, restarts: int = 5) -> KMeansR
     Seeding draws in canonical point order, so for a fixed seed the result is
     equivariant under row permutations (assignments permute with the rows).
     """
-    if k < 1:
-        raise ConfigError(f"k must be at least 1, got {k}")
-    _check_restarts(seed, restarts)
+    check_cluster_args(k, seed, restarts)
     if k > e.count:
         raise DataError(f"k must be in [1, {e.count}], got {k}")
     canon, rows = _prepared(e)
@@ -406,9 +413,7 @@ def elbow(
     restarts: int = 5,
 ) -> ElbowCurve:
     """Run kmeans for every k in [k_min, k_max] under one seeding protocol."""
-    if not 1 <= k_min < k_max:
-        raise ConfigError(f"need 1 <= k_min < k_max, got [{k_min}, {k_max}]")
-    _check_restarts(seed, restarts)
+    check_cluster_args((k_min, k_max), seed, restarts)
     if k_max > e.count:
         raise DataError(f"need 1 <= k_min < k_max <= {e.count}, got [{k_min}, {k_max}]")
     ks = list(range(k_min, k_max + 1))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import ConvLstmParams, convlstm_over_channels, mean_conv
+from .blocks import convlstm_over_channels, mean_conv
 from .errors import ConfigError, ShapeError
 from .tensor import (
     CHUNK,
@@ -174,12 +174,8 @@ def init_params(cfg: BearConfig, dtype=np.float32) -> ParameterSet:
     return params
 
 
-def _cell_params(params: ParameterSet, stage: str) -> ConvLstmParams:
-    return ConvLstmParams(
-        params[f"{stage}/input-kernels"],
-        params[f"{stage}/recurrent-kernels"],
-        params[f"{stage}/biases"],
-    )
+def _cell(params: ParameterSet, stage: str) -> tuple[Tensor, Tensor, Tensor]:
+    return params[f"{stage}/input-kernels"], params[f"{stage}/recurrent-kernels"], params[f"{stage}/biases"]
 
 
 def _branches(params: ParameterSet, stage: str, extents) -> list[tuple[Tensor, Tensor]]:
@@ -204,9 +200,9 @@ def pfe(x: Tensor, params: ParameterSet, cfg: BearConfig) -> Tensor:
     become the second block's sequence. Net spatial reduction is 4x, so the
     output aligns with the residual copy.
     """
-    z = convlstm_over_channels(x, _cell_params(params, "pfe/convlstm1"))
+    z = convlstm_over_channels(x, *_cell(params, "pfe/convlstm1"))
     z = downsample_avg(z, 2)
-    z = convlstm_over_channels(z, _cell_params(params, "pfe/convlstm2"))
+    z = convlstm_over_channels(z, *_cell(params, "pfe/convlstm2"))
     return downsample_avg(z, 2)
 
 
@@ -228,7 +224,7 @@ def bfe(z: Tensor, residual: Tensor, params: ParameterSet, cfg: BearConfig) -> T
     if z.shape[-3:-1] != residual.shape[-3:-1]:
         raise ShapeError(f"bfe: spatial extents {z.shape[-3:-1]} and {residual.shape[-3:-1]} differ")
     h = concat_channels(z, residual)
-    h = convlstm_over_channels(h, _cell_params(params, "bfe/convlstm"))
+    h = convlstm_over_channels(h, *_cell(params, "bfe/convlstm"))
     h = downsample_avg(h, 2)
     h = reshape(h, (*h.shape[:-3], math.prod(h.shape[-3:])))
     h = dense(h, params["bfe/dense/weights"], params["bfe/dense/bias"])

@@ -138,7 +138,11 @@ class Tensor:
         self.grad += g
 
     def backward(self) -> None:
-        """Populate gradients of every tape node this scalar depends on."""
+        """Populate gradients of every tape node this scalar depends on.
+
+        A graph that holds a ConvLSTM scan is back-propagated once: the
+        scan's backward pass consumes the state it saved, and a second pass
+        through it raises RuntimeError."""
         if self.data.size != 1:
             raise ShapeError(f"backward: loss must be a scalar, got shape {self.data.shape}")
         order: list[Tensor] = []

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import naive_conv2d, reference_convlstm_step
 
-from bear.blocks import ConvLstmParams, convlstm_over_channels, mean_conv
+from bear.blocks import convlstm_over_channels, mean_conv
 from bear.errors import ShapeError
 import bear.tensor
 from bear.tensor import (
@@ -28,9 +28,10 @@ from bear.tensor import (
 
 
 def _cell(rng, filters=2, extent=3, scale=0.4, dtype=np.float64):
+    """A cell's (input kernels, recurrent kernels, biases)."""
     shape_in = (extent, extent, 1, 4 * filters)
     shape_rec = (extent, extent, filters, 4 * filters)
-    return ConvLstmParams(
+    return (
         Tensor((rng.normal(size=shape_in) * scale).astype(dtype)),
         Tensor((rng.normal(size=shape_rec) * scale).astype(dtype)),
         Tensor((rng.normal(size=4 * filters) * scale).astype(dtype)),
@@ -38,24 +39,22 @@ def _cell(rng, filters=2, extent=3, scale=0.4, dtype=np.float64):
 
 
 def _zero_cell(filters=2, extent=3, dtype=np.float64):
-    return ConvLstmParams(
+    return (
         Tensor(np.zeros((extent, extent, 1, 4 * filters), dtype=dtype)),
         Tensor(np.zeros((extent, extent, filters, 4 * filters), dtype=dtype)),
         Tensor(np.zeros(4 * filters, dtype=dtype)),
     )
 
 
-def _reference_scan(x, p):
+def _reference_scan(x, cell):
     """Final hidden state of ``reference_convlstm_step`` iterated over the
     channels of ``x`` from zero state."""
-    F = p.filters
+    input_kernels, recurrent_kernels, biases = (t.data for t in cell)
+    F = recurrent_kernels.shape[2]
     h = np.zeros(x.shape[:2] + (F,))
     c = np.zeros(x.shape[:2] + (F,))
     for t in range(x.shape[2]):
-        h, c = reference_convlstm_step(
-            x[:, :, t : t + 1], h, c,
-            p.input_kernels.data, p.recurrent_kernels.data, p.biases.data,
-        )
+        h, c = reference_convlstm_step(x[:, :, t : t + 1], h, c, input_kernels, recurrent_kernels, biases)
     return h
 
 
@@ -63,57 +62,49 @@ class TestConvLstmStep:
     """The cell equations, checked through the channel scan."""
 
     def test_all_zero_parameters_give_zero_output(self):
-        p = _zero_cell()
         x = Tensor(np.random.default_rng(0).normal(size=(5, 5, 3)))
-        h = convlstm_over_channels(x, p)
+        h = convlstm_over_channels(x, *_zero_cell())
         assert np.all(h.data == 0.0)
 
     def test_zero_input_kernels_make_output_independent_of_input(self):
         rng = np.random.default_rng(1)
         p = _cell(rng)
-        p.input_kernels.data[:] = 0.0
-        out_a = convlstm_over_channels(Tensor(rng.normal(size=(4, 4, 3))), p)
-        out_b = convlstm_over_channels(Tensor(rng.normal(size=(4, 4, 3))), p)
+        p[0].data[:] = 0.0  # the input kernels
+        out_a = convlstm_over_channels(Tensor(rng.normal(size=(4, 4, 3))), *p)
+        out_b = convlstm_over_channels(Tensor(rng.normal(size=(4, 4, 3))), *p)
         assert np.array_equal(out_a.data, out_b.data)
 
     def test_matches_unfused_per_gate_oracle(self):
         rng = np.random.default_rng(2)
         p = _cell(rng, filters=3)
         x = rng.normal(size=(8, 8, 3))
-        h = convlstm_over_channels(Tensor(x), p)
+        h = convlstm_over_channels(Tensor(x), *p)
         assert np.abs(h.data - _reference_scan(x, p)).max() < 1e-6
 
     @pytest.mark.parametrize("extent", [1, 3, 5])
     def test_preserves_spatial_extents(self, extent):
         rng = np.random.default_rng(extent)
         p = _cell(rng, filters=2, extent=extent)
-        h = convlstm_over_channels(Tensor(rng.normal(size=(7, 7, 2))), p)
+        h = convlstm_over_channels(Tensor(rng.normal(size=(7, 7, 2))), *p)
         assert h.shape == (7, 7, 2)
 
     def test_hidden_state_strictly_bounded(self):
         rng = np.random.default_rng(4)
         p = _cell(rng, scale=3.0)
-        h = convlstm_over_channels(Tensor(rng.normal(size=(6, 6, 4)) * 5), p)
+        h = convlstm_over_channels(Tensor(rng.normal(size=(6, 6, 4)) * 5), *p)
         assert np.abs(h.data).max() < 1.0
 
     def test_forget_gate_saturation_keeps_cell_state(self):
         # i, f and o saturate at 1, so c after T steps is T * tanh(b_g)
         p = _zero_cell(filters=2)
-        p.biases.data[0:4] = 20.0  # input and forget slices of (i, f, g, o)
-        p.biases.data[6:8] = 20.0  # output slice
-        p.biases.data[4:6] = [0.3, -0.7]  # candidate slice
+        biases = p[2].data
+        biases[0:4] = 20.0  # input and forget slices of (i, f, g, o)
+        biases[6:8] = 20.0  # output slice
+        biases[4:6] = [0.3, -0.7]  # candidate slice
         T = 3
-        h = convlstm_over_channels(Tensor(np.zeros((4, 4, T))), p)
+        h = convlstm_over_channels(Tensor(np.zeros((4, 4, T))), *p)
         want = np.tanh(T * np.tanh(np.array([0.3, -0.7])))
         assert np.abs(h.data - want).max() < 1e-6
-
-    def test_gate_stacking_validated(self):
-        with pytest.raises(ShapeError, match="4F"):
-            ConvLstmParams(
-                Tensor(np.zeros((3, 3, 1, 6))),
-                Tensor(np.zeros((3, 3, 2, 8))),
-                Tensor(np.zeros(8)),
-            )
 
 
 class TestConvLstmOverChannels:
@@ -121,22 +112,19 @@ class TestConvLstmOverChannels:
         rng = np.random.default_rng(6)
         p = _cell(rng)
         x = rng.normal(size=(5, 5, 1))
-        scanned = convlstm_over_channels(Tensor(x), p)
-        stepped, _ = reference_convlstm_step(
-            x, np.zeros((5, 5, 2)), np.zeros((5, 5, 2)),
-            p.input_kernels.data, p.recurrent_kernels.data, p.biases.data,
-        )
+        scanned = convlstm_over_channels(Tensor(x), *p)
+        stepped, _ = reference_convlstm_step(x, np.zeros((5, 5, 2)), np.zeros((5, 5, 2)), *(t.data for t in p))
         assert np.abs(scanned.data - stepped).max() < 1e-12
 
     def test_three_channels_match_iterated_reference_step(self):
         rng = np.random.default_rng(13)
         p = _cell(rng, filters=2)
         x = rng.normal(size=(6, 5, 3))
-        h = convlstm_over_channels(Tensor(x), p)
+        h = convlstm_over_channels(Tensor(x), *p)
         assert np.abs(h.data - _reference_scan(x, p)).max() < 1e-6
         # leading axes are scanned as independent maps
         xs = rng.normal(size=(2, 1, 6, 5, 3))
-        hs = convlstm_over_channels(Tensor(xs), p)
+        hs = convlstm_over_channels(Tensor(xs), *p)
         assert hs.shape == (2, 1, 6, 5, 2)
         for index in np.ndindex(2, 1):
             assert np.abs(hs.data[index] - _reference_scan(xs[index], p)).max() < 1e-6
@@ -145,14 +133,14 @@ class TestConvLstmOverChannels:
         rng = np.random.default_rng(7)
         p = _cell(rng)
         x = rng.normal(size=(5, 5, 3))
-        forward_order = convlstm_over_channels(Tensor(x), p)
-        reversed_order = convlstm_over_channels(Tensor(x[:, :, ::-1].copy()), p)
+        forward_order = convlstm_over_channels(Tensor(x), *p)
+        reversed_order = convlstm_over_channels(Tensor(x[:, :, ::-1].copy()), *p)
         assert np.abs(forward_order.data - reversed_order.data).max() > 1e-6
 
     def test_output_shape(self):
         rng = np.random.default_rng(8)
         p = _cell(rng, filters=16)
-        out = convlstm_over_channels(Tensor(rng.normal(size=(32, 32, 3))), p)
+        out = convlstm_over_channels(Tensor(rng.normal(size=(32, 32, 3))), *p)
         assert out.shape == (32, 32, 16)
 
     @pytest.mark.parametrize(
@@ -172,8 +160,7 @@ class TestConvLstmOverChannels:
         })
 
         def loss(p):
-            cell = ConvLstmParams(p["input-kernels"], p["recurrent-kernels"], p["biases"])
-            return sum_squares(convlstm_over_channels(p["x"], cell))
+            return sum_squares(convlstm_over_channels(p["x"], p["input-kernels"], p["recurrent-kernels"], p["biases"]))
 
         assert grad_check(loss, params, h=1e-5).error < 1e-6
 
@@ -185,7 +172,7 @@ class TestConvLstmOverChannels:
         rng = np.random.default_rng(20 + extent)
         p = _cell(rng, filters=3, extent=extent)
         xs = rng.normal(size=(3, H, W, 4))
-        hs = convlstm_over_channels(Tensor(xs), p)
+        hs = convlstm_over_channels(Tensor(xs), *p)
         assert hs.shape == (3, H, W, 3)
         for index in range(3):
             assert np.abs(hs.data[index] - _reference_scan(xs[index], p)).max() < 1e-9
@@ -201,8 +188,7 @@ class TestConvLstmOverChannels:
         })
 
         def loss(p):
-            cell = ConvLstmParams(p["input-kernels"], p["recurrent-kernels"], p["biases"])
-            return sum_squares(convlstm_over_channels(p["x"], cell))
+            return sum_squares(convlstm_over_channels(p["x"], p["input-kernels"], p["recurrent-kernels"], p["biases"]))
 
         check = grad_check(loss, params, h=1e-5)
         assert check.error < 1e-6 and check.scaled_error < 1e-6
@@ -227,8 +213,8 @@ class TestConvLstmOverChannels:
 
         def loss(p):
             get = {**fixed, **dict(p.items())}
-            cell = ConvLstmParams(get["input-kernels"], get["recurrent-kernels"], get["biases"])
-            return sum_squares(convlstm_over_channels(get["x"], cell))
+            cell = get["input-kernels"], get["recurrent-kernels"], get["biases"]
+            return sum_squares(convlstm_over_channels(get["x"], *cell))
 
         check = grad_check(loss, params, h=1e-5)
         assert check.error < 1e-6 and check.scaled_error < 1e-6
@@ -238,13 +224,13 @@ class TestConvLstmOverChannels:
         # without a tape the scan keeps one step of state instead of all of them
         rng = np.random.default_rng(17)
         p = _cell(rng, filters=3, dtype=np.float32)
-        for t in (p.input_kernels, p.recurrent_kernels, p.biases):
+        for t in p:
             t.requires_grad = True
         x = Tensor(rng.normal(size=(3, 7, 5, 6)).astype(np.float32))
-        taped = convlstm_over_channels(x, p)
+        taped = convlstm_over_channels(x, *p)
         assert taped.requires_grad
         with no_grad():
-            untaped = convlstm_over_channels(x, p)
+            untaped = convlstm_over_channels(x, *p)
         assert not untaped.requires_grad
         assert np.array_equal(taped.data, untaped.data)
 
@@ -256,9 +242,9 @@ class TestConvLstmOverChannels:
         rng = np.random.default_rng(40)
         p = _cell(rng, scale=scale, dtype=np.float32)
         x = rng.normal(size=(8, 8, 3)).astype(np.float32)
-        h = convlstm_over_channels(Tensor(x), p)
+        h = convlstm_over_channels(Tensor(x), *p)
         assert h.data.dtype == np.float32
-        exact = ConvLstmParams(*(Tensor(t.data.astype(np.float64)) for t in (p.input_kernels, p.recurrent_kernels, p.biases)))
+        exact = [Tensor(t.data.astype(np.float64)) for t in p]
         assert np.abs(h.data - _reference_scan(x.astype(np.float64), exact)).max() < 1e-5
 
     def test_scan_leaves_its_parameters_untouched(self):
@@ -271,22 +257,32 @@ class TestConvLstmOverChannels:
             "biases": rng.normal(size=12).astype(np.float32),
         })
         before = params.data.copy()
-        cell = ConvLstmParams(params["input-kernels"], params["recurrent-kernels"], params["biases"])
+        cell = params["input-kernels"], params["recurrent-kernels"], params["biases"]
         x = Tensor(rng.normal(size=(2, 6, 5, 4)).astype(np.float32))
-        sum_squares(convlstm_over_channels(x, cell)).backward()
+        sum_squares(convlstm_over_channels(x, *cell)).backward()
         assert np.abs(params.grad).max() > 0
         with no_grad():
-            convlstm_over_channels(x, cell)
+            convlstm_over_channels(x, *cell)
         assert np.array_equal(params.data, before)
+
+    def test_a_second_backward_pass_through_a_scan_is_a_clear_error(self):
+        # the first pass overwrites the gates it saved with their gradients
+        rng = np.random.default_rng(18)
+        p = _cell(rng)
+        x = Tensor(rng.normal(size=(5, 5, 3)), requires_grad=True)
+        loss = sum_squares(convlstm_over_channels(x, *p))
+        loss.backward()
+        with pytest.raises(RuntimeError, match="an earlier backward pass consumed the scan's saved state"):
+            loss.backward()
 
     def test_scan_is_one_tape_node(self):
         rng = np.random.default_rng(16)
         p = _cell(rng)
-        for t in (p.input_kernels, p.recurrent_kernels, p.biases):
+        for t in p:
             t.requires_grad = True
         x = Tensor(rng.normal(size=(5, 5, 3)), requires_grad=True)
-        out = convlstm_over_channels(x, p)
-        assert out._parents == (x, p.input_kernels, p.recurrent_kernels, p.biases)
+        out = convlstm_over_channels(x, *p)
+        assert out._parents == (x, *p)
 
 
 def _scan_run(seed, extent, filters, taped):
@@ -295,13 +291,77 @@ def _scan_run(seed, extent, filters, taped):
     rng = np.random.default_rng(seed)
     p = _cell(rng, filters=filters, extent=extent, dtype=np.float32)
     x = Tensor(rng.normal(size=(2, 6, 5, 3)).astype(np.float32), requires_grad=taped)
-    for t in (p.input_kernels, p.recurrent_kernels, p.biases):
+    for t in p:
         t.requires_grad = taped
-    out = convlstm_over_channels(x, p)
+    out = convlstm_over_channels(x, *p)
     if not taped:
         return [out.data]
     sum_squares(out).backward()
-    return [out.data, x.grad, p.input_kernels.grad, p.recurrent_kernels.grad, p.biases.grad]
+    return [out.data, x.grad, *(t.grad for t in p)]
+
+
+def _scan_operands(x=(4, 4, 2), input_kernels=(3, 3, 1, 8), recurrent_kernels=(3, 3, 2, 8), biases=(8,)):
+    """Zero operands of a scan of the given shapes."""
+    return [Tensor(np.zeros(shape)) for shape in (x, input_kernels, recurrent_kernels, biases)]
+
+
+def _branch(kernel, bias):
+    return Tensor(np.zeros(kernel)), Tensor(np.zeros(bias))
+
+
+MALFORMED_OPERANDS = {
+    "scan-input-rank": (
+        lambda: convlstm_over_channels(*_scan_operands(x=(4, 2))),
+        "convlstm_over_channels: input must have rank 3 or more, got rank 2",
+    ),
+    "scan-input-kernels-rank": (
+        lambda: convlstm_over_channels(*_scan_operands(input_kernels=(3, 3, 8))),
+        "input kernels must be (k, k, 1, 4F), got (3, 3, 8)",
+    ),
+    "scan-input-kernels-read-two-channels": (
+        lambda: convlstm_over_channels(*_scan_operands(input_kernels=(3, 3, 2, 8))),
+        "input kernels must be (k, k, 1, 4F), got (3, 3, 2, 8)",
+    ),
+    "scan-recurrent-kernels-rank": (
+        lambda: convlstm_over_channels(*_scan_operands(recurrent_kernels=(3, 3, 8))),
+        "recurrent kernels must be (k, k, F, 4F), got (3, 3, 8)",
+    ),
+    "scan-extents-disagree": (
+        lambda: convlstm_over_channels(*_scan_operands(recurrent_kernels=(5, 5, 2, 8))),
+        "kernel extents disagree: (3, 3, 1, 8) vs (5, 5, 2, 8)",
+    ),
+    "scan-even-extent": (
+        lambda: convlstm_over_channels(*_scan_operands(input_kernels=(2, 2, 1, 8), recurrent_kernels=(2, 2, 2, 8))),
+        "kernel extent must be odd, got 2",
+    ),
+    "scan-gate-axis": (
+        lambda: convlstm_over_channels(*_scan_operands(input_kernels=(3, 3, 1, 6))),
+        "stacked gate axis must be 4F=8, got 6 and 8",
+    ),
+    "scan-bias-extent": (
+        lambda: convlstm_over_channels(*_scan_operands(biases=(6,))),
+        "biases must have extent 8, got shape (6,)",
+    ),
+    "scan-bias-rank": (
+        lambda: convlstm_over_channels(*_scan_operands(biases=(8, 1))),
+        "biases must have extent 8, got shape (8, 1)",
+    ),
+    "mean-conv-kernel-rank": (
+        lambda: mean_conv(Tensor(np.zeros((4, 4, 1))), [_branch((3, 3, 1), (1,))]),
+        "mean_conv: branch kernels must be rank 4, got rank 3",
+    ),
+    "mean-conv-bias-extent": (
+        lambda: mean_conv(Tensor(np.zeros((4, 4, 1))), [_branch((1, 1, 1, 2), (2,)), _branch((3, 3, 1, 2), (3,))]),
+        "mean_conv: branch bias must have extent 2, got shape (3,)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call,message", MALFORMED_OPERANDS.values(), ids=list(MALFORMED_OPERANDS))
+def test_malformed_operands_are_rejected_by_name(call, message):
+    with pytest.raises(ShapeError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestFreeList:
@@ -588,19 +648,16 @@ class TestGridsMatchTheClippedLowering:
         rng = np.random.default_rng(80 + k + T)
         x = Tensor(rng.uniform(-1, 1, size=(N, H, W, T)).astype(np.float32), requires_grad=True)
         p = _cell(rng, filters=F, extent=k, scale=0.3, dtype=np.float32)
-        for t in (p.input_kernels, p.recurrent_kernels, p.biases):
+        for t in p:
             t.requires_grad = True
         g = rng.normal(size=(N, H, W, F)).astype(np.float32)
-        h = convlstm_over_channels(x, p)
+        h = convlstm_over_channels(x, *p)
         custom_op(np.float32(0), (h,), lambda _: h._accumulate(g)).backward()
-        want, (dx, dik, drk, db) = _clipped_scan(
-            x.data, p.input_kernels.data, p.recurrent_kernels.data, p.biases.data, g
-        )
+        want, (dx, *gradients) = _clipped_scan(x.data, *(t.data for t in p), g)
         _assert_close(h.data, want, 1e-6)
         _assert_close(x.grad, dx, 1e-6)
-        _assert_close(p.input_kernels.grad, dik, 1e-5)
-        _assert_close(p.recurrent_kernels.grad, drk, 1e-5)
-        _assert_close(p.biases.grad, db, 1e-5)
+        for t, grad in zip(p, gradients):  # input kernels, recurrent kernels, biases
+            _assert_close(t.grad, grad, 1e-5)
 
 
 class TestParallelConv:
@@ -689,11 +746,9 @@ def test_all_cell_parameters_receive_gradients():
         "cell/recurrent-kernels": rng.normal(size=(3, 3, 2, 8)) * 0.4,
         "cell/biases": rng.normal(size=8) * 0.4,
     })
-    p = ConvLstmParams(
-        params["cell/input-kernels"], params["cell/recurrent-kernels"], params["cell/biases"]
-    )
     x = Tensor(rng.normal(size=(6, 6, 3)))
-    loss = sum_squares(convlstm_over_channels(x, p))
+    cell = params["cell/input-kernels"], params["cell/recurrent-kernels"], params["cell/biases"]
+    loss = sum_squares(convlstm_over_channels(x, *cell))
     loss.backward()
     for name, t in params.items():
         assert t.grad is not None, name

@@ -49,10 +49,12 @@ MALFORMED_HEADERS = {
 }
 
 
-# Embeddings files for the cluster usage errors: two rows, and two rows whose
-# squared distances overflow, which k-means rejects as a numeric failure.
+# Embeddings files for the cluster usage errors: two rows, two rows whose
+# squared distances overflow, which k-means rejects as a numeric failure, and
+# three equal rows, which --pca-rank rejects as a data error.
 TWO_ROWS = "id,z0,z1\nrow0,1.0,2.0\nrow1,3.0,2.0\n"
 TOO_LARGE_ROWS = "id,z0,z1\nrow0,1e200,-1e200\nrow1,-1e200,1e200\n"
+EQUAL_ROWS = "id,z0,z1\nrow0,1.0,2.0\nrow1,1.0,2.0\nrow2,1.0,2.0\n"
 
 
 def run_cli(args, cwd):
@@ -259,12 +261,24 @@ class TestFailureModes:
             (["cluster", "--embeddings", "emb.csv", "--elbow", "1", "9", "--restarts", "0", "--out", "c.csv"], TWO_ROWS),
             (["cluster", "--embeddings", "emb.csv", "--elbow", "1", "9", "--seed", "-1", "--out", "c.csv"], TWO_ROWS),
             (["cluster", "--embeddings", "emb.csv", "--k", "3", "--restarts", "0", "--out", "c.csv"], TWO_ROWS),
+            (["cluster", "--embeddings", "emb.csv", "--k", "0", "--pca-rank", "1", "--out", "c.csv"], EQUAL_ROWS),
+            (
+                ["cluster", "--embeddings", "emb.csv", "--k", "2", "--restarts", "0", "--pca-rank", "1",
+                 "--out", "c.csv"],
+                EQUAL_ROWS,
+            ),
+            (
+                ["cluster", "--embeddings", "emb.csv", "--elbow", "1", "2", "--seed", "-1", "--pca-rank", "1",
+                 "--out", "c.csv"],
+                EQUAL_ROWS,
+            ),
         ],
         ids=[
             "synth-count-0", "synth-size-1", "synth-seed-negative", "cluster-seed-negative", "elbow-seed-negative",
             "cluster-restarts-0", "elbow-restarts-0", "cluster-pca-rank-0", "cluster-k-0", "elbow-kmin-0",
             "elbow-reversed", "cluster-restarts-0-rows-too-large", "cluster-seed-negative-rows-too-large",
             "elbow-restarts-0-too-few-rows", "elbow-seed-negative-too-few-rows", "cluster-restarts-0-too-few-rows",
+            "cluster-k-0-pca-equal-rows", "cluster-restarts-0-pca-equal-rows", "elbow-seed-negative-pca-equal-rows",
         ],
     )
     def test_invalid_argument_values_are_usage_errors(self, tmp_path, args, rows):
@@ -286,9 +300,16 @@ class TestFailureModes:
             ["project", "--embeddings", "missing.csv", "--out", "."],
             ["project", "--embeddings", "missing.csv", "--out", "out/.."],
             ["train", "--data", "missing", "--config", "run.cfg", "--out", "m.bc1", "--log", "./m.bc1"],
+            ["train", "--data", "missing", "--config", "run.cfg", "--out", "nodir/m.bc1"],
+            ["train", "--data", "missing", "--config", "run.cfg", "--out", "m.bc1", "--log", "nodir/epochs.csv"],
+            ["encode", "--ckpt", "model.bc1", "--data", "missing", "--out", "nodir/e.csv"],
+            ["reconstruct", "--ckpt", "model.bc1", "--in", "missing.ppm", "--out", "run.cfg/r.ppm"],
+            ["cluster", "--embeddings", "missing.csv", "--k", "2", "--out", "nodir/c.csv"],
+            ["project", "--embeddings", "missing.csv", "--out", "nodir/sub/p.csv"],
         ],
         ids=["train-out", "train-log", "encode", "reconstruct", "cluster", "project", "project-parent-dir",
-             "train-log-is-out"],
+             "train-log-is-out", "train-out-missing-dir", "train-log-missing-dir", "encode-missing-dir",
+             "reconstruct-dir-is-a-file", "cluster-missing-dir", "project-missing-dirs"],
     )
     def test_unusable_output_path_is_usage_error_before_any_input(
         self, tmp_path, monkeypatch, capsys, args
@@ -302,6 +323,19 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert err.startswith("error: output path ") and err.count("\n") == 1, err
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_output_in_a_missing_directory_is_usage_error_before_training(self, tmp_path, monkeypatch, capsys):
+        import bear.cli as cli
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(CONFIG.replace("max_epochs=40", "max_epochs=1"))
+        (tmp_path / "data").mkdir()
+        for i, image in enumerate(synthetic_images(4, 16, seed=0)):
+            write_ppm(tmp_path / "data" / f"img{i}.ppm", unit_to_image(image))
+        monkeypatch.setattr(cli, "fit", lambda *args: pytest.fail("trained before checking the output path"))
+        assert cli.main(["train", "--data", "data", "--config", "run.cfg", "--out", "nodir/model.bc1"]) == 1
+        assert capsys.readouterr().err == "error: output path 'nodir/model.bc1' is not in an existing directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "run.cfg"]
 
     def test_synth_too_large_for_memory_is_usage_error(self, tmp_path):
         # one 300000 x 300000 image needs terabytes; the command runs in a
@@ -651,6 +685,21 @@ class TestFailureModes:
         assert cli.main(["cluster", "--embeddings", "emb.csv", "--elbow", "1", "3", "--out", "elbow.csv"]) == 0
         assert capsys.readouterr().out == "no elbow: the inertia curve is a straight line\n"
         assert (tmp_path / "elbow.csv").read_text() == "k,inertia\n1,0.0\n2,0.0\n3,0.0\n"
+
+    def test_elbow_whose_inertia_rises_warns_of_restart_failures(self, tmp_path, monkeypatch, capsys):
+        import bear.cli as cli
+        import bear.latent as lat
+
+        # best runs of (centroids, labels, inertia, iterations) whose inertia rises at k=2
+        runs = [(None, None, inertia, 1) for inertia in (3.0, 4.0, 1.0)]
+        monkeypatch.setattr(lat, "_best_of_restarts", lambda rows, ks, seed, restarts: runs[: len(ks)])
+        (tmp_path / "emb.csv").write_text("id,z0\n" + "".join(f"row{i},{i}.5\n" for i in range(4)))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["cluster", "--embeddings", "emb.csv", "--elbow", "1", "3", "--out", "elbow.csv"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "selected_k=2\n"
+        assert captured.err == "warning: inertia rose at k=[2] (restart failures)\n"
+        assert (tmp_path / "elbow.csv").read_text() == "k,inertia\n1,3.0\n2,4.0\n3,1.0\n"
 
     def test_encode_streams_chunks_of_usable_images(self, tmp_path, monkeypatch, capsys):
         # forward_chunk is 4 at n=64: six readable images make chunks of 4

@@ -135,6 +135,12 @@ class TestEmbeddingSet:
         with pytest.raises(DataError, match="ids"):
             EmbeddingSet(rows=np.zeros((3, 2)), ids=["a", "b"])
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 1)], ids=["rank-1", "rank-3"])
+    def test_rejects_rows_that_are_not_a_matrix(self, shape):
+        with pytest.raises(DataError) as info:
+            EmbeddingSet(rows=np.zeros(shape), ids=["a", "b", "c"])
+        assert str(info.value) == f"embeddings must be a 2-D matrix, got shape {shape}"
+
 
 class TestKMeans:
     def test_single_cluster_is_the_mean(self):

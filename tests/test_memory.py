@@ -108,6 +108,26 @@ from bear.synth import synthetic_images
 images = synthetic_images(13, 128, seed=0)
 cfg, bcfg = train.TrainConfig(batch_size=2, max_epochs=1), BearConfig()
 train.fit(images[:5], cfg, bcfg)
+"""
+# The same at the desk config, whose batch of 16 is one micro-batch: each
+# step of a 71-image fit (64 training images) after an 18-image fit faulted
+# 0-2 pages. Releasing each tape node once its backward pass had run made
+# every step after the first fault about 3,220, and the full-scale steps
+# above stayed within their bound.
+DESK_STEP_FAULTS_CHILD = """
+import resource
+from bear import train
+from bear.model import BearConfig
+from bear.synth import synthetic_images
+
+images = synthetic_images(71, 32, seed=0)
+cfg = train.TrainConfig(batch_size=16, max_epochs=1)
+bcfg = BearConfig(n=32, m=32, f_pfe=8, f_rfe=8, f_bfe=8, f_dec=8)
+train.fit(images[:18], cfg, bcfg)
+"""
+# the faults of each accumulate_gradients call of fit(images, cfg, bcfg), the
+# last of which is the validation pass
+COUNTED_FIT = """
 faults = []
 inner = train.accumulate_gradients
 
@@ -185,15 +205,29 @@ def test_arena_is_resident_only_while_written_and_held(tmp_path):
     assert freed - start < 1.0, f"a freed arena left {freed - start:.1f} MiB resident"
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="needs Linux's page-fault accounting")
-def test_a_steady_training_step_faults_no_memory_in_again(tmp_path):
+def step_faults(child: str, cwd: Path) -> list[int]:
+    """The page faults of each training step of the child's counted fit."""
     env = {**ENV, "NUMPY_MADVISE_HUGEPAGE": "0"}
     proc = subprocess.run(
-        [sys.executable, "-c", STEP_FAULTS_CHILD], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-c", child + COUNTED_FIT], cwd=cwd, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     *steps, _ = map(int, proc.stdout.split())  # the last call is the validation pass
-    assert len(steps) == 6, proc.stdout
+    return steps
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs Linux's page-fault accounting")
+def test_a_steady_training_step_faults_no_memory_in_again(tmp_path):
+    steps = step_faults(STEP_FAULTS_CHILD, tmp_path)
+    assert len(steps) == 6, steps
     # the first step writes the fresh arena and Adam's moments, and the first
     # two fill the run's free list
     assert max(steps[2:]) < STEADY_STEP_FAULTS, f"page faults per training step: {steps}"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs Linux's page-fault accounting")
+def test_a_steady_desk_training_step_faults_no_memory_in_again(tmp_path):
+    steps = step_faults(DESK_STEP_FAULTS_CHILD, tmp_path)
+    assert len(steps) == 4, steps
+    # the first step writes the fresh arena and Adam's moments
+    assert max(steps[1:]) < STEADY_STEP_FAULTS, f"page faults per training step: {steps}"

@@ -156,6 +156,11 @@ class TestBfe:
         res = Tensor(np.zeros((4, 4, 3), dtype=np.float32))
         assert bfe(z, res, params, desk_config).shape == (16,)
 
+    def test_extent_mismatch_rejected(self, desk_config):
+        params = init_params(desk_config)
+        with pytest.raises(ShapeError, match=r"^bfe: spatial extents \(4, 4\) and \(8, 8\) differ$"):
+            bfe(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros((8, 8, 3))), params, desk_config)
+
     def test_output_strictly_inside_unit_interval(self, desk_config):
         params = init_params(desk_config)
         rng = np.random.default_rng(3)

@@ -90,6 +90,11 @@ class TestResize:
         x = rng.uniform(size=(16, 16, 3)).astype(np.float32)
         assert np.array_equal(resize_unit(x, 16), x)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 4, 4, 3)], ids=["rank-2", "rank-4"])
+    def test_source_of_another_rank_rejected(self, shape):
+        with pytest.raises(ShapeError, match=f"^resize_unit: expected rank 3, got rank {len(shape)}$"):
+            resize_unit(np.zeros(shape, dtype=np.float32), 4)
+
     def test_non_square_source_is_squashed(self):
         x = np.zeros((4, 8, 3), dtype=np.float32)
         x[:, 4:, :] = 1.0

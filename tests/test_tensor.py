@@ -361,6 +361,59 @@ class TestConcatSlice:
         assert dead.grad is None
 
 
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+MALFORMED_OPERANDS = {
+    "conv2d-input-rank": (
+        lambda: conv2d(_zeros(4, 2), _zeros(3, 3, 2, 1), _zeros(1)),
+        "conv2d: input must have rank 3 or more (..., H, W, C), got rank 2",
+    ),
+    "conv2d-kernel-rank": (
+        lambda: conv2d(_zeros(4, 4, 2), _zeros(3, 2, 1), _zeros(1)),
+        "conv2d: kernel must be rank 4 (kh, kw, C, F), got rank 3",
+    ),
+    "conv2d-bias-extent": (
+        lambda: conv2d(_zeros(4, 4, 2), _zeros(3, 3, 2, 3), _zeros(2)),
+        "conv2d: bias must have extent 3 along the filter axis, got shape (2,)",
+    ),
+    "dense-bias-extent": (
+        lambda: dense(_zeros(2, 5), _zeros(5, 3), _zeros(4)),
+        "dense: bias must have extent 3, got shape (4,)",
+    ),
+    "downsample-rank": (
+        lambda: downsample_avg(_zeros(4, 4), 2),
+        "downsample_avg: input must have rank 3 or more, got rank 2",
+    ),
+    "downsample-factor": (lambda: downsample_avg(_zeros(4, 4, 1), 0), "downsample_avg: factor must be positive, got 0"),
+    "downsample-width": (
+        lambda: downsample_avg(_zeros(4, 6, 1), 4),
+        "downsample_avg: width extent 6 is not divisible by 4",
+    ),
+    "upsample-rank": (
+        lambda: upsample_nearest(_zeros(4, 4), 2),
+        "upsample_nearest: input must have rank 3 or more, got rank 2",
+    ),
+    "upsample-factor": (
+        lambda: upsample_nearest(_zeros(4, 4, 1), 0),
+        "upsample_nearest: factor must be positive, got 0",
+    ),
+    "concat-rank": (
+        lambda: concat_channels(_zeros(4, 4, 1), _zeros(4, 1)),
+        "concat_channels: both inputs must have rank 3 or more",
+    ),
+    "item-of-two-elements": (lambda: _zeros(2).item(), "item: tensor has 2 elements, expected 1"),
+}
+
+
+@pytest.mark.parametrize("call,message", MALFORMED_OPERANDS.values(), ids=list(MALFORMED_OPERANDS))
+def test_malformed_operands_are_rejected_by_name(call, message):
+    with pytest.raises(ShapeError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = Tensor(np.array([0.5, 0.5, 0.5]), requires_grad=True)

@@ -561,6 +561,28 @@ class TestFit:
             fit(images, tcfg, bcfg)
         assert bear.tensor._free is None, "the run's free list outlived it"
 
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda: TrainConfig(seed=-1), ConfigError, "seed must be nonnegative, got -1"),
+            (
+                lambda: mse_loss(Tensor(np.zeros((2, 2, 1))), Tensor(np.zeros((2, 2, 2)))),
+                ShapeError,
+                "mse_loss: shapes (2, 2, 1) and (2, 2, 2) differ",
+            ),
+            (
+                lambda: fit(*_desk_setup(count=1)),
+                DataError,
+                "fit: need at least 2 images to split off a validation set",
+            ),
+        ],
+        ids=["negative-seed", "mse-shapes-differ", "fit-one-image"],
+    )
+    def test_invalid_settings_and_operands_rejected(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
     def test_wrong_image_shape_rejected(self):
         images, tcfg, bcfg = _desk_setup()
         images[3] = np.zeros((8, 8, 3), dtype=np.float32)
