@@ -7,6 +7,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -29,8 +31,9 @@ _ASSIGN_BLOCK = 128
 _EPS = float(np.finfo(np.float64).eps)
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
-# Bytes per block of the plain embeddings reader, which extends each block to
-# the end of its last line: bounds its scratch arrays, whatever the file's size.
+# Bytes of blocks the plain embeddings reader parses at once, split between its
+# threads, each block extended to the end of its last line: bounds its scratch
+# arrays, whatever the file's size.
 _READ_BLOCK = 1 << 20
 
 # An x87 extended (63 stored mantissa bits, x86-64 Linux) or IEEE quad (112,
@@ -40,10 +43,13 @@ _READ_BLOCK = 1 << 20
 # arm64, Windows) or a double-double (ppc64), float() converts every value.
 _EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
 _POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
-# 10**k at k and -10**k at _POW10.size + k
+# 10**k at k and -10**k at _POW10.size + k, and as doubles, exact up to 10**22
 _DIVISORS = np.concatenate((_POW10, -_POW10))
+_DIVISORS64 = _DIVISORS.astype(np.float64)
 # the bytes of a plain value and its separator
 _PLAIN = b"0123456789,.-"
+# what a reader's helper thread gives for a block it leaves to float()
+_LEFT = object()
 
 
 @dataclass
@@ -519,11 +525,12 @@ def read_embeddings(path: str | Path) -> EmbeddingSet:
 
 
 def _read_plain_embeddings(path: Path) -> EmbeddingSet | None:
-    """A plain embeddings file read a block of lines at a time into one matrix,
-    or None when the file is not plain: the header is not exactly
-    ``id,z0,...`` with a line feed, the file has no rows, or a block is not
-    plain (see _parse_lines). A block's tokens are dropped once its values
-    are in the matrix, so memory holds one block beside the matrix."""
+    """A plain embeddings file read a block of lines at a time into one matrix
+    (see _parsed_blocks), or None when the file is not plain: the header is
+    not exactly ``id,z0,...`` with a line feed, the file has no rows, or a
+    block is not plain (see _parse_lines). A block's tokens are dropped once
+    its values are in the matrix, so memory holds about _READ_BLOCK bytes of
+    blocks beside the matrix."""
     with open(path, "rb") as fh:
         header = fh.readline()
         width = header.count(b",")
@@ -535,8 +542,7 @@ def _read_plain_embeddings(path: Path) -> EmbeddingSet | None:
         fh.seek(len(header))
         rows = np.empty((count, width))
         ids: list[str] = []
-        while block := fh.read(_READ_BLOCK):
-            parsed = _parse_lines(block + fh.readline(), width)
+        for parsed in _parsed_blocks(fh, width):
             # a file that grew since it was counted is left to the general parser
             if parsed is None or len(ids) + len(parsed[0]) > count:
                 return None
@@ -545,6 +551,97 @@ def _read_plain_embeddings(path: Path) -> EmbeddingSet | None:
     if len(ids) != count:
         return None
     return EmbeddingSet(rows=rows, ids=ids)
+
+
+def _parse_threads() -> int:
+    """Threads that parse blocks: two where the process may run on two CPUs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS or Windows
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
+def _parsed_blocks(fh, width: int) -> Iterator[tuple[list[str], np.ndarray] | None]:
+    """_parse_lines of each block of whole lines from the position of the binary
+    file ``fh`` to its end, in file order. With two CPUs the blocks come in
+    pairs of _READ_BLOCK / 2 bytes, each then to the end of its line: a
+    helper thread parses the first while this one reads and parses the
+    second, so about _READ_BLOCK bytes of blocks are in flight however many
+    threads there are. A block parses alone, so its result does not depend
+    on the thread that parsed it, and the helper ends with the read."""
+    helper = _Helper(width) if _parse_threads() > 1 else None
+    size = max(1, _READ_BLOCK // (2 if helper else 1))
+
+    def read() -> bytes:
+        block = fh.read(size)
+        return block + fh.readline() if block else block
+
+    try:
+        while block := read():
+            if helper:
+                helper.hand(block)
+                block = read()
+            # float()'s route holds the GIL, which the helper needs too, so
+            # such a block waits for the helper's result
+            bulk = bool(block) and _bulk_route(block)
+            parsed = _parse_lines(block, width, True) if bulk else None
+            if helper:
+                yield helper.take()
+            if block:
+                yield parsed if bulk else _parse_lines(block, width, False)
+            block = parsed = None  # dropped before the next pair is read
+    finally:
+        if helper:
+            helper.stop()
+
+
+class _Helper:
+    """A thread that parses one block at a time for the thread that made it:
+    ``hand`` gives it a block, and ``take`` waits for that block's result."""
+
+    def __init__(self, width: int) -> None:
+        self._width = width
+        self._block: bytes | None = None
+        self._result = None
+        self._handed, self._parsed = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._run)
+        self._thread.start()
+
+    def _run(self) -> None:
+        while self._handed.acquire() and (block := self._block) is not None:
+            try:
+                # a block for float() is left to the taker (see _parsed_blocks)
+                self._result = _parse_lines(block, self._width, True) if _bulk_route(block) else _LEFT
+            except Exception as exc:  # raised again by take
+                self._result = exc
+            self._parsed.release()
+
+    def hand(self, block: bytes) -> None:
+        self._block = block
+        self._handed.release()
+
+    def take(self) -> tuple[list[str], np.ndarray] | None:
+        self._parsed.acquire()
+        block, result, self._block, self._result = self._block, self._result, None, None
+        if isinstance(result, Exception):
+            raise result
+        return _parse_lines(block, self._width, False) if result is _LEFT else result
+
+    def stop(self) -> None:
+        """End the thread, after the block it parses, if any; a Ctrl-C while
+        this waits is raised once the thread has ended."""
+        self._block = None
+        self._handed.release()
+        interrupt = None
+        while True:
+            try:
+                self._thread.join()
+                break
+            except KeyboardInterrupt as exc:
+                interrupt = exc
+        if interrupt is not None:
+            raise interrupt
 
 
 def _count_lines(fh) -> int:
@@ -558,13 +655,24 @@ def _count_lines(fh) -> int:
     return lines + (last != b"\n")
 
 
-def _parse_lines(block: bytes, width: int) -> tuple[list[str], np.ndarray] | None:
+def _bulk_route(block: bytes) -> bool:
+    """Whether _parse_lines should convert ``block`` in bulk: long double is
+    exact, and the block has at most an eighth as many "e"s, the exponent
+    marker of repr(), as commas, one per value of a plain block. The route
+    sets only the speed, as both give float()'s bits; float() is the faster
+    where exponents, which it converts on both routes, are common."""
+    buf = np.frombuffer(block, dtype=np.uint8)
+    return _EXACT_LONG_DOUBLE and 8 * np.count_nonzero(buf == ord("e")) <= np.count_nonzero(buf == ord(","))
+
+
+def _parse_lines(block: bytes, width: int, bulk: bool) -> tuple[list[str], np.ndarray] | None:
     """The ids and the (lines, width) values of a block of whole lines, or None
     unless the csv module would split each of its lines at every comma and
     accept it: the block has no quote, carriage return or NUL and is UTF-8,
     every line has width + 1 fields of at most csv.field_size_limit()
     characters, and float() accepts every value. The values have float()'s
-    bits (see _decimals)."""
+    bits, converted in bulk or, unless ``bulk``, each by float() (see
+    _decimals)."""
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
     try:
@@ -582,23 +690,17 @@ def _parse_lines(block: bytes, width: int) -> tuple[list[str], np.ndarray] | Non
             return None
         ids.append(row_id.decode())
         rests.append(rest)
-    values = _decimals(rests, width)
+    values = _decimals(rests, width, bulk)
     return None if values is None else (ids, values)
 
 
-def _decimals(lines: list[bytes], width: int) -> np.ndarray | None:
+def _decimals(lines: list[bytes], width: int, bulk: bool) -> np.ndarray | None:
     """The (len(lines), width) values of the comma-separated UTF-8 ``lines``
     with float()'s bits, or None unless every line has ``width`` values and
-    float() accepts each. Where long double is exact, a block converts its
-    plain values in bulk (see _plain_decimals), unless more than an eighth
-    of its values, or of its first line's, have other bytes (exponents,
-    say): float() converts every value of such a block."""
-    # the first line tells before the block is joined
-    if _EXACT_LONG_DOUBLE and 8 * len(lines[0].translate(None, _PLAIN)) <= width:
-        body = b",".join(lines)
-        stray = body.translate(None, _PLAIN)
-        if 8 * len(stray) <= len(lines) * width:
-            return _plain_decimals(body, stray, [len(line) for line in lines], width)
+    float() accepts each: converted in bulk (see _plain_decimals) or, unless
+    ``bulk``, each by float()."""
+    if bulk:
+        return _plain_decimals(b",".join(lines), [len(line) for line in lines], width)
     rows = [line.decode().split(",") for line in lines]
     if any(len(row) != width for row in rows):
         return None
@@ -606,18 +708,21 @@ def _decimals(lines: list[bytes], width: int) -> np.ndarray | None:
     return None if values is None else values.reshape(len(lines), width)
 
 
-def _plain_decimals(body: bytes, stray: bytes, lengths: list[int], width: int) -> np.ndarray | None:
+def _plain_decimals(body: bytes, lengths: list[int], width: int) -> np.ndarray | None:
     """The values of ``body``, lines of the given byte ``lengths`` joined by
-    commas, as in _decimals; ``stray`` is body's bytes other than _PLAIN.
+    commas, as in _decimals.
 
     A plain value, ``[-]digits[.digits]``, is converted in bulk: its digits
-    without the dot parse as an int64, and int / ±10**k, with k digits after
-    the dot, is one division of two exact long doubles, so it rounds once.
-    The cast to float64 rounds again, which differs from float()'s single
-    rounding only where the quotient lies on a float64 halfway point. Those
-    ties, mantissas that saturate int64, k > 27 and every value with a stray
-    byte (an exponent, inf, nan, "+", a space, "_", a non-ASCII digit) go to
-    float() as str. The sign is the divisor's, so -0.0 and -0 keep it."""
+    without the dot parse as an int64 m, and it is m / ±10**k, with k digits
+    after the dot. Below 2**53 over at most 10**22, both are exact doubles,
+    and one float64 division rounds once, as float() does (Clinger's fast
+    path). Otherwise it is one division of two exact long doubles, which
+    rounds once; the cast to float64 rounds again, which differs from
+    float()'s single rounding only where the quotient lies on a float64
+    halfway point. Those ties, mantissas that saturate int64, k > 27 and
+    every value with a stray byte (an exponent, inf, nan, "+", a space, "_",
+    a non-ASCII digit) go to float() as str. The sign is the divisor's, so
+    -0.0 and -0 keep it."""
     count = len(lengths) * width
     buf = np.frombuffer(body, dtype=np.uint8)
     commas = np.flatnonzero(buf == ord(","))
@@ -634,7 +739,7 @@ def _plain_decimals(body: bytes, stray: bytes, lengths: list[int], width: int) -
         return None
     # the value a byte belongs to is the number of commas before it
     odd = np.zeros(count, dtype=bool)
-    for byte in set(stray):
+    for byte in set(body.translate(None, _PLAIN)):
         odd[np.searchsorted(commas, np.flatnonzero(buf == byte))] = True
     # the value of each dot: dot i's own, when every value holds one dot
     if len(dots) == count and (dots[:-1] < commas).all() and (dots[1:] > commas).all():
@@ -660,13 +765,16 @@ def _plain_decimals(body: bytes, stray: bytes, lengths: list[int], width: int) -
         return None
     mantissas = np.abs(np.fromstring(digits.replace(b".", b""), dtype=np.int64, sep=","))
     fraction[odd] = 0  # float() replaces their quotients
-    quotients = mantissas / _DIVISORS.take(fraction + _POW10.size * negative)
-    values = quotients.astype(np.float64)
+    divisors = fraction + _POW10.size * negative
+    values = mantissas / _DIVISORS64.take(divisors)
+    slow = np.flatnonzero((mantissas >= 2**53) | (fraction > 22))
+    quotients = mantissas[slow] / _DIVISORS.take(divisors[slow])
+    values[slow] = quotients.astype(np.float64)
     # the quotient's distance from its float64 in float64 spacings: 1/2 at a
     # halfway point, 1/4 at one just below a power of two (and 1/4 elsewhere,
     # where float() only costs time)
-    spacings = np.abs((quotients - values).astype(np.float64) / np.spacing(values))
-    odd |= (spacings == 0.5) | (spacings == 0.25)
+    spacings = np.abs((quotients - values[slow]).astype(np.float64) / np.spacing(values[slow]))
+    odd[slow[(spacings == 0.5) | (spacings == 0.25)]] = True
     # a mantissa past int64 parses as its maximum, and -2**63 stays negative
     odd |= (mantissas == np.iinfo(np.int64).max) | (mantissas < 0)
     index = np.flatnonzero(odd)

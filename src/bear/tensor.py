@@ -140,9 +140,12 @@ class Tensor:
     def backward(self) -> None:
         """Populate gradients of every tape node this scalar depends on.
 
-        A graph that holds a ConvLSTM scan is back-propagated once: the
-        scan's backward pass consumes the state it saved, and a second pass
-        through it raises RuntimeError."""
+        Each pass starts the gradients of the interior nodes (those with a
+        backward rule) from zero, so a second pass over the same graph adds
+        exactly one more gradient to each leaf, which accumulates as the
+        class docstring says. A graph that holds a ConvLSTM scan is
+        back-propagated once: the scan's backward pass consumes the state it
+        saved, and a second pass through it raises RuntimeError."""
         if self.data.size != 1:
             raise ShapeError(f"backward: loss must be a scalar, got shape {self.data.shape}")
         order: list[Tensor] = []
@@ -160,6 +163,9 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
+        for node in order:
+            if node._backward is not None:
+                node.grad = None
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:

@@ -2,6 +2,9 @@
 
 import csv
 import decimal
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -691,6 +694,10 @@ def _embedding_bits(e):
 # first line: ``_EXACTNESS_CASES[name]()`` gives the tokens.
 _BULK_WIDTH = 64
 
+# The routes of _parse_lines: float() for every value, and the bulk
+# conversion where long double is exact.
+_ROUTES = [False, True] if latent._EXACT_LONG_DOUBLE else [False]
+
 
 def _plain_led_block(tokens):
     """A block of lines of _BULK_WIDTH values, one line of plain values and
@@ -745,6 +752,24 @@ _EXACTNESS_CASES = {
         "-0.12345678901234567890123",
         "99999999999999999999.5",
         "0000000000000000000000000000000001.5",
+    ],
+    # mantissas either side of 2**53 and fractions either side of 22 digits,
+    # where the float64 division hands over to the long double one
+    "fast-path edges": lambda: [
+        "9007199254740991",
+        "9007199254740992",
+        "9007199254740993",
+        "-9007199254740993",
+        "900719925474099.3",
+        "0.9007199254740993",
+        "0.9007199254740991",
+        "9007199254740991." + "0" * 6,
+        "0." + "0" * 21 + "1",
+        "0." + "0" * 22 + "1",
+        "-0." + "0" * 21 + "7",
+        "1." + "0" * 21 + "1",
+        "0." + "0" * 6 + "9007199254740991",
+        "0." + "0" * 7 + "9007199254740991",
     ],
     "27 and 28 fraction digits": lambda: [
         "0." + "0" * 26 + "1",
@@ -801,9 +826,131 @@ class TestPlainReader:
         path = tmp_path / "emb.csv"
         write_embeddings(path, e)
         monkeypatch.setattr(latent, "_READ_BLOCK", 1000)
-        back = _read_plain_embeddings(path)
-        assert back.ids == e.ids
-        assert back.rows.tobytes() == e.rows.tobytes()
+        # blocks parse alone, so the thread count cannot change a bit
+        for threads in (2, 1):
+            monkeypatch.setattr(latent, "_parse_threads", lambda: threads)
+            back = _read_plain_embeddings(path)
+            assert back.ids == e.ids
+            assert back.rows.tobytes() == e.rows.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_quote_mid_file_reads_as_the_csv_parser_reads_it(self, tmp_path, monkeypatch, threads):
+        # plain but for one quoted id in the middle of a 20-block read, so the
+        # blocks parsed beside and before it are dropped in file order
+        rng = np.random.default_rng(16)
+        rows = rng.normal(size=(200, 3)).tolist()
+        lines = ["id,z0,z1,z2"] + [f"row{i}," + ",".join(map(repr, row)) for i, row in enumerate(rows)]
+        lines[101] = lines[101].replace("row100,", '"row,100",')
+        path = tmp_path / "emb.csv"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(latent, "_READ_BLOCK", path.stat().st_size // 20)
+        monkeypatch.setattr(latent, "_parse_threads", lambda: threads)
+        assert _read_plain_embeddings(path) is None
+        e = read_embeddings(path)
+        assert e.ids[100] == "row,100"
+        general = latent._read_embeddings(path)
+        assert e.ids == general.ids and e.rows.tobytes() == general.rows.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_late_non_utf8_byte_is_a_format_error(self, tmp_path, monkeypatch, threads):
+        rng = np.random.default_rng(17)
+        path = tmp_path / "emb.csv"
+        write_embeddings(path, _embeddings(rng.normal(size=(200, 3))))
+        content = path.read_bytes()
+        path.write_bytes(content[:-30] + b"\xff" + content[-29:])
+        monkeypatch.setattr(latent, "_READ_BLOCK", len(content) // 20)
+        monkeypatch.setattr(latent, "_parse_threads", lambda: threads)
+        with pytest.raises(FormatError, match="not UTF-8 text"):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("ending", ["returns", "falls back", "raises"])
+    def test_no_thread_outlives_a_read(self, tmp_path, monkeypatch, ending, threads):
+        rng = np.random.default_rng(18)
+        path = tmp_path / "emb.csv"
+        write_embeddings(path, _embeddings(rng.normal(size=(300, 4))))
+        content = path.read_bytes()
+        if ending == "falls back":
+            path.write_bytes(content.replace(b"\nrow150,", b'\n"row150",'))
+        elif ending == "raises":
+            path.write_bytes(content.replace(b"\nrow150,", b"\nrow150,oops,"))
+        monkeypatch.setattr(latent, "_READ_BLOCK", len(content) // 20)
+        monkeypatch.setattr(latent, "_parse_threads", lambda: threads)
+        before = threading.active_count()
+        if ending == "raises":
+            with pytest.raises(FormatError, match="line 152"):
+                read_embeddings(path)
+        else:
+            assert len(read_embeddings(path).ids) == 300
+        assert threading.active_count() == before
+
+    def test_an_error_on_a_helper_thread_is_raised_by_the_read(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(19)
+        path = tmp_path / "emb.csv"
+        write_embeddings(path, _embeddings(rng.normal(size=(300, 4))))
+        monkeypatch.setattr(latent, "_READ_BLOCK", path.stat().st_size // 10)
+        monkeypatch.setattr(latent, "_parse_threads", lambda: 2)
+        parse = latent._parse_lines
+
+        def failing(block, width, bulk):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("helper")
+            return parse(block, width, bulk)
+
+        monkeypatch.setattr(latent, "_parse_lines", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="helper"):
+            read_embeddings(path)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["parse", "take", "join"])
+    def test_ctrl_c_during_a_read_exits_130_and_leaves_no_thread(self, tmp_path, monkeypatch, capsys, where):
+        rng = np.random.default_rng(20)
+        path = tmp_path / "emb.csv"
+        write_embeddings(path, _embeddings(rng.normal(size=(300, 4))))
+        monkeypatch.setattr(latent, "_READ_BLOCK", path.stat().st_size // 10)
+        monkeypatch.setattr(latent, "_parse_threads", lambda: 2)
+        calls = []
+
+        def interrupt_on_call(n, call):
+            # a Ctrl-C arrives at the n-th call
+            def interrupted(*args, **kwargs):
+                calls.append(args)
+                if len(calls) == n:
+                    raise KeyboardInterrupt
+                return call(*args, **kwargs)
+
+            return interrupted
+
+        if where == "parse":
+            # the calling thread parses its second block while the helper parses
+            parse = latent._parse_lines
+
+            def on_this_thread(block, width, bulk):
+                if threading.current_thread() is threading.main_thread():
+                    return interrupt_on_call(2, parse)(block, width, bulk)
+                return parse(block, width, bulk)
+
+            monkeypatch.setattr(latent, "_parse_lines", on_this_thread)
+        elif where == "take":
+            # while waiting for the helper's third result
+            monkeypatch.setattr(latent._Helper, "take", interrupt_on_call(3, latent._Helper.take))
+        else:
+            # while the read waits for the helper to end
+            monkeypatch.setattr(threading.Thread, "join", interrupt_on_call(1, threading.Thread.join))
+        before = threading.active_count()
+        argv = ["project", "--embeddings", str(path), "--out", str(tmp_path / "proj.csv")]
+        assert cli.main(argv) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert calls
+        assert threading.active_count() == before
+        assert not (tmp_path / "proj.csv").exists()
+
+    def test_import_bear_does_not_load_concurrent_futures(self):
+        # concurrent.futures imports logging, which would slow every command's start
+        code = "import sys, bear, bear.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -822,22 +969,22 @@ class TestPlainReader:
         )
     )
     def test_bulk_conversion_is_float_bit_for_bit(self, tokens):
-        # float() is the csv parser's conversion. On a line of their own, odd
-        # tokens send the block to float() whole; after a plain first line
-        # they meet the bulk path.
+        # float() is the csv parser's conversion, and each route gives its
+        # bits, for the tokens on a line of their own and after a plain line
         try:
             want = np.array([float(token) for token in tokens])
         except ValueError:
             want = None
-        parsed = _parse_lines(("r," + ",".join(tokens) + "\n").encode(), len(tokens))
         block, cells = _plain_led_block(tokens)
-        led = _parse_lines(block, _BULK_WIDTH)
-        if want is None:
-            assert parsed is None and led is None
-            return
-        assert parsed[0] == ["r"]
-        assert parsed[1].tobytes() == want.tobytes()
-        assert led[1].tobytes() == np.array([float(cell) for cell in cells]).tobytes()
+        for bulk in _ROUTES:
+            parsed = _parse_lines(("r," + ",".join(tokens) + "\n").encode(), len(tokens), bulk)
+            led = _parse_lines(block, _BULK_WIDTH, bulk)
+            if want is None:
+                assert parsed is None and led is None
+                continue
+            assert parsed[0] == ["r"]
+            assert parsed[1].tobytes() == want.tobytes()
+            assert led[1].tobytes() == np.array([float(cell) for cell in cells]).tobytes()
 
     @pytest.mark.parametrize("exact", [True, False], ids=["long double", "plain double"])
     @pytest.mark.parametrize("name", sorted(_EXACTNESS_CASES))
@@ -845,14 +992,15 @@ class TestPlainReader:
         # the plain-double route sends every value to float()
         monkeypatch.setattr(latent, "_EXACT_LONG_DOUBLE", exact and latent._EXACT_LONG_DOUBLE)
         block, cells = _plain_led_block(_EXACTNESS_CASES[name]())
-        parsed = _parse_lines(block, _BULK_WIDTH)
+        assert latent._bulk_route(block) == latent._EXACT_LONG_DOUBLE
+        parsed = _parse_lines(block, _BULK_WIDTH, latent._bulk_route(block))
         assert parsed is not None
         assert parsed[1].tobytes() == np.array([float(cell) for cell in cells]).tobytes()
 
     @pytest.mark.parametrize("token", ["", "-", ".", "-.", "--5", "1-2", "5-", ".-5", "1..2", "1.2.3"])
     def test_bulk_path_rejects_what_float_rejects(self, token):
         block, _ = _plain_led_block([token, "1.5"])
-        assert _parse_lines(block, _BULK_WIDTH) is None
+        assert all(_parse_lines(block, _BULK_WIDTH, bulk) is None for bulk in _ROUTES)
 
     @pytest.mark.skipif(not latent._EXACT_LONG_DOUBLE, reason="float() converts every value where long double is inexact")
     def test_float32_reprs_over_their_whole_range(self):
@@ -863,7 +1011,7 @@ class TestPlainReader:
         magnitudes = 10.0 ** rng.uniform(-45.0, np.log10(3e38), size)
         values = (rng.choice((-1.0, 1.0), size) * magnitudes).astype(np.float32).astype(np.float64)
         body = ",".join(map(repr, values.tolist())).encode()
-        converted = _plain_decimals(body, body.translate(None, latent._PLAIN), [len(body)], size)
+        converted = _plain_decimals(body, [len(body)], size)
         assert converted is not None
         assert converted.tobytes() == values.tobytes()
 

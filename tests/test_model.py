@@ -345,6 +345,31 @@ def test_tape_shape_of_a_desk_forward_and_loss(monkeypatch):
     assert recorded == [] and not loss.requires_grad
 
 
+def test_stale_inner_gradients_do_not_reach_a_desk_pass():
+    # a pass starts every interior node's gradient from zero, so gradients
+    # left on them (by an earlier pass, say) change no parameter's, and a
+    # fit's single pass per graph gives the bits it gave before that reset
+    cfg = BearConfig(n=32, d=3, r=4, m=32, f_pfe=8, f_rfe=8, f_bfe=8, f_dec=8)
+    params = init_params(cfg)
+    x = Tensor(np.stack([_image(cfg, seed=s) for s in range(2)]))
+    bce_loss(x, forward(x, params, cfg)).backward()
+    clean = params.grad.copy()
+    params.zero_grads()
+    loss = bce_loss(x, forward(x, params, cfg))
+    interior, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            if node._backward is not None:
+                interior.append(node)
+    for node in interior:
+        node.grad = np.full_like(node.data, 3.0)
+    loss.backward()
+    assert params.grad.tobytes() == clean.tobytes()
+
+
 class TestInitialization:
     def test_same_seed_same_parameters(self, desk_config):
         a = init_params(desk_config)

@@ -431,6 +431,31 @@ class TestBackward:
         sum_squares(w).backward()
         assert np.allclose(w.grad, [4.0, -8.0])
 
+    def test_second_pass_over_one_graph_adds_exactly_one_more_gradient(self):
+        # the inner tanh's gradient from the first pass must not feed the
+        # second: kept, it left x.grad at 5x one pass's
+        x = Tensor(np.array([0.3, -1.2, 2.0]), requires_grad=True)
+        loss = sum_squares(tanh(tanh(x)))
+        loss.backward()
+        once = x.grad.copy()
+        loss.backward()
+        assert x.grad.tobytes() == (2.0 * once).tobytes()
+
+    def test_second_pass_through_conv_and_dense_adds_exactly_one_more_gradient(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 4, 4, 3)).astype(np.float32), requires_grad=True)
+        kernel = Tensor(rng.normal(size=(3, 3, 3, 2)).astype(np.float32), requires_grad=True)
+        bias = Tensor(rng.normal(size=(2,)).astype(np.float32), requires_grad=True)
+        weights = Tensor(rng.normal(size=(32, 5)).astype(np.float32), requires_grad=True)
+        shift = Tensor(rng.normal(size=(5,)).astype(np.float32), requires_grad=True)
+        loss = sum_squares(dense(reshape(tanh(conv2d(x, kernel, bias)), (2, 32)), weights, shift))
+        loss.backward()
+        leaves = (x, kernel, bias, weights, shift)
+        once = [t.grad.copy() for t in leaves]
+        loss.backward()
+        for t, g in zip(leaves, once):
+            assert t.grad.tobytes() == (2 * g).tobytes()
+
     def test_non_scalar_rejected(self):
         with pytest.raises(ShapeError, match="scalar"):
             Tensor(np.zeros(3), requires_grad=True).backward()
