@@ -9,6 +9,7 @@ import itertools
 import math
 import os
 import threading
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -542,12 +543,14 @@ def _read_plain_embeddings(path: Path) -> EmbeddingSet | None:
         fh.seek(len(header))
         rows = np.empty((count, width))
         ids: list[str] = []
-        for parsed in _parsed_blocks(fh, width):
-            # a file that grew since it was counted is left to the general parser
-            if parsed is None or len(ids) + len(parsed[0]) > count:
-                return None
-            rows[len(ids) : len(ids) + len(parsed[0])] = parsed[1]
-            ids += parsed[0]
+        # closed on every exit, which ends the blocks' helper thread
+        with closing(_parsed_blocks(fh, width)) as blocks:
+            for parsed in blocks:
+                # a file that grew since it was counted is left to the general parser
+                if parsed is None or len(ids) + len(parsed[0]) > count:
+                    return None
+                rows[len(ids) : len(ids) + len(parsed[0])] = parsed[1]
+                ids += parsed[0]
     if len(ids) != count:
         return None
     return EmbeddingSet(rows=rows, ids=ids)

@@ -884,6 +884,39 @@ class TestPlainReader:
             assert len(read_embeddings(path).ids) == 300
         assert threading.active_count() == before
 
+    def test_concurrent_reads_under_rapid_thread_switching_keep_their_bits(self, tmp_path, monkeypatch):
+        # four reads at once, each with its own helper, on more threads than
+        # CPUs while the interpreter switches threads every microsecond: a
+        # block or result passed between the wrong threads, or a result lost,
+        # would change a read, send it to the general parser or leave it waiting
+        rng = np.random.default_rng(21)
+        e = _embeddings(rng.normal(size=(400, 5)))
+        path = tmp_path / "emb.csv"
+        write_embeddings(path, e)
+        monkeypatch.setattr(latent, "_READ_BLOCK", path.stat().st_size // 40)
+        monkeypatch.setattr(latent, "_parse_threads", lambda: 2)
+        reads: list = []
+
+        def read_thrice():
+            reads.extend(_read_plain_embeddings(path) for _ in range(3))
+
+        before = threading.active_count()
+        readers = [threading.Thread(target=read_thrice) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert len(reads) == 12
+        for back in reads:
+            assert back.ids == e.ids and back.rows.tobytes() == e.rows.tobytes()
+        assert threading.active_count() == before
+
     def test_an_error_on_a_helper_thread_is_raised_by_the_read(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(19)
         path = tmp_path / "emb.csv"
