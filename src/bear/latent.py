@@ -44,13 +44,10 @@ _READ_BLOCK = 1 << 20
 # arm64, Windows) or a double-double (ppc64), float() converts every value.
 _EXACT_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
 _POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
-# 10**k at k and -10**k at _POW10.size + k, and as doubles, exact up to 10**22
+# 10**k at k and -10**k at _POW10.size + k
 _DIVISORS = np.concatenate((_POW10, -_POW10))
-_DIVISORS64 = _DIVISORS.astype(np.float64)
 # the bytes of a plain value and its separator
 _PLAIN = b"0123456789,.-"
-# what a reader's helper thread gives for a block it leaves to float()
-_LEFT = object()
 
 
 @dataclass
@@ -585,14 +582,11 @@ def _parsed_blocks(fh, width: int) -> Iterator[tuple[list[str], np.ndarray] | No
             if helper:
                 helper.hand(block)
                 block = read()
-            # float()'s route holds the GIL, which the helper needs too, so
-            # such a block waits for the helper's result
-            bulk = bool(block) and _bulk_route(block)
-            parsed = _parse_lines(block, width, True) if bulk else None
+            parsed = _parse_lines(block, width) if block else None
             if helper:
                 yield helper.take()
             if block:
-                yield parsed if bulk else _parse_lines(block, width, False)
+                yield parsed
             block = parsed = None  # dropped before the next pair is read
     finally:
         if helper:
@@ -614,8 +608,7 @@ class _Helper:
     def _run(self) -> None:
         while self._handed.acquire() and (block := self._block) is not None:
             try:
-                # a block for float() is left to the taker (see _parsed_blocks)
-                self._result = _parse_lines(block, self._width, True) if _bulk_route(block) else _LEFT
+                self._result = _parse_lines(block, self._width)
             except Exception as exc:  # raised again by take
                 self._result = exc
             self._parsed.release()
@@ -626,10 +619,10 @@ class _Helper:
 
     def take(self) -> tuple[list[str], np.ndarray] | None:
         self._parsed.acquire()
-        block, result, self._block, self._result = self._block, self._result, None, None
+        result, self._block, self._result = self._result, None, None
         if isinstance(result, Exception):
             raise result
-        return _parse_lines(block, self._width, False) if result is _LEFT else result
+        return result
 
     def stop(self) -> None:
         """End the thread, after the block it parses, if any; a Ctrl-C while
@@ -658,24 +651,13 @@ def _count_lines(fh) -> int:
     return lines + (last != b"\n")
 
 
-def _bulk_route(block: bytes) -> bool:
-    """Whether _parse_lines should convert ``block`` in bulk: long double is
-    exact, and the block has at most an eighth as many "e"s, the exponent
-    marker of repr(), as commas, one per value of a plain block. The route
-    sets only the speed, as both give float()'s bits; float() is the faster
-    where exponents, which it converts on both routes, are common."""
-    buf = np.frombuffer(block, dtype=np.uint8)
-    return _EXACT_LONG_DOUBLE and 8 * np.count_nonzero(buf == ord("e")) <= np.count_nonzero(buf == ord(","))
-
-
-def _parse_lines(block: bytes, width: int, bulk: bool) -> tuple[list[str], np.ndarray] | None:
+def _parse_lines(block: bytes, width: int) -> tuple[list[str], np.ndarray] | None:
     """The ids and the (lines, width) values of a block of whole lines, or None
     unless the csv module would split each of its lines at every comma and
     accept it: the block has no quote, carriage return or NUL and is UTF-8,
     every line has width + 1 fields of at most csv.field_size_limit()
     characters, and float() accepts every value. The values have float()'s
-    bits, converted in bulk or, unless ``bulk``, each by float() (see
-    _decimals)."""
+    bits (see _decimals)."""
     if b'"' in block or b"\r" in block or b"\0" in block:
         return None
     try:
@@ -693,17 +675,36 @@ def _parse_lines(block: bytes, width: int, bulk: bool) -> tuple[list[str], np.nd
             return None
         ids.append(row_id.decode())
         rests.append(rest)
-    values = _decimals(rests, width, bulk)
+    values = _decimals(rests, width, _bulk_route(block, ids, width))
     return None if values is None else (ids, values)
 
 
-def _decimals(lines: list[bytes], width: int, bulk: bool) -> np.ndarray | None:
+def _bulk_route(block: bytes, ids: list[str], width: int) -> set[int] | None:
+    """The bytes other than _PLAIN in the values of ``block``, lines with the
+    given ``ids``, if _decimals should convert them in bulk: long double is
+    exact, and the values hold at most an eighth as many such bytes
+    (exponents, say) as there are values. Otherwise None: float() converts
+    every value. The route sets only the speed, as both give float()'s
+    bits; float() is the faster where such values, which it converts on
+    both routes, are common. The bytes are those of the raw block less its
+    ids', so a block for float() is never joined."""
+    if not _EXACT_LONG_DOUBLE:
+        return None
+    stray = block.translate(None, _PLAIN + b"\n")
+    in_ids = "".join(ids).encode().translate(None, _PLAIN)
+    if 8 * (len(stray) - len(in_ids)) > len(ids) * width:
+        return None
+    return {byte for byte in set(stray) if stray.count(byte) > in_ids.count(byte)}
+
+
+def _decimals(lines: list[bytes], width: int, stray: set[int] | None) -> np.ndarray | None:
     """The (len(lines), width) values of the comma-separated UTF-8 ``lines``
     with float()'s bits, or None unless every line has ``width`` values and
-    float() accepts each: converted in bulk (see _plain_decimals) or, unless
-    ``bulk``, each by float()."""
-    if bulk:
-        return _plain_decimals(b",".join(lines), [len(line) for line in lines], width)
+    float() accepts each: converted in bulk (see _plain_decimals) where
+    ``stray`` holds the lines' bytes other than _PLAIN, or each by float()
+    where it is None (see _bulk_route)."""
+    if stray is not None:
+        return _plain_decimals(b",".join(lines), stray, [len(line) for line in lines], width)
     rows = [line.decode().split(",") for line in lines]
     if any(len(row) != width for row in rows):
         return None
@@ -711,21 +712,18 @@ def _decimals(lines: list[bytes], width: int, bulk: bool) -> np.ndarray | None:
     return None if values is None else values.reshape(len(lines), width)
 
 
-def _plain_decimals(body: bytes, lengths: list[int], width: int) -> np.ndarray | None:
+def _plain_decimals(body: bytes, stray: Iterable[int], lengths: list[int], width: int) -> np.ndarray | None:
     """The values of ``body``, lines of the given byte ``lengths`` joined by
-    commas, as in _decimals.
+    commas, as in _decimals; ``stray`` is body's bytes other than _PLAIN.
 
     A plain value, ``[-]digits[.digits]``, is converted in bulk: its digits
-    without the dot parse as an int64 m, and it is m / ±10**k, with k digits
-    after the dot. Below 2**53 over at most 10**22, both are exact doubles,
-    and one float64 division rounds once, as float() does (Clinger's fast
-    path). Otherwise it is one division of two exact long doubles, which
-    rounds once; the cast to float64 rounds again, which differs from
-    float()'s single rounding only where the quotient lies on a float64
-    halfway point. Those ties, mantissas that saturate int64, k > 27 and
-    every value with a stray byte (an exponent, inf, nan, "+", a space, "_",
-    a non-ASCII digit) go to float() as str. The sign is the divisor's, so
-    -0.0 and -0 keep it."""
+    without the dot parse as an int64, and int / ±10**k, with k digits after
+    the dot, is one division of two exact long doubles, so it rounds once.
+    The cast to float64 rounds again, which differs from float()'s single
+    rounding only where the quotient lies on a float64 halfway point. Those
+    ties, mantissas that saturate int64, k > 27 and every value with a stray
+    byte (an exponent, inf, nan, "+", a space, "_", a non-ASCII digit) go to
+    float() as str. The sign is the divisor's, so -0.0 and -0 keep it."""
     count = len(lengths) * width
     buf = np.frombuffer(body, dtype=np.uint8)
     commas = np.flatnonzero(buf == ord(","))
@@ -742,7 +740,7 @@ def _plain_decimals(body: bytes, lengths: list[int], width: int) -> np.ndarray |
         return None
     # the value a byte belongs to is the number of commas before it
     odd = np.zeros(count, dtype=bool)
-    for byte in set(body.translate(None, _PLAIN)):
+    for byte in set(stray):
         odd[np.searchsorted(commas, np.flatnonzero(buf == byte))] = True
     # the value of each dot: dot i's own, when every value holds one dot
     if len(dots) == count and (dots[:-1] < commas).all() and (dots[1:] > commas).all():
@@ -768,16 +766,13 @@ def _plain_decimals(body: bytes, lengths: list[int], width: int) -> np.ndarray |
         return None
     mantissas = np.abs(np.fromstring(digits.replace(b".", b""), dtype=np.int64, sep=","))
     fraction[odd] = 0  # float() replaces their quotients
-    divisors = fraction + _POW10.size * negative
-    values = mantissas / _DIVISORS64.take(divisors)
-    slow = np.flatnonzero((mantissas >= 2**53) | (fraction > 22))
-    quotients = mantissas[slow] / _DIVISORS.take(divisors[slow])
-    values[slow] = quotients.astype(np.float64)
+    quotients = mantissas / _DIVISORS.take(fraction + _POW10.size * negative)
+    values = quotients.astype(np.float64)
     # the quotient's distance from its float64 in float64 spacings: 1/2 at a
     # halfway point, 1/4 at one just below a power of two (and 1/4 elsewhere,
     # where float() only costs time)
-    spacings = np.abs((quotients - values[slow]).astype(np.float64) / np.spacing(values[slow]))
-    odd[slow[(spacings == 0.5) | (spacings == 0.25)]] = True
+    spacings = np.abs((quotients - values).astype(np.float64) / np.spacing(values))
+    odd |= (spacings == 0.5) | (spacings == 0.25)
     # a mantissa past int64 parses as its maximum, and -2**63 stays negative
     odd |= (mantissas == np.iinfo(np.int64).max) | (mantissas < 0)
     index = np.flatnonzero(odd)

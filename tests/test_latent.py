@@ -699,6 +699,17 @@ _BULK_WIDTH = 64
 _ROUTES = [False, True] if latent._EXACT_LONG_DOUBLE else [False]
 
 
+def _parse_by(bulk, block, width):
+    """_parse_lines of ``block`` with every value on the bulk route or, unless
+    ``bulk``, converted by float()."""
+    def route(block, ids, width):
+        return set(block.translate(None, latent._PLAIN + b"\n")) if bulk else None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(latent, "_bulk_route", route)
+        return _parse_lines(block, width)
+
+
 def _plain_led_block(tokens):
     """A block of lines of _BULK_WIDTH values, one line of plain values and
     then ``tokens``, padded with plain values to whole lines; and its cells."""
@@ -753,24 +764,6 @@ _EXACTNESS_CASES = {
         "99999999999999999999.5",
         "0000000000000000000000000000000001.5",
     ],
-    # mantissas either side of 2**53 and fractions either side of 22 digits,
-    # where the float64 division hands over to the long double one
-    "fast-path edges": lambda: [
-        "9007199254740991",
-        "9007199254740992",
-        "9007199254740993",
-        "-9007199254740993",
-        "900719925474099.3",
-        "0.9007199254740993",
-        "0.9007199254740991",
-        "9007199254740991." + "0" * 6,
-        "0." + "0" * 21 + "1",
-        "0." + "0" * 22 + "1",
-        "-0." + "0" * 21 + "7",
-        "1." + "0" * 21 + "1",
-        "0." + "0" * 6 + "9007199254740991",
-        "0." + "0" * 7 + "9007199254740991",
-    ],
     "27 and 28 fraction digits": lambda: [
         "0." + "0" * 26 + "1",
         "0." + "0" * 27 + "1",
@@ -820,9 +813,17 @@ class TestPlainReader:
             assert issubclass(fast[0], (FormatError, DataError)), fast
             assert fast_cli[0] == 2
 
-    def test_plain_file_over_many_blocks(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("scales", ["plain", "every other row tiny", "wide range"])
+    def test_plain_file_over_many_blocks(self, tmp_path, monkeypatch, scales):
+        # rows scaled by 1e-7 are written with exponents, so their blocks
+        # convert by float() on both threads; a wide range mixes the routes
         rng = np.random.default_rng(15)
-        e = _embeddings(rng.normal(size=(300, 7)) * 10.0 ** rng.integers(-300, 300, size=(300, 7)))
+        rows = rng.normal(size=(300, 7))
+        if scales == "every other row tiny":
+            rows[::2] *= 1e-7
+        elif scales == "wide range":
+            rows *= 10.0 ** rng.integers(-300, 300, size=rows.shape)
+        e = _embeddings(rows)
         path = tmp_path / "emb.csv"
         write_embeddings(path, e)
         monkeypatch.setattr(latent, "_READ_BLOCK", 1000)
@@ -832,6 +833,29 @@ class TestPlainReader:
             back = _read_plain_embeddings(path)
             assert back.ids == e.ids
             assert back.rows.tobytes() == e.rows.tobytes()
+
+    @pytest.mark.skipif(not latent._EXACT_LONG_DOUBLE, reason="float() converts every value where long double is inexact")
+    @pytest.mark.parametrize(
+        "line,bulk",
+        [
+            ("0.5,-1.25,3.0,7,0.125,-2.5,1.75,4.5", True),
+            ("1e-07,-1.25,3.0,7,0.125,-2.5,1.75,4.5", True),
+            ("1e-07,-1.5e-07,3.0,7,0.125,-2.5,1.75,4.5", False),
+            (",".join("%.18E" % v for v in (0.5, -1.25, 3.0, 7, 0.125, -2.5, 1.75, 4.5)), False),
+            ("0.5, -1.25, 3.0, 7, 0.125, -2.5, 1.75, 4.5", False),
+            ("inf,-1.25,3.0,7,0.125,-2.5,1.75,4.5", False),
+        ],
+    )
+    def test_blocks_with_many_stray_bytes_convert_by_float(self, line, bulk):
+        # at most one byte outside [0-9,.-] per eight values keeps a block on
+        # the bulk route, whatever bytes its ids hold
+        block = "".join(f"photo_{i}_ÿ,{line}\n" for i in range(50)).encode()
+        stray = latent._bulk_route(block, [f"photo_{i}_ÿ" for i in range(50)], 8)
+        assert (stray is not None) == bulk
+        if bulk:
+            assert stray == set(line.encode().translate(None, latent._PLAIN))
+        parsed = _parse_lines(block, 8)
+        assert parsed[1].tobytes() == np.array([[float(v) for v in line.split(",")]] * 50).tobytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_a_quote_mid_file_reads_as_the_csv_parser_reads_it(self, tmp_path, monkeypatch, threads):
@@ -925,10 +949,10 @@ class TestPlainReader:
         monkeypatch.setattr(latent, "_parse_threads", lambda: 2)
         parse = latent._parse_lines
 
-        def failing(block, width, bulk):
+        def failing(block, width):
             if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("helper")
-            return parse(block, width, bulk)
+            return parse(block, width)
 
         monkeypatch.setattr(latent, "_parse_lines", failing)
         before = threading.active_count()
@@ -959,10 +983,10 @@ class TestPlainReader:
             # the calling thread parses its second block while the helper parses
             parse = latent._parse_lines
 
-            def on_this_thread(block, width, bulk):
+            def on_this_thread(block, width):
                 if threading.current_thread() is threading.main_thread():
-                    return interrupt_on_call(2, parse)(block, width, bulk)
-                return parse(block, width, bulk)
+                    return interrupt_on_call(2, parse)(block, width)
+                return parse(block, width)
 
             monkeypatch.setattr(latent, "_parse_lines", on_this_thread)
         elif where == "take":
@@ -1010,8 +1034,8 @@ class TestPlainReader:
             want = None
         block, cells = _plain_led_block(tokens)
         for bulk in _ROUTES:
-            parsed = _parse_lines(("r," + ",".join(tokens) + "\n").encode(), len(tokens), bulk)
-            led = _parse_lines(block, _BULK_WIDTH, bulk)
+            parsed = _parse_by(bulk, ("r," + ",".join(tokens) + "\n").encode(), len(tokens))
+            led = _parse_by(bulk, block, _BULK_WIDTH)
             if want is None:
                 assert parsed is None and led is None
                 continue
@@ -1022,18 +1046,18 @@ class TestPlainReader:
     @pytest.mark.parametrize("exact", [True, False], ids=["long double", "plain double"])
     @pytest.mark.parametrize("name", sorted(_EXACTNESS_CASES))
     def test_exactness_cases_are_float_bit_for_bit(self, name, exact, monkeypatch):
-        # the plain-double route sends every value to float()
+        # the plain-double route sends every value to float(); with long
+        # double, odd tokens meet the bulk conversion too
         monkeypatch.setattr(latent, "_EXACT_LONG_DOUBLE", exact and latent._EXACT_LONG_DOUBLE)
         block, cells = _plain_led_block(_EXACTNESS_CASES[name]())
-        assert latent._bulk_route(block) == latent._EXACT_LONG_DOUBLE
-        parsed = _parse_lines(block, _BULK_WIDTH, latent._bulk_route(block))
+        parsed = _parse_by(latent._EXACT_LONG_DOUBLE, block, _BULK_WIDTH)
         assert parsed is not None
         assert parsed[1].tobytes() == np.array([float(cell) for cell in cells]).tobytes()
 
     @pytest.mark.parametrize("token", ["", "-", ".", "-.", "--5", "1-2", "5-", ".-5", "1..2", "1.2.3"])
     def test_bulk_path_rejects_what_float_rejects(self, token):
         block, _ = _plain_led_block([token, "1.5"])
-        assert all(_parse_lines(block, _BULK_WIDTH, bulk) is None for bulk in _ROUTES)
+        assert all(_parse_by(bulk, block, _BULK_WIDTH) is None for bulk in _ROUTES)
 
     @pytest.mark.skipif(not latent._EXACT_LONG_DOUBLE, reason="float() converts every value where long double is inexact")
     def test_float32_reprs_over_their_whole_range(self):
@@ -1044,7 +1068,7 @@ class TestPlainReader:
         magnitudes = 10.0 ** rng.uniform(-45.0, np.log10(3e38), size)
         values = (rng.choice((-1.0, 1.0), size) * magnitudes).astype(np.float32).astype(np.float64)
         body = ",".join(map(repr, values.tolist())).encode()
-        converted = _plain_decimals(body, [len(body)], size)
+        converted = _plain_decimals(body, body.translate(None, latent._PLAIN), [len(body)], size)
         assert converted is not None
         assert converted.tobytes() == values.tobytes()
 
