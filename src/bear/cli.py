@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
@@ -20,6 +20,7 @@ import numpy as np
 
 from . import latent as lat
 from .errors import ConfigError, DataError, FormatError, NumericError
+from .helper import Helper, in_pairs, use_helper
 from .model import encode, forward, param_count
 from .ppm import image_to_unit, read_ppm, resize_unit, unit_to_image, write_ppm
 from .serialize import Checkpoint, atomic_write, config_hash, load_checkpoint, load_run_config, save_checkpoint
@@ -163,14 +164,29 @@ def _cmd_encode(args) -> int:
     ckpt = _load_image_checkpoint(args.ckpt, encoder_only=True)
     # read, encode and release one chunk of images at a time
     images = _read_image_dir(Path(args.data), ckpt.config.n)
+
+    def read() -> list[tuple[str, np.ndarray]]:
+        return list(itertools.islice(images, ckpt.config.forward_chunk))
+
+    def run(chunk: list[tuple[str, np.ndarray]]) -> tuple[tuple, np.ndarray]:
+        names, pixels = zip(*chunk)
+        return names, encode(Tensor(np.stack(pixels)), ckpt.params, ckpt.config).data
+
     ids: list[str] = []
     chunks = []
-    # weights large enough to overflow float32 warn here; the finite check below reports it
-    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        while chunk := list(itertools.islice(images, ckpt.config.forward_chunk)):
-            names, pixels = zip(*chunk)
+    # Where a helper thread can share the matrix products, it encodes the first
+    # chunk of each pair while this thread reads and encodes the second. A
+    # chunk encodes alone, so its rows do not depend on the thread, and the
+    # helper ends with this block on every exit.
+    with (
+        no_grad(),
+        # weights large enough to overflow float32 warn here; the finite check below reports it
+        np.errstate(over="ignore", invalid="ignore"),
+        Helper() if use_helper(blas=True) else nullcontext() as helper,
+    ):
+        for names, rows in in_pairs(read, run, helper):
             ids += names
-            chunks.append(encode(Tensor(np.stack(pixels)), ckpt.params, ckpt.config).data)
+            chunks.append(rows)
     if not chunks:
         raise DataError(f"no usable images in {args.data}")
     rows = np.concatenate(chunks)

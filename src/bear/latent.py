@@ -7,9 +7,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import os
-import threading
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -17,6 +15,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, NumericError
+from .helper import Helper, in_pairs, use_helper
 from .serialize import atomic_write
 
 _MONOTONE_SLACK = 1e-9
@@ -534,14 +533,13 @@ def _read_plain_embeddings(path: Path) -> EmbeddingSet | None:
         width = header.count(b",")
         if width < 1 or header != ("id," + ",".join(f"z{i}" for i in range(width)) + "\n").encode():
             return None
-        count = _count_lines(fh)
-        if count == 0:
-            return None
-        fh.seek(len(header))
-        rows = np.empty((count, width))
-        ids: list[str] = []
         # closed on every exit, which ends the blocks' helper thread
-        with closing(_parsed_blocks(fh, width)) as blocks:
+        with closing(_parsed_blocks(path, fh, width)) as blocks:
+            count = next(blocks)
+            if count == 0:
+                return None
+            rows = np.empty((count, width))
+            ids: list[str] = []
             for parsed in blocks:
                 # a file that grew since it was counted is left to the general parser
                 if parsed is None or len(ids) + len(parsed[0]) > count:
@@ -553,101 +551,45 @@ def _read_plain_embeddings(path: Path) -> EmbeddingSet | None:
     return EmbeddingSet(rows=rows, ids=ids)
 
 
-def _parse_threads() -> int:
-    """Threads that parse blocks: two where the process may run on two CPUs."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on macOS or Windows
-        cpus = os.cpu_count() or 1
-    return min(2, cpus)
+def _parsed_blocks(path: Path, fh, width: int) -> Iterator:
+    """The number of lines from the position of the binary file ``fh``, opened
+    at ``path``, to its end; then _parse_lines of each block of whole lines
+    from there, in file order. With two CPUs the blocks are of _READ_BLOCK /
+    2 bytes, each then to the end of its line: a helper thread counts the
+    lines while this one reads and parses the first block, and the other
+    blocks come in pairs (``in_pairs``), so about _READ_BLOCK bytes of
+    blocks are in flight however many threads there are. A block parses
+    alone, so its result does not depend on the thread that parsed it, and
+    the helper ends with the read."""
+    start = fh.tell()
+    with Helper() if use_helper() else nullcontext() as helper:
+        size = max(1, _READ_BLOCK // (2 if helper else 1))
 
+        def read() -> bytes:
+            block = fh.read(size)
+            return block + fh.readline() if block else block
 
-def _parsed_blocks(fh, width: int) -> Iterator[tuple[list[str], np.ndarray] | None]:
-    """_parse_lines of each block of whole lines from the position of the binary
-    file ``fh`` to its end, in file order. With two CPUs the blocks come in
-    pairs of _READ_BLOCK / 2 bytes, each then to the end of its line: a
-    helper thread parses the first while this one reads and parses the
-    second, so about _READ_BLOCK bytes of blocks are in flight however many
-    threads there are. A block parses alone, so its result does not depend
-    on the thread that parsed it, and the helper ends with the read."""
-    helper = _Helper(width) if _parse_threads() > 1 else None
-    size = max(1, _READ_BLOCK // (2 if helper else 1))
-
-    def read() -> bytes:
-        block = fh.read(size)
-        return block + fh.readline() if block else block
-
-    try:
-        while block := read():
-            if helper:
-                helper.hand(block)
-                block = read()
-            parsed = _parse_lines(block, width) if block else None
-            if helper:
-                yield helper.take()
-            if block:
-                yield parsed
-            block = parsed = None  # dropped before the next pair is read
-    finally:
         if helper:
-            helper.stop()
+            helper.hand(_count_lines, path, start)
+        block = read()
+        parsed = _parse_lines(block, width) if block else None
+        yield helper.take() if helper else _count_lines(path, start)
+        if block:
+            yield parsed
+        block = parsed = None
+        yield from in_pairs(read, lambda block: _parse_lines(block, width), helper)
 
 
-class _Helper:
-    """A thread that parses one block at a time for the thread that made it:
-    ``hand`` gives it a block, and ``take`` waits for that block's result."""
-
-    def __init__(self, width: int) -> None:
-        self._width = width
-        self._block: bytes | None = None
-        self._result = None
-        self._handed, self._parsed = threading.Semaphore(0), threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._run)
-        self._thread.start()
-
-    def _run(self) -> None:
-        while self._handed.acquire() and (block := self._block) is not None:
-            try:
-                self._result = _parse_lines(block, self._width)
-            except Exception as exc:  # raised again by take
-                self._result = exc
-            self._parsed.release()
-
-    def hand(self, block: bytes) -> None:
-        self._block = block
-        self._handed.release()
-
-    def take(self) -> tuple[list[str], np.ndarray] | None:
-        self._parsed.acquire()
-        result, self._block, self._result = self._result, None, None
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    def stop(self) -> None:
-        """End the thread, after the block it parses, if any; a Ctrl-C while
-        this waits is raised once the thread has ended."""
-        self._block = None
-        self._handed.release()
-        interrupt = None
-        while True:
-            try:
-                self._thread.join()
-                break
-            except KeyboardInterrupt as exc:
-                interrupt = exc
-        if interrupt is not None:
-            raise interrupt
-
-
-def _count_lines(fh) -> int:
-    """Lines from the position of the binary file ``fh`` to its end, a last line
+def _count_lines(path: Path, start: int) -> int:
+    """Lines of the file at ``path`` from byte ``start`` to its end, a last line
     without a line feed included."""
     lines, last = 0, b"\n"
-    while chunk := fh.read(_READ_BLOCK):
-        # numpy's compare and count takes about half the time of bytes.count
-        lines += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n")))
-        last = chunk[-1:]
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while chunk := fh.read(_READ_BLOCK):
+            # numpy's compare and count takes about half the time of bytes.count
+            lines += int(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n")))
+            last = chunk[-1:]
     return lines + (last != b"\n")
 
 

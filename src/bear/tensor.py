@@ -15,6 +15,7 @@ import itertools
 import math
 import mmap
 import os
+import threading
 from contextlib import contextmanager, suppress
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -32,59 +33,74 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # temporaries stay in cache.
 CHUNK = 1 << 16
 
-_grad_enabled = True
+
+class _ThreadState(threading.local):
+    """The tape switch and free list of one thread: each thread starts with the
+    tape on and no free list, whatever the thread that started it has set."""
+
+    grad_enabled = True
+    # blocks handed back inside ``reuse_memory``, or None outside it
+    free: list[Array] | None = None
+    # whether a free-list miss maps fresh memory (``reuse_memory(mapped=True)``)
+    mapped = False
+
+
+_state = _ThreadState()
 
 
 @contextmanager
 def no_grad() -> Iterator[None]:
-    """Evaluate forward-only: operations inside record no tape nodes."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    """Evaluate forward-only: operations inside, on this thread, record no tape
+    nodes."""
+    previous = _state.grad_enabled
+    _state.grad_enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
-
-
-# Blocks handed back inside ``reuse_memory``, or None outside it.
-_free: list[Array] | None = None
+        _state.grad_enabled = previous
 
 
 @contextmanager
-def reuse_memory() -> Iterator[None]:
-    """Keep the blocks handed back with ``_give`` inside this context, and let
-    ``_take`` hand them out again; they are dropped when it exits. A training
-    run's steps ask for the same large arrays every micro-batch, and memory
-    freed to the allocator goes back to the kernel and faults in again. Like
-    ``no_grad``, it sets module state, so it serves one thread at a time."""
-    global _free
-    previous = _free
-    _free = []
+def reuse_memory(mapped: bool = False) -> Iterator[None]:
+    """Keep the blocks this thread hands back with ``_give`` inside this
+    context, and let ``_take`` hand them out again; they are dropped when it
+    exits. A training run's steps ask for the same large arrays every
+    micro-batch, and memory freed to the allocator goes back to the kernel
+    and faults in again. With ``mapped``, a block that no free one can serve
+    is an anonymous mapping of its own (``_zero_block``), unmapped when
+    dropped: memory a helper thread frees to the allocator stays resident in
+    that thread's heap, where no other thread can reuse it."""
+    previous = _state.free, _state.mapped
+    _state.free, _state.mapped = [], mapped
     try:
         yield
     finally:
-        _free = previous
+        _state.free, _state.mapped = previous
 
 
 def _take(shape: tuple[int, ...], dtype) -> Array:
     """An uninitialised array: inside ``reuse_memory`` a view of the smallest
-    free block with enough bytes, otherwise ``np.empty``."""
+    free block with enough bytes, or of a fresh mapping where it maps them,
+    otherwise ``np.empty``."""
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
-    fits = [i for i, block in enumerate(_free or ()) if block.nbytes >= nbytes]
-    if not fits:
+    free = _state.free
+    fits = [i for i, block in enumerate(free or ()) if block.nbytes >= nbytes]
+    if fits:
+        block = free.pop(min(fits, key=lambda i: free[i].nbytes))
+    elif _state.mapped:
+        block = _zero_block(nbytes, np.dtype(np.uint8))
+    else:
         return np.empty(shape, dtype)
-    block = _free.pop(min(fits, key=lambda i: _free[i].nbytes))
     return block[:nbytes].view(dtype).reshape(shape)
 
 
 def _give(*arrays: Array) -> None:
     """Hand back arrays whose contents are dead: inside ``reuse_memory`` the
     whole block each one views (the array itself if it owns its memory) goes
-    on the free list, as bytes."""
-    if _free is not None:
-        _free.extend((a if a.base is None else a.base).reshape(-1).view(np.uint8) for a in arrays)
+    on this thread's free list, as bytes."""
+    if _state.free is not None:
+        _state.free.extend((a if a.base is None else a.base).reshape(-1).view(np.uint8) for a in arrays)
 
 
 class Tensor:
@@ -192,7 +208,7 @@ def custom_op(value, parents: Sequence[Tensor], backward: BackwardFn) -> Tensor:
 def _records(parents: Sequence[Tensor]) -> bool:
     """Whether ``custom_op`` records a node over ``parents``: the tape is on
     and at least one parent requires a gradient."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    return _state.grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _local(value, *pairs: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
@@ -513,7 +529,7 @@ def _zero_block(count: int, dtype: np.dtype) -> Array:
     try:
         block = mmap.mmap(-1, max(1, nbytes), flags=mmap.MAP_PRIVATE)
     except (OSError, OverflowError):  # for want of memory, or of a size that ssize_t holds
-        raise MemoryError(f"Unable to map {nbytes / 2**30:.1f} GiB for a parameter arena") from None
+        raise MemoryError(f"Unable to map {nbytes / 2**30:.1f} GiB") from None
     if _HUGE_PAGES and nbytes >= 1 << 22:
         with suppress(OSError):  # advice only: a kernel without huge pages refuses it
             block.madvise(mmap.MADV_HUGEPAGE)

@@ -381,7 +381,7 @@ class TestFreeList:
             _give(*seeded)
             dirty = _scan_run(5, extent, filters, taped)
             # every request was served from a seeded block, and every block came back
-            assert sorted(b.ctypes.data for b in bear.tensor._free) == sorted(b.ctypes.data for b in seeded)
+            assert sorted(b.ctypes.data for b in bear.tensor._state.free) == sorted(b.ctypes.data for b in seeded)
         assert len(dirty) == len(fresh)
         for got, want in zip(dirty, fresh):
             assert got.tobytes() == want.tobytes()
@@ -392,8 +392,8 @@ class TestFreeList:
         with reuse_memory():
             results = _scan_run(6, extent, filters, taped)
             kept = [r.copy() for r in results]
-            assert bear.tensor._free
-            for block in bear.tensor._free:
+            assert bear.tensor._state.free
+            for block in bear.tensor._state.free:
                 block[...] = 0xFF
         for got, want in zip(results, kept):
             assert got.tobytes() == want.tobytes()
@@ -401,7 +401,7 @@ class TestFreeList:
     def test_take_outside_the_context_never_reuses_a_block(self):
         first = _take((4, 8), np.float32)
         _give(first)
-        assert bear.tensor._free is None
+        assert bear.tensor._state.free is None
         second = _take((4, 8), np.float32)
         assert second.shape == (4, 8) and second.dtype == np.float32
         assert not np.shares_memory(first, second)
@@ -417,8 +417,8 @@ class TestFreeList:
             c = _take((1,), np.float32)  # the free list is empty now
             assert not np.shares_memory(c, small) and not np.shares_memory(c, large)
             _give(a)
-            assert [block.nbytes for block in bear.tensor._free] == [64]
-        assert bear.tensor._free is None
+            assert [block.nbytes for block in bear.tensor._state.free] == [64]
+        assert bear.tensor._state.free is None
 
 
 class TestWindows:

@@ -829,7 +829,7 @@ class TestPlainReader:
         monkeypatch.setattr(latent, "_READ_BLOCK", 1000)
         # blocks parse alone, so the thread count cannot change a bit
         for threads in (2, 1):
-            monkeypatch.setattr(latent, "_parse_threads", lambda: threads)
+            monkeypatch.setattr(latent, "use_helper", lambda: threads == 2)
             back = _read_plain_embeddings(path)
             assert back.ids == e.ids
             assert back.rows.tobytes() == e.rows.tobytes()
@@ -868,7 +868,7 @@ class TestPlainReader:
         path = tmp_path / "emb.csv"
         path.write_text("\n".join(lines) + "\n")
         monkeypatch.setattr(latent, "_READ_BLOCK", path.stat().st_size // 20)
-        monkeypatch.setattr(latent, "_parse_threads", lambda: threads)
+        monkeypatch.setattr(latent, "use_helper", lambda: threads == 2)
         assert _read_plain_embeddings(path) is None
         e = read_embeddings(path)
         assert e.ids[100] == "row,100"
@@ -883,7 +883,7 @@ class TestPlainReader:
         content = path.read_bytes()
         path.write_bytes(content[:-30] + b"\xff" + content[-29:])
         monkeypatch.setattr(latent, "_READ_BLOCK", len(content) // 20)
-        monkeypatch.setattr(latent, "_parse_threads", lambda: threads)
+        monkeypatch.setattr(latent, "use_helper", lambda: threads == 2)
         with pytest.raises(FormatError, match="not UTF-8 text"):
             read_embeddings(path)
 
@@ -899,7 +899,7 @@ class TestPlainReader:
         elif ending == "raises":
             path.write_bytes(content.replace(b"\nrow150,", b"\nrow150,oops,"))
         monkeypatch.setattr(latent, "_READ_BLOCK", len(content) // 20)
-        monkeypatch.setattr(latent, "_parse_threads", lambda: threads)
+        monkeypatch.setattr(latent, "use_helper", lambda: threads == 2)
         before = threading.active_count()
         if ending == "raises":
             with pytest.raises(FormatError, match="line 152"):
@@ -918,7 +918,7 @@ class TestPlainReader:
         path = tmp_path / "emb.csv"
         write_embeddings(path, e)
         monkeypatch.setattr(latent, "_READ_BLOCK", path.stat().st_size // 40)
-        monkeypatch.setattr(latent, "_parse_threads", lambda: 2)
+        monkeypatch.setattr(latent, "use_helper", lambda: True)
         reads: list = []
 
         def read_thrice():
@@ -946,7 +946,7 @@ class TestPlainReader:
         path = tmp_path / "emb.csv"
         write_embeddings(path, _embeddings(rng.normal(size=(300, 4))))
         monkeypatch.setattr(latent, "_READ_BLOCK", path.stat().st_size // 10)
-        monkeypatch.setattr(latent, "_parse_threads", lambda: 2)
+        monkeypatch.setattr(latent, "use_helper", lambda: True)
         parse = latent._parse_lines
 
         def failing(block, width):
@@ -966,7 +966,7 @@ class TestPlainReader:
         path = tmp_path / "emb.csv"
         write_embeddings(path, _embeddings(rng.normal(size=(300, 4))))
         monkeypatch.setattr(latent, "_READ_BLOCK", path.stat().st_size // 10)
-        monkeypatch.setattr(latent, "_parse_threads", lambda: 2)
+        monkeypatch.setattr(latent, "use_helper", lambda: True)
         calls = []
 
         def interrupt_on_call(n, call):
@@ -991,7 +991,7 @@ class TestPlainReader:
             monkeypatch.setattr(latent, "_parse_lines", on_this_thread)
         elif where == "take":
             # while waiting for the helper's third result
-            monkeypatch.setattr(latent._Helper, "take", interrupt_on_call(3, latent._Helper.take))
+            monkeypatch.setattr(latent.Helper, "take", interrupt_on_call(3, latent.Helper.take))
         else:
             # while the read waits for the helper to end
             monkeypatch.setattr(threading.Thread, "join", interrupt_on_call(1, threading.Thread.join))

@@ -1,5 +1,6 @@
 """Peak memory of full-scale training set-up, encoding and reading
-embeddings, the gradient block's cost in a run without batches, the
+embeddings, an encode followed by a reconstruct, the gradient block's cost
+in a run without batches, the
 resident cost of a parameter arena, and the pages a steady training step
 faults in, measured in a child process so that nothing else in the test run
 counts towards it."""
@@ -59,6 +60,25 @@ start = peak_kib()
 assert bear.cli.main(["train", "--data", "data", "--config", "zero.cfg", "--out", "model.bc1"]) == 0
 print(start, peak_kib())
 """
+
+# A full-scale `bear reconstruct` alone, and after a `bear encode` of six
+# images in the same process. With two CPUs and one BLAS thread, encode's
+# helper thread encodes every other image, and memory that thread frees to
+# glibc stays in its own heap, where reconstruct cannot reuse it. The helper's
+# scan scratch is mapped memory, unmapped when it ends, and the pair peaked
+# 1.9-3.0 MiB above reconstruct alone on Linux (2-core Xeon); a helper that
+# took its scan scratch from the heap peaked 17-19 MiB above it.
+RECONSTRUCT_CHILD = """
+import sys
+import bear.cli
+""" + PEAK_KIB + """
+start = peak_kib()
+if sys.argv[1] == "after-encode":
+    assert bear.cli.main(["encode", "--ckpt", "model.bc1", "--data", "data", "--out", "emb.csv"]) == 0
+assert bear.cli.main(["reconstruct", "--ckpt", "model.bc1", "--in", "data/img0.ppm", "--out", "r.ppm"]) == 0
+print(start, peak_kib())
+"""
+ENCODE_SLACK_MB = 8
 
 READ_CHILD = """
 import bear.latent
@@ -147,20 +167,21 @@ STEADY_STEP_FAULTS = 1000
 ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def peak_rise_mb(child: str, cwd: Path) -> float:
+def peak_rise_mb(child: str, cwd: Path, *args: str) -> float:
     """How far the child's peak resident set rose over its own start, in MiB."""
-    proc = subprocess.run([sys.executable, "-c", child], cwd=cwd, env=ENV, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", child, *args], cwd=cwd, env=ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     start, peak = map(int, proc.stdout.split()[-2:])
     return (peak - start) / 1024
 
 
-def full_scale_inputs(cwd: Path) -> float:
-    """Write two full-scale images to ``data`` and a zero-epoch ``zero.cfg``
-    under ``cwd``, and return the MiB of one float32 parameter arena."""
+def full_scale_inputs(cwd: Path, images: int = 2) -> float:
+    """Write ``images`` full-scale images to ``data`` and a zero-epoch
+    ``zero.cfg`` under ``cwd``, and return the MiB of one float32 parameter
+    arena."""
     cfg = BearConfig()  # the paper's full-scale configuration
     (cwd / "data").mkdir()
-    for i, image in enumerate(synthetic_images(2, cfg.n, seed=0)):
+    for i, image in enumerate(synthetic_images(images, cfg.n, seed=0)):
         write_ppm(cwd / "data" / f"img{i}.ppm", unit_to_image(image))
     (cwd / "zero.cfg").write_text(f"n={cfg.n}\nm={cfg.m}\nmax_epochs=0\n")
     return 4 * sum(math.prod(shape) for shape in parameter_shapes(cfg).values()) / 2**20
@@ -182,6 +203,15 @@ def test_zero_epoch_train_never_touches_the_gradient_block(tmp_path):
     arena_mb = full_scale_inputs(tmp_path)
     beyond_mb = peak_rise_mb(ZERO_EPOCH_CHILD, tmp_path) - arena_mb
     assert beyond_mb < arena_mb, f"peak rose {beyond_mb:.1f} MiB beyond the {arena_mb:.1f} MiB of parameter values"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux's /proc/self/status")
+def test_an_encode_before_a_reconstruct_leaves_it_within_a_slack_of_its_peak_alone(tmp_path):
+    full_scale_inputs(tmp_path, images=6)
+    peak_rise_mb(ZERO_EPOCH_CHILD, tmp_path)  # writes model.bc1
+    alone_mb = peak_rise_mb(RECONSTRUCT_CHILD, tmp_path, "alone")
+    after_mb = peak_rise_mb(RECONSTRUCT_CHILD, tmp_path, "after-encode")
+    assert after_mb <= alone_mb + ENCODE_SLACK_MB, f"peak rose {after_mb:.1f} MiB, {alone_mb:.1f} MiB alone"
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs Linux's /proc/self/status")

@@ -515,7 +515,7 @@ class TestFit:
         ends = []
 
         def spy(x, params, cfg):
-            if bear.tensor._grad_enabled:
+            if bear.tensor._state.grad_enabled:
                 return real_forward(x, params, cfg)
             ends.append(params.data.copy())
             if modes[len(ends) - 1] == "bad":
@@ -536,13 +536,13 @@ class TestFit:
         active = []
 
         def spy(*args):
-            active.append(bear.tensor._free is not None)
+            active.append(bear.tensor._state.free is not None)
             return inner(*args)
 
         monkeypatch.setattr(bear.train, "accumulate_gradients", spy)
         fit(images, tcfg, bcfg)
         assert active and all(active)
-        assert bear.tensor._free is None, "the run's free list outlived it"
+        assert bear.tensor._state.free is None, "the run's free list outlived it"
 
     def test_empty_dataset_rejected(self):
         _, tcfg, bcfg = _desk_setup()
@@ -559,7 +559,7 @@ class TestFit:
         stage = "validation" if held_out else "training"
         with pytest.raises(NumericError, match=f"^non-finite {stage} loss in epoch 1$"):
             fit(images, tcfg, bcfg)
-        assert bear.tensor._free is None, "the run's free list outlived it"
+        assert bear.tensor._state.free is None, "the run's free list outlived it"
 
     @pytest.mark.parametrize(
         "call,error,message",
